@@ -308,8 +308,10 @@ def sum(x: Tensor, axis: int | tuple[int, ...] | None = None,
 def mean(x: Tensor, axis: int | tuple[int, ...] | None = None,
          keepdims: bool = False) -> Tensor:
     out = x.data.mean(axis=axis, keepdims=keepdims)
+    # A Python int, so ``g / count`` keeps the gradient's dtype (an np.int64
+    # count would promote float32 gradients to float64 under NumPy 2).
     count = x.data.size if axis is None else (
-        np.prod([x.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]))
+        math.prod(x.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))))
 
     def bw(g: Array):
         if axis is None:
@@ -444,18 +446,89 @@ def _conv_windows(padded: Array, kh: int, kw: int, stride: int) -> Array:
     return win[:, :, ::stride, ::stride]
 
 
+def _depthwise_kernel(x: Array, k: Array, stride: int, padding: int):
+    """One input channel per group, ``C_out == C_in``: no window tensor.
+
+    Works channels-last, where the model's token maps already live, so the
+    channel axis is the contiguous inner loop.  Forward is one einsum over
+    the sliding-window view of the padded input; backward takes kh*kw
+    shifted multiply-adds over strided taps, ``tap(dx_pad) += g * k[:, u, v]``
+    and ``dk[:, u, v] = sum(g * tap(x_pad))``.  Nothing of shape
+    ``[B, C, Ho, Wo, kh, kw]`` is ever allocated.
+    """
+    _, _, h, w = x.shape
+    kh, kw = k.shape[2:]
+    padded = np.pad(x.transpose(0, 2, 3, 1),
+                    ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(
+        padded, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]  # [B, Ho, Wo, C, kh, kw]
+    ho, wo = windows.shape[1:3]
+    kt = np.ascontiguousarray(k[:, 0].transpose(1, 2, 0))  # [kh, kw, C]
+    out = np.einsum("bijcuv,uvc->bijc", windows, kt)
+
+    def tap(a: Array, u: int, v: int) -> Array:
+        return a[:, u:u + (ho - 1) * stride + 1:stride, v:v + (wo - 1) * stride + 1:stride]
+
+    def bw(g: Array):
+        gt = g.transpose(0, 2, 3, 1)
+        dpad = np.zeros_like(padded)
+        dkt = np.empty_like(kt)
+        for u in range(kh):
+            for v in range(kw):
+                dtap = tap(dpad, u, v)
+                dtap += gt * kt[u, v]
+                dkt[u, v] = np.einsum("bijc,bijc->c", gt, tap(padded, u, v))
+        dx = dpad[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
+        return dx, dkt.transpose(2, 0, 1)[:, None]
+
+    return out.transpose(0, 3, 1, 2), bw
+
+
+def _grouped_kernel(x: Array, k: Array, stride: int, padding: int, groups: int):
+    """Dense or grouped conv as einsums over the sliding-window view."""
+    b, cin, h, w = x.shape
+    cout, cg, kh, kw = k.shape
+    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = _conv_windows(padded, kh, kw, stride)  # [B, Cin, Ho, Wo, kh, kw]
+    ho, wo = windows.shape[2], windows.shape[3]
+    wg = windows.reshape(b, groups, cin // groups, ho, wo, kh, kw)
+    kg = k.reshape(groups, cout // groups, cg, kh, kw)
+    out = np.einsum("bgcijuv,gocuv->bgoij", wg, kg, optimize=True)
+
+    def bw(g: Array):
+        gg = g.reshape(b, groups, cout // groups, ho, wo)
+        dk = np.einsum("bgcijuv,bgoij->gocuv", wg, gg, optimize=True)
+        dcols = np.einsum("bgoij,gocuv->bgcijuv", gg, kg, optimize=True)
+        dcols = dcols.reshape(b, cin, ho, wo, kh, kw)
+        dpad = np.zeros_like(padded)
+        for u in range(kh):
+            for v in range(kw):
+                dpad[:, :, u:u + (ho - 1) * stride + 1:stride,
+                     v:v + (wo - 1) * stride + 1:stride] += dcols[:, :, :, :, u, v]
+        dx = dpad[:, :, padding:padding + h, padding:padding + w]
+        return dx, dk.reshape(cout, cg, kh, kw)
+
+    return out.reshape(b, cout, ho, wo), bw
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """2-d cross-correlation with zero padding.
 
     ``x`` is ``[B, C_in, H, W]``; ``weight`` is ``[C_out, C_in/groups, kh, kw]``.
     Output height is ``floor((H + 2*padding - kh)/stride) + 1`` (same for
-    width).  The vectorized path here is checked against a direct six-loop
-    oracle in the test suite.
+    width).  The weight's shape picks the kernel.  One input channel per
+    group with ``C_out == C_in`` (depthwise, any kh/kw/stride/padding) runs
+    channels-last with no window tensor: an einsum over the sliding-window
+    view forward, kh*kw shifted multiply-adds backward.  Every other shape
+    (dense, and grouped with several channels per group) runs as einsums
+    that build the ``[B, C_in, Ho, Wo, kh, kw]`` window tensor in backward.
+    Both kernels are checked, forward and backward, against the loop
+    oracles in ``tests/oracles.py``.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d needs 4-d input/weight, got {x.shape} and {weight.shape}")
-    b, cin, h, w = x.shape
+    _, cin, h, w = x.shape
     cout, cg, kh, kw = weight.shape
     if cin % groups or cout % groups:
         raise ShapeError(f"channels {cin}->{cout} not divisible by groups={groups}")
@@ -468,28 +541,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"bias shape {bias.shape} does not match C_out={cout}")
 
-    padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = _conv_windows(padded, kh, kw, stride)  # [B, Cin, Ho, Wo, kh, kw]
-    ho, wo = windows.shape[2], windows.shape[3]
-    wg = windows.reshape(b, groups, cin // groups, ho, wo, kh, kw)
-    kg = weight.data.reshape(groups, cout // groups, cg, kh, kw)
-    out = np.einsum("bgcijuv,gocuv->bgoij", wg, kg, optimize=True)
-    out = out.reshape(b, cout, ho, wo)
+    if cg == 1 and cout == cin:
+        out, kernel_bw = _depthwise_kernel(x.data, weight.data, stride, padding)
+    else:
+        out, kernel_bw = _grouped_kernel(x.data, weight.data, stride, padding, groups)
     if bias is not None:
-        out = out + bias.data.reshape(1, cout, 1, 1)
+        out += bias.data.reshape(1, cout, 1, 1)
 
     def bw(g: Array):
-        gg = g.reshape(b, groups, cout // groups, ho, wo)
-        dw = np.einsum("bgcijuv,bgoij->gocuv", wg, gg, optimize=True)
-        dw = dw.reshape(cout, cg, kh, kw)
-        dcols = np.einsum("bgoij,gocuv->bgcijuv", gg, kg, optimize=True)
-        dcols = dcols.reshape(b, cin, ho, wo, kh, kw)
-        dpad = np.zeros_like(padded)
-        for u in range(kh):
-            for v in range(kw):
-                dpad[:, :, u:u + (ho - 1) * stride + 1:stride,
-                     v:v + (wo - 1) * stride + 1:stride] += dcols[:, :, :, :, u, v]
-        dx = dpad[:, :, padding:padding + h, padding:padding + w]
+        dx, dw = kernel_bw(g)
         db = None if bias is None else g.sum(axis=(0, 2, 3))
         return (dx, dw) if bias is None else (dx, dw, db)
 

@@ -104,7 +104,7 @@ class TestFiniteDifferenceOracle:
 
 # every differentiable op, three distinct shapes each
 SHAPES3 = [(3,), (2, 4), (2, 3, 2)]
-SHAPES4D = [(1, 2, 4, 4), (2, 3, 5, 4), (1, 1, 6, 7)]
+SHAPES4D = [(1, 2, 4, 4), (2, 3, 5, 4), (1, 1, 6, 7), (2, 3, 1, 1), (1, 2, 2, 2)]
 
 
 class TestEveryOpThreeShapes:
@@ -210,7 +210,14 @@ class TestEveryOpThreeShapes:
         x = randt(rng, *shape)
         w = randt(rng, shape[1], 1, 3, 3)
         b = randt(rng, shape[1])
-        check_grads(lambda: proj(T.depthwise_conv2d(x, w, b), 21), [x, w, b])
+        for padding in (0, 1, 2):
+            if min(shape[2:]) + 2 * padding < 3:
+                continue
+            check_grads(lambda: proj(T.depthwise_conv2d(x, w, b, padding=padding), 21),
+                        [x, w, b])
+        # groups == C with stride 2 runs the same kernel on strided taps
+        check_grads(lambda: proj(T.conv2d(x, w, b, stride=2, padding=1,
+                                          groups=shape[1]), 24), [x, w, b])
 
     @pytest.mark.parametrize("shape,oh,ow", [((1, 2, 4, 4), 2, 2),
                                              ((2, 3, 7, 5), 3, 2),

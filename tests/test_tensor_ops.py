@@ -1,6 +1,8 @@
 """Forward semantics of the tensor op set, checked against hand values and
 the loop oracles."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -103,14 +105,45 @@ class TestDepthwiseConv2d:
         npt.assert_array_equal(base[:, 2], bumped[:, 2])
 
     def test_against_loops(self, rng):
-        x = rng.normal(size=(2, 4, 6, 6))
+        # padding 0-2, non-square maps, and the 1x1 and 2x2 maps the RPE
+        # sees on coarse pyramid levels (which need padding >= 1)
+        cases = [((2, 4, 6, 6), 1), ((2, 4, 6, 6), 0), ((1, 3, 5, 7), 2),
+                 ((2, 3, 7, 4), 0), ((2, 5, 1, 1), 1), ((2, 5, 1, 1), 2),
+                 ((3, 2, 2, 2), 1)]
+        for shape, padding in cases:
+            c = shape[1]
+            x = rng.normal(size=shape)
+            w = rng.normal(size=(c, 1, 3, 3))
+            b = rng.normal(size=c)
+            out = T.depthwise_conv2d(Tensor(x, dtype=np.float64),
+                                     Tensor(w, dtype=np.float64),
+                                     Tensor(b, dtype=np.float64), padding=padding)
+            ref = oracles.depthwise_loops(x, w, b, padding=padding)
+            npt.assert_allclose(out.data, ref, rtol=1e-5, err_msg=f"{shape} p={padding}")
+        # the same kernel serves any groups == C conv, here strided
+        x = rng.normal(size=(2, 4, 7, 6))
         w = rng.normal(size=(4, 1, 3, 3))
-        b = rng.normal(size=4)
-        out = T.depthwise_conv2d(Tensor(x, dtype=np.float64),
-                                 Tensor(w, dtype=np.float64),
-                                 Tensor(b, dtype=np.float64))
-        ref = oracles.depthwise_loops(x, w, b)
+        out = T.conv2d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64),
+                       stride=2, padding=1, groups=4)
+        ref = oracles.conv2d_loops(x, w, stride=2, padding=1, groups=4)
         npt.assert_allclose(out.data, ref, rtol=1e-5)
+
+    def test_forward_backward_peak_memory(self, rng):
+        # a [B, C, H, W, 3, 3] window tensor alone would be 9 input sizes
+        x = Tensor(rng.normal(size=(2, 64, 16, 16)).astype(np.float32),
+                   requires_grad=True)
+        w = Tensor(rng.normal(size=(64, 1, 3, 3)).astype(np.float32),
+                   requires_grad=True)
+        b = Tensor(np.zeros(64, dtype=np.float32), requires_grad=True)
+        g = np.ones(x.shape, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            out = T.depthwise_conv2d(x, w, b)
+            out.creator.backward_fn(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * x.data.nbytes, f"peak {peak / x.data.nbytes:.1f} input sizes"
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):

@@ -9,8 +9,9 @@ import pytest
 import oracles
 from ppvit import (AdamWState, ConfigError, DivergenceError, NonFiniteError,
                    SyntheticDataset, Tensor, TrainConfig, adamw_step,
-                   build_model, evaluate, gradcheck_suite, lr_at, preset,
-                   train)
+                   build_model, evaluate, forward_classify, gradcheck_suite,
+                   load_batch, lr_at, preset, train)
+from ppvit import tensor as T
 from ppvit.training import records_to_csv
 
 
@@ -166,6 +167,29 @@ class TestTrainLoop:
         _, manifest = load_checkpoint(ckpt)
         assert manifest["extra"]["steps"] == 3
         assert manifest["extra"]["final_loss"] == records[-1].loss
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_two_steps_keep_build_dtype(self, dtype):
+        # the steps of train(), unrolled so the gradients and moments are
+        # visible; one promoted gradient would leak into its moments and
+        # parameter, and from there into every later step
+        net = build_model(preset("micro", num_classes=4), seed=0, dtype=dtype)
+        ds = SyntheticDataset("blobs", 4, 32, 4, seed=7)
+        tc = TrainConfig(lr=1e-3, total_steps=2, batch_size=4)
+        named = net.named_params()
+        state = AdamWState.for_params(named)
+        for step in (1, 2):
+            images, labels = load_batch(ds, np.arange(4))
+            loss = T.cross_entropy_logits(forward_classify(net, images), labels)
+            T.zero_grads([p for _, p in named])
+            loss.backward()
+            assert loss.dtype == dtype
+            grads = [p.grad for _, p in named]
+            assert [n for (n, _), g in zip(named, grads) if g.dtype != dtype] == []
+            adamw_step(named, grads, state, tc, step)
+        assert [n for n, p in named if p.data.dtype != dtype] == []
+        moments = state.m + state.v
+        assert all(a.dtype == dtype for a in moments)
 
     def test_evaluate_bounds(self):
         net, ds, _ = nano_setup()
