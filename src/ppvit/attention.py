@@ -132,13 +132,13 @@ class PMHSAState:
 
 def pyramid_pool(x_map: Tensor, targets: list[tuple[int, int]],
                  mode: str = "avg") -> list[Tensor]:
-    """Pool a [B, C, H, W] map once per target grid."""
+    """Pool a [B, H, W, C] map once per target grid; each level is [B, th, tw, C]."""
     pool = T.adaptive_avg_pool2d if mode == "avg" else T.adaptive_max_pool2d
     return [pool(x_map, th, tw) for th, tw in targets]
 
 
 def apply_rpe(pooled: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Residual depthwise 3x3 position encoding: ``p + dwconv(p)``."""
+    """Residual depthwise 3x3 position encoding ``p + dwconv(p)`` of a [B, H, W, C] map."""
     return T.add(pooled, T.depthwise_conv2d(pooled, weight, bias, padding=1))
 
 
@@ -153,12 +153,11 @@ def build_kv_sequence(x: Tensor, h: int, w: int, state: PMHSAState) -> Tensor:
     b, n, c = x.shape
     if n != h * w:
         raise ShapeError(f"sequence length {n} does not match map {h}x{w}")
-    x_map = T.transpose(T.reshape(x, (b, h, w, c)), (0, 3, 1, 2))
-    levels = pyramid_pool(x_map, cfg.level_targets(h, w), cfg.pool_mode)
+    levels = pyramid_pool(T.reshape(x, (b, h, w, c)), cfg.level_targets(h, w),
+                          cfg.pool_mode)
     if cfg.use_rpe:
         levels = [apply_rpe(p, state.rpe_weight, state.rpe_bias) for p in levels]
-    flat = [T.reshape(T.transpose(p, (0, 2, 3, 1)), (b, p.shape[2] * p.shape[3], c))
-            for p in levels]
+    flat = [T.reshape(p, (b, p.shape[1] * p.shape[2], c)) for p in levels]
     seq = flat[0] if len(flat) == 1 else T.concat(flat, axis=1)
     return T.layer_norm(seq, state.ln_gamma, state.ln_beta)
 

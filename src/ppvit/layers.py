@@ -1,8 +1,8 @@
 """Block-level layers: inverted-bottleneck FFN, transformer block, patch embed.
 
-The FFN here is convolutional: tokens are reshaped to an image, expanded
-1x1, filtered by a 3x3 depthwise conv (which is what injects spatial
-locality into the feed-forward path), and projected back.  A plain
+The FFN here is convolutional: tokens are expanded 1x1, reshaped to a
+channels-last map, filtered by a 3x3 depthwise conv (which is what injects
+spatial locality into the feed-forward path), and projected back.  A plain
 token-MLP variant is kept for ablation.  Blocks are post-norm: each
 residual sum is followed by a layer norm.
 """
@@ -13,22 +13,8 @@ from dataclasses import dataclass
 
 from . import tensor as T
 from .attention import PMHSAConfig, PMHSAState, pmhsa_forward
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .tensor import Tensor
-
-
-def seq_to_image(x: Tensor, h: int, w: int) -> Tensor:
-    """[B, N, C] -> [B, C, H, W]; N must equal h*w."""
-    b, n, c = x.shape
-    if n != h * w:
-        raise ShapeError(f"cannot fold {n} tokens into a {h}x{w} map")
-    return T.transpose(T.reshape(x, (b, h, w, c)), (0, 3, 1, 2))
-
-
-def image_to_seq(x: Tensor) -> Tensor:
-    """[B, C, H, W] -> [B, H*W, C] in row-major spatial order."""
-    b, c, h, w = x.shape
-    return T.reshape(T.transpose(x, (0, 2, 3, 1)), (b, h * w, c))
 
 
 _ACTS = {"hardswish": T.hardswish, "gelu": T.gelu}
@@ -39,8 +25,7 @@ class IRBState:
     """Inverted-bottleneck FFN parameters.
 
     The 1x1 convs are stored as token-space linears ([C, E*C] and [E*C, C]);
-    a 1x1 conv over [B, C, H, W] is exactly a per-token linear map, so this
-    keeps the image round trip out of the expand/project steps.  ``dw_*`` is
+    a 1x1 conv over a [B, H, W, C] map is exactly a per-token linear map.  ``dw_*`` is
     absent when ``kind == 'mlp'``.
     """
 
@@ -65,14 +50,17 @@ def irb_forward(x: Tensor, h: int, w: int, state: IRBState) -> Tensor:
     """Expand, (depthwise filter,) activate, project.  [B, N, C] -> same.
 
     The 'irb' kind activates after both the expansion and the depthwise
-    conv; the 'mlp' kind activates once between the two linears.
+    conv; the 'mlp' kind activates once between the two linears.  The
+    depthwise conv runs on the hidden tokens reshaped to a [B, h, w, E*C]
+    map, so ``N`` must equal ``h*w``.
     """
     act = _ACTS[state.act]
     hdn = act(T.linear(x, state.w_expand, state.b_expand))
     if state.kind == "irb":
-        img = seq_to_image(hdn, h, w)
-        img = T.depthwise_conv2d(img, state.dw_weight, state.dw_bias, padding=1)
-        hdn = act(image_to_seq(img))
+        b, n, e = hdn.shape
+        img = T.depthwise_conv2d(T.reshape(hdn, (b, h, w, e)), state.dw_weight,
+                                 state.dw_bias, padding=1)
+        hdn = act(T.reshape(img, (b, n, e)))
     return T.linear(hdn, state.w_project, state.b_project)
 
 
@@ -147,9 +135,9 @@ class PatchEmbedState:
 
 
 def patch_embed(x_img: Tensor, state: PatchEmbedState) -> tuple[Tensor, int, int]:
-    """[B, C_in, H, W] -> ([B, H'*W', C_out], H', W')."""
+    """[B, H, W, C_in] map -> ([B, H'*W', C_out], H', W')."""
     y = T.conv2d(x_img, state.weight, state.bias,
                  stride=state.stride, padding=state.padding)
-    h, w = y.shape[2], y.shape[3]
-    seq = T.layer_norm(image_to_seq(y), state.ln_gamma, state.ln_beta)
+    b, h, w, c = y.shape
+    seq = T.layer_norm(T.reshape(y, (b, h * w, c)), state.ln_gamma, state.ln_beta)
     return seq, h, w

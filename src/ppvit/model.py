@@ -19,7 +19,7 @@ from . import tensor as T
 from .attention import PMHSAConfig, PMHSAState
 from .errors import CheckpointError, ConfigError, ShapeError
 from .layers import (BlockConfig, BlockState, IRBState, PatchEmbedState,
-                     block_forward, image_to_seq, patch_embed, seq_to_image)
+                     block_forward, patch_embed)
 from .tensor import Tensor
 
 
@@ -321,23 +321,29 @@ def _check_input(model: ModelState, x: Tensor) -> None:
 
 
 def forward_features(model: ModelState, x: Tensor) -> FeaturePyramid:
-    """Run the stem and all four stages; collect each stage's output map."""
+    """Run the stem and all four stages; collect each stage's output map.
+
+    ``x`` is an NCHW image batch and the pyramid levels are NCHW.  Inside,
+    maps are channels-last, so the layout changes only at these two edges.
+    """
     _check_input(model, x)
+    b = x.shape[0]
     levels = []
-    seq, h, w = patch_embed(x, model.stem)
+    seq, h, w = patch_embed(T.transpose(x, (0, 2, 3, 1)), model.stem)
     for stage in model.stages:
         if stage.embed is not None:
-            seq, h, w = patch_embed(seq_to_image(seq, h, w), stage.embed)
+            seq, h, w = patch_embed(T.reshape(seq, (b, h, w, -1)), stage.embed)
         for blk in stage.blocks:
             seq = block_forward(seq, h, w, blk)
-        levels.append(seq_to_image(seq, h, w))
+        levels.append(T.transpose(T.reshape(seq, (b, h, w, -1)), (0, 3, 1, 2)))
     return FeaturePyramid(levels=tuple(levels))
 
 
 def forward_classify(model: ModelState, x: Tensor) -> Tensor:
     """Logits [B, num_classes]: norm B4's tokens, average them, project."""
     pyramid = forward_features(model, x)
-    tokens = image_to_seq(pyramid.b4)
+    b, c, h, w = pyramid.b4.shape
+    tokens = T.reshape(T.transpose(pyramid.b4, (0, 2, 3, 1)), (b, h * w, c))
     tokens = T.layer_norm(tokens, model.head_ln_gamma, model.head_ln_beta)
     pooled = T.mean(tokens, axis=1)
     return T.linear(pooled, model.head_weight, model.head_bias)
@@ -433,19 +439,31 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[ModelState, dict]:
         raw = fh.read()
     if raw[:8] != CHECKPOINT_MAGIC:
         raise CheckpointError("bad magic; not a checkpoint file")
-    (mlen,) = struct.unpack_from("<Q", raw, 8)
+    try:
+        (mlen,) = struct.unpack_from("<Q", raw, 8)
+    except struct.error as exc:
+        raise CheckpointError(f"truncated header, no manifest_len: {exc}") from exc
     off = 16
     try:
         manifest = json.loads(raw[off:off + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable manifest: {exc}") from exc
     off += mlen
+    if not isinstance(manifest, dict):
+        raise CheckpointError(
+            f"manifest must be a JSON object, got {type(manifest).__name__}")
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported format_version {manifest.get('format_version')!r}")
+    for field in ("config", "seed"):
+        if field not in manifest:
+            raise CheckpointError(f"manifest has no {field!r} field")
+    if not isinstance(manifest["seed"], int):
+        raise CheckpointError(f"manifest field 'seed' must be an integer, "
+                              f"got {manifest['seed']!r}")
 
     cfg = config_from_dict(manifest["config"])
-    model = build_model(cfg, seed=int(manifest["seed"]), dtype=dtype)
+    model = build_model(cfg, seed=manifest["seed"], dtype=dtype)
     expected = dict(model.named_params())
     seen: set[str] = set()
     while off < len(raw):

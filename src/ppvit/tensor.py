@@ -372,9 +372,12 @@ def hardswish(x: Tensor) -> Tensor:
     out = data * np.clip(data + 3.0, 0.0, 6.0) / 6.0
 
     def bw(g: Array):
-        slope = np.where(data <= -3.0, 0.0,
-                         np.where(data <= 3.0, (2.0 * data + 3.0) / 6.0, 1.0))
-        return (g * slope.astype(data.dtype),)
+        slope = 2.0 * data
+        slope += 3.0
+        slope /= 6.0
+        slope[data <= -3.0] = 0.0
+        slope[data > 3.0] = 1.0
+        return (g * slope,)
 
     return _make("hardswish", out, (x,), bw)
 
@@ -438,97 +441,93 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 
 
 # ---------------------------------------------------------------------------
-# convolutions
+# convolutions and pooling on channels-last maps
 # ---------------------------------------------------------------------------
+#
+# Spatial maps are [B, H, W, C].  A [B, N, C] token sequence with N = H*W
+# reshapes to one for free, so these ops run on token maps without a
+# layout round trip; the channel axis is the contiguous inner loop.
 
-def _conv_windows(padded: Array, kh: int, kw: int, stride: int) -> Array:
-    win = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
+def _windows(padded: Array, kh: int, kw: int, stride: int) -> Array:
+    """Strided sliding-window view ``[B, Ho, Wo, C, kh, kw]`` of a padded map."""
+    win = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
+    return win[:, ::stride, ::stride]
 
 
-def _depthwise_kernel(x: Array, k: Array, stride: int, padding: int):
+def _tap(a: Array, u: int, v: int, ho: int, wo: int, stride: int) -> Array:
+    """The ``[B, Ho, Wo, C]`` view of a padded map that kernel tap (u, v) reads."""
+    return a[:, u:u + (ho - 1) * stride + 1:stride, v:v + (wo - 1) * stride + 1:stride]
+
+
+def _depthwise_kernel(padded: Array, k: Array, stride: int):
     """One input channel per group, ``C_out == C_in``: no window tensor.
 
-    Works channels-last, where the model's token maps already live, so the
-    channel axis is the contiguous inner loop.  Forward is one einsum over
-    the sliding-window view of the padded input; backward takes kh*kw
-    shifted multiply-adds over strided taps, ``tap(dx_pad) += g * k[:, u, v]``
-    and ``dk[:, u, v] = sum(g * tap(x_pad))``.  Nothing of shape
-    ``[B, C, Ho, Wo, kh, kw]`` is ever allocated.
+    Forward is one einsum over the sliding-window view of the padded input;
+    backward takes kh*kw shifted multiply-adds over strided taps,
+    ``tap(dx_pad) += g * k[:, u, v]`` and ``dk[:, u, v] = sum(g * tap(x_pad))``.
+    Nothing of shape ``[B, Ho, Wo, C, kh, kw]`` is ever allocated.
     """
-    _, _, h, w = x.shape
     kh, kw = k.shape[2:]
-    padded = np.pad(x.transpose(0, 2, 3, 1),
-                    ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(
-        padded, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]  # [B, Ho, Wo, C, kh, kw]
+    windows = _windows(padded, kh, kw, stride)
     ho, wo = windows.shape[1:3]
     kt = np.ascontiguousarray(k[:, 0].transpose(1, 2, 0))  # [kh, kw, C]
     out = np.einsum("bijcuv,uvc->bijc", windows, kt)
 
-    def tap(a: Array, u: int, v: int) -> Array:
-        return a[:, u:u + (ho - 1) * stride + 1:stride, v:v + (wo - 1) * stride + 1:stride]
-
     def bw(g: Array):
-        gt = g.transpose(0, 2, 3, 1)
         dpad = np.zeros_like(padded)
         dkt = np.empty_like(kt)
         for u in range(kh):
             for v in range(kw):
-                dtap = tap(dpad, u, v)
-                dtap += gt * kt[u, v]
-                dkt[u, v] = np.einsum("bijc,bijc->c", gt, tap(padded, u, v))
-        dx = dpad[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
-        return dx, dkt.transpose(2, 0, 1)[:, None]
+                dtap = _tap(dpad, u, v, ho, wo, stride)
+                dtap += g * kt[u, v]
+                dkt[u, v] = np.einsum("bijc,bijc->c", g, _tap(padded, u, v, ho, wo, stride))
+        return dpad, dkt.transpose(2, 0, 1)[:, None]
 
-    return out.transpose(0, 3, 1, 2), bw
+    return out, bw
 
 
-def _grouped_kernel(x: Array, k: Array, stride: int, padding: int, groups: int):
+def _grouped_kernel(padded: Array, k: Array, stride: int, groups: int):
     """Dense or grouped conv as einsums over the sliding-window view."""
-    b, cin, h, w = x.shape
+    b, cin = padded.shape[0], padded.shape[3]
     cout, cg, kh, kw = k.shape
-    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = _conv_windows(padded, kh, kw, stride)  # [B, Cin, Ho, Wo, kh, kw]
-    ho, wo = windows.shape[2], windows.shape[3]
-    wg = windows.reshape(b, groups, cin // groups, ho, wo, kh, kw)
+    windows = _windows(padded, kh, kw, stride)
+    ho, wo = windows.shape[1:3]
+    wg = windows.reshape(b, ho, wo, groups, cg, kh, kw)
     kg = k.reshape(groups, cout // groups, cg, kh, kw)
-    out = np.einsum("bgcijuv,gocuv->bgoij", wg, kg, optimize=True)
+    out = np.einsum("bijgcuv,gocuv->bijgo", wg, kg, optimize=True)
 
     def bw(g: Array):
-        gg = g.reshape(b, groups, cout // groups, ho, wo)
-        dk = np.einsum("bgcijuv,bgoij->gocuv", wg, gg, optimize=True)
-        dcols = np.einsum("bgoij,gocuv->bgcijuv", gg, kg, optimize=True)
-        dcols = dcols.reshape(b, cin, ho, wo, kh, kw)
+        gg = g.reshape(b, ho, wo, groups, cout // groups)
+        dk = np.einsum("bijgcuv,bijgo->gocuv", wg, gg, optimize=True)
+        dcols = np.einsum("bijgo,gocuv->uvbijgc", gg, kg, optimize=True)
         dpad = np.zeros_like(padded)
         for u in range(kh):
             for v in range(kw):
-                dpad[:, :, u:u + (ho - 1) * stride + 1:stride,
-                     v:v + (wo - 1) * stride + 1:stride] += dcols[:, :, :, :, u, v]
-        dx = dpad[:, :, padding:padding + h, padding:padding + w]
-        return dx, dk.reshape(cout, cg, kh, kw)
+                dtap = _tap(dpad, u, v, ho, wo, stride)
+                dtap += dcols[u, v].reshape(b, ho, wo, cin)
+        return dpad, dk.reshape(cout, cg, kh, kw)
 
-    return out.reshape(b, cout, ho, wo), bw
+    return out.reshape(b, ho, wo, cout), bw
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
-    """2-d cross-correlation with zero padding.
+    """2-d cross-correlation with zero padding on a ``[B, H, W, C_in]`` map.
 
-    ``x`` is ``[B, C_in, H, W]``; ``weight`` is ``[C_out, C_in/groups, kh, kw]``.
-    Output height is ``floor((H + 2*padding - kh)/stride) + 1`` (same for
-    width).  The weight's shape picks the kernel.  One input channel per
-    group with ``C_out == C_in`` (depthwise, any kh/kw/stride/padding) runs
-    channels-last with no window tensor: an einsum over the sliding-window
-    view forward, kh*kw shifted multiply-adds backward.  Every other shape
-    (dense, and grouped with several channels per group) runs as einsums
-    that build the ``[B, C_in, Ho, Wo, kh, kw]`` window tensor in backward.
-    Both kernels are checked, forward and backward, against the loop
-    oracles in ``tests/oracles.py``.
+    ``weight`` is ``[C_out, C_in/groups, kh, kw]``; the output is
+    ``[B, Ho, Wo, C_out]`` with ``Ho = floor((H + 2*padding - kh)/stride) + 1``
+    (same for width).  The weight's shape picks the kernel.  One input
+    channel per group with ``C_out == C_in`` (depthwise, any
+    kh/kw/stride/padding) runs with no window tensor: an einsum over the
+    sliding-window view forward, kh*kw shifted multiply-adds backward.
+    Every other shape (dense, and grouped with several channels per group)
+    runs as einsums that build the ``[B, Ho, Wo, C_in, kh, kw]`` window
+    tensor in backward.  Both kernels are checked, forward and backward,
+    against the loop oracles in ``tests/oracles.py``.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d needs 4-d input/weight, got {x.shape} and {weight.shape}")
-    _, cin, h, w = x.shape
+    _, h, w, cin = x.shape
     cout, cg, kh, kw = weight.shape
     if cin % groups or cout % groups:
         raise ShapeError(f"channels {cin}->{cout} not divisible by groups={groups}")
@@ -541,17 +540,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"bias shape {bias.shape} does not match C_out={cout}")
 
+    padded = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
     if cg == 1 and cout == cin:
-        out, kernel_bw = _depthwise_kernel(x.data, weight.data, stride, padding)
+        out, kernel_bw = _depthwise_kernel(padded, weight.data, stride)
     else:
-        out, kernel_bw = _grouped_kernel(x.data, weight.data, stride, padding, groups)
+        out, kernel_bw = _grouped_kernel(padded, weight.data, stride, groups)
     if bias is not None:
-        out += bias.data.reshape(1, cout, 1, 1)
+        out += bias.data
 
     def bw(g: Array):
-        dx, dw = kernel_bw(g)
-        db = None if bias is None else g.sum(axis=(0, 2, 3))
-        return (dx, dw) if bias is None else (dx, dw, db)
+        dpad, dw = kernel_bw(g)
+        dx = dpad[:, padding:padding + h, padding:padding + w]
+        return (dx, dw) if bias is None else (dx, dw, g.sum(axis=(0, 1, 2)))
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return _make("conv2d", out, inputs, bw)
@@ -561,20 +561,17 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                      padding: int = 1) -> Tensor:
     """Per-channel 3x3 convolution; padding 1 keeps the spatial size.
 
-    Channel ``c`` of the output depends only on channel ``c`` of the input.
+    ``x`` is a ``[B, H, W, C]`` map.  Channel ``c`` of the output depends
+    only on channel ``c`` of the input.
     """
     if x.ndim != 4:
         raise ShapeError(f"depthwise_conv2d needs 4-d input, got {x.shape}")
-    c = x.shape[1]
+    c = x.shape[3]
     if weight.shape != (c, 1, 3, 3):
         raise ShapeError(
             f"depthwise kernel must be [{c},1,3,3] to match input {x.shape}, got {weight.shape}")
     return conv2d(x, weight, bias, stride=1, padding=padding, groups=c)
 
-
-# ---------------------------------------------------------------------------
-# pooling
-# ---------------------------------------------------------------------------
 
 def _pool_bins(extent: int, target: int) -> list[tuple[int, int]]:
     # Bin i covers [floor(i*extent/target), ceil((i+1)*extent/target)).
@@ -582,56 +579,64 @@ def _pool_bins(extent: int, target: int) -> list[tuple[int, int]]:
             for i in range(target)]
 
 
-def adaptive_avg_pool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Average-pool to a target grid; bins may overlap for awkward sizes.
+def _bin_matrix(extent: int, target: int, dtype) -> Array:
+    """``[target, extent]``: row i holds ``1/len`` over the members of bin i."""
+    m = np.zeros((target, extent), dtype=dtype)
+    for i, (lo, hi) in enumerate(_pool_bins(extent, target)):
+        m[i, lo:hi] = 1.0 / (hi - lo)
+    return m
 
-    The gradient of each output distributes ``1/(bin area)`` to every member
-    of its bin, so total gradient mass is conserved.
-    """
+
+def _check_pool(x: Tensor, out_h: int, out_w: int, op: str) -> None:
     if x.ndim != 4:
-        raise ShapeError(f"adaptive_avg_pool2d needs 4-d input, got {x.shape}")
-    b, c, h, w = x.shape
+        raise ShapeError(f"{op} needs 4-d input, got {x.shape}")
+    h, w = x.shape[1:3]
     if not (1 <= out_h <= h and 1 <= out_w <= w):
         raise ShapeError(f"pool target {out_h}x{out_w} exceeds input extent {h}x{w}")
-    if (out_h, out_w) == (h, w):
-        return _make("adaptive_avg_pool2d", x.data.copy(), (x,), lambda g: (g,))
 
-    rows = _pool_bins(h, out_h)
-    cols = _pool_bins(w, out_w)
-    out = np.empty((b, c, out_h, out_w), dtype=x.dtype)
-    for i, (r0, r1) in enumerate(rows):
-        for j, (c0, c1) in enumerate(cols):
-            out[:, :, i, j] = x.data[:, :, r0:r1, c0:c1].mean(axis=(2, 3))
+
+def adaptive_avg_pool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
+    """Average-pool a ``[B, H, W, C]`` map to ``[B, out_h, out_w, C]``.
+
+    Bins may overlap for awkward sizes.  A bin average is separable, so the
+    pool is ``ph @ x @ pw^T`` with the bin matrices ``ph`` ``[out_h, H]``
+    and ``pw`` ``[out_w, W]``, and the gradient is ``ph^T @ g @ pw``: each
+    output hands ``1/(bin area)`` to every member of its bin, so total
+    gradient mass is conserved.  A target equal to the input extent makes
+    both matrices identities, which return the input bit for bit.
+    """
+    _check_pool(x, out_h, out_w, "adaptive_avg_pool2d")
+    b, h, w, c = x.shape
+    ph = _bin_matrix(h, out_h, x.dtype)
+    pw = _bin_matrix(w, out_w, x.dtype)
+    rows = np.matmul(ph, x.data.reshape(b, h, w * c)).reshape(b, out_h, w, c)
+    out = np.matmul(pw, rows)
 
     def bw(g: Array):
-        dx = np.zeros_like(x.data)
-        for i, (r0, r1) in enumerate(rows):
-            for j, (c0, c1) in enumerate(cols):
-                area = (r1 - r0) * (c1 - c0)
-                dx[:, :, r0:r1, c0:c1] += g[:, :, i:i + 1, j:j + 1] / area
-        return (dx,)
+        cols = np.matmul(pw.T, g).reshape(b, out_h, w * c)
+        return (np.matmul(ph.T, cols).reshape(b, h, w, c),)
 
     return _make("adaptive_avg_pool2d", out, (x,), bw)
 
 
 def adaptive_max_pool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Max-pool variant with the same bin rule; ties route to the first max."""
-    if x.ndim != 4:
-        raise ShapeError(f"adaptive_max_pool2d needs 4-d input, got {x.shape}")
-    b, c, h, w = x.shape
-    if not (1 <= out_h <= h and 1 <= out_w <= w):
-        raise ShapeError(f"pool target {out_h}x{out_w} exceeds input extent {h}x{w}")
+    """Max-pool a ``[B, H, W, C]`` map to ``[B, out_h, out_w, C]``.
 
+    Same bin rule as the average pool; ties route to the first max in
+    row-major order within the bin.
+    """
+    _check_pool(x, out_h, out_w, "adaptive_max_pool2d")
+    b, h, w, c = x.shape
     rows = _pool_bins(h, out_h)
     cols = _pool_bins(w, out_w)
-    out = np.empty((b, c, out_h, out_w), dtype=x.dtype)
-    argmax = np.empty((b, c, out_h, out_w), dtype=np.int64)
+    out = np.empty((b, out_h, out_w, c), dtype=x.dtype)
+    argmax = np.empty((b, out_h, out_w, c), dtype=np.int64)
     for i, (r0, r1) in enumerate(rows):
         for j, (c0, c1) in enumerate(cols):
-            patch = x.data[:, :, r0:r1, c0:c1].reshape(b, c, -1)
-            idx = patch.argmax(axis=-1)
-            out[:, :, i, j] = np.take_along_axis(patch, idx[..., None], axis=-1)[..., 0]
-            argmax[:, :, i, j] = idx
+            patch = x.data[:, r0:r1, c0:c1].reshape(b, -1, c)
+            idx = patch.argmax(axis=1)
+            out[:, i, j] = np.take_along_axis(patch, idx[:, None], axis=1)[:, 0]
+            argmax[:, i, j] = idx
 
     bi, ci = np.meshgrid(np.arange(b), np.arange(c), indexing="ij")
 
@@ -640,8 +645,8 @@ def adaptive_max_pool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
         for i, (r0, r1) in enumerate(rows):
             for j, (c0, c1) in enumerate(cols):
                 width = c1 - c0
-                idx = argmax[:, :, i, j]
-                np.add.at(dx, (bi, ci, r0 + idx // width, c0 + idx % width), g[:, :, i, j])
+                idx = argmax[:, i, j]
+                np.add.at(dx, (bi, r0 + idx // width, c0 + idx % width, ci), g[:, i, j])
         return (dx,)
 
     return _make("adaptive_max_pool2d", out, (x,), bw)
@@ -682,16 +687,20 @@ def cross_entropy_logits(logits: Tensor, labels: Sequence[int] | Array) -> Tenso
 # ---------------------------------------------------------------------------
 
 def finite_difference_grad(f: Callable[[Tensor], Tensor], x: Tensor,
-                           h: float = 1e-4) -> Array:
+                           h: float = 1e-4,
+                           coords: Sequence[tuple[int, ...]] | None = None) -> Array:
     """Central-difference gradient of a scalar-valued function at ``x``.
 
     Perturbs one element at a time: ``(f(x + h e_i) - f(x - h e_i)) / 2h``.
-    ``f`` must be deterministic; call with float64 tensors for the stated
-    1e-4 comparison tolerances.
+    Returns an array shaped like ``x``, or, given ``coords``, the
+    differences at those coordinates only, in their order (for inputs too
+    big to sweep).  ``f`` must be deterministic; call with float64 tensors
+    for the stated 1e-4 comparison tolerances.
     """
-    grad = np.zeros(x.shape, dtype=np.float64)
+    points = list(np.ndindex(*x.shape)) if coords is None else coords
+    grad = np.zeros(len(points), dtype=np.float64)
     with no_grad():
-        for idx in np.ndindex(*x.shape):
+        for j, idx in enumerate(points):
             orig = x.data[idx]
             x.data[idx] = orig + h
             fp = f(x).item()
@@ -700,5 +709,5 @@ def finite_difference_grad(f: Callable[[Tensor], Tensor], x: Tensor,
             x.data[idx] = orig
             if not (math.isfinite(fp) and math.isfinite(fm)):
                 raise NonFiniteError("finite_difference_grad saw a non-finite value")
-            grad[idx] = (fp - fm) / (2.0 * h)
-    return grad
+            grad[j] = (fp - fm) / (2.0 * h)
+    return grad.reshape(x.shape) if coords is None else grad

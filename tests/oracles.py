@@ -2,7 +2,9 @@
 
 Everything here is written the slow, obvious way (explicit loops, direct
 formulas) and shares no code with the package: these are the second route
-in every dual-route test.
+in every dual-route test.  The conv and pool oracles take and return NCHW
+maps; ``to_nhwc``/``to_nchw`` convert to and from the library's
+channels-last layout.
 """
 
 import numpy as np
@@ -20,6 +22,16 @@ def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 s += a[i, t] * b[t, j]
             out[i, j] = s
     return out
+
+
+def to_nhwc(x):
+    """[B, C, H, W] -> [B, H, W, C], the library's map layout."""
+    return np.ascontiguousarray(np.transpose(x, (0, 2, 3, 1)))
+
+
+def to_nchw(x):
+    """[B, H, W, C] -> [B, C, H, W], the layout of the loop oracles here."""
+    return np.ascontiguousarray(np.transpose(x, (0, 3, 1, 2)))
 
 
 def conv2d_loops(x, w, bias=None, stride=1, padding=0, groups=1):

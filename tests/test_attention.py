@@ -43,37 +43,38 @@ class TestRounding:
 
 
 class TestPyramidPool:
+    # maps are channels-last [B, H, W, C]; the loop oracles are NCHW
     def test_reference_geometry_56(self):
         targets = pool_targets(56, 56, (12, 16, 20, 24))
         assert targets == [(5, 5), (4, 4), (3, 3), (2, 2)]
         assert pooled_len(56, 56, (12, 16, 20, 24)) == 54
 
     def test_ratio_one_is_identity(self, rng):
-        x = Tensor(rng.normal(size=(1, 2, 5, 5)), dtype=np.float64)
+        x = Tensor(rng.normal(size=(1, 5, 5, 2)), dtype=np.float64)
         (level,) = pyramid_pool(x, pool_targets(5, 5, (1,)))
         npt.assert_array_equal(level.data, x.data)
 
     def test_constant_invariance(self):
-        x = Tensor(np.full((1, 3, 8, 8), 1.25))
+        x = Tensor(np.full((1, 8, 8, 3), 1.25))
         for level in pyramid_pool(x, pool_targets(8, 8, (2, 4))):
             npt.assert_allclose(level.data, 1.25, rtol=1e-6)
 
     def test_levels_match_bin_enumerator(self, rng):
         x = rng.normal(size=(2, 3, 11, 9))
         targets = pool_targets(11, 9, (2, 3, 5))
-        levels = pyramid_pool(Tensor(x, dtype=np.float64), targets)
+        levels = pyramid_pool(Tensor(oracles.to_nhwc(x), dtype=np.float64), targets)
         for level, (th, tw) in zip(levels, targets):
-            npt.assert_allclose(level.data, oracles.avg_pool_loops(x, th, tw),
-                                rtol=1e-6)
+            npt.assert_allclose(oracles.to_nchw(level.data),
+                                oracles.avg_pool_loops(x, th, tw), rtol=1e-6)
 
     def test_max_mode(self, rng):
         x = rng.normal(size=(1, 2, 6, 6))
-        levels = pyramid_pool(Tensor(x, dtype=np.float64),
+        levels = pyramid_pool(Tensor(oracles.to_nhwc(x), dtype=np.float64),
                               pool_targets(6, 6, (2, 3)), mode="max")
-        npt.assert_allclose(levels[0].data, oracles.max_pool_loops(x, 3, 3),
-                            rtol=1e-6)
-        npt.assert_allclose(levels[1].data, oracles.max_pool_loops(x, 2, 2),
-                            rtol=1e-6)
+        npt.assert_allclose(oracles.to_nchw(levels[0].data),
+                            oracles.max_pool_loops(x, 3, 3), rtol=1e-6)
+        npt.assert_allclose(oracles.to_nchw(levels[1].data),
+                            oracles.max_pool_loops(x, 2, 2), rtol=1e-6)
 
 
 class TestMonotoneSqueeze:
@@ -120,7 +121,7 @@ class TestConfigValidation:
 
 class TestKVSequence:
     def test_rpe_zero_kernel_is_identity(self, rng):
-        x = Tensor(rng.normal(size=(1, 3, 4, 4)), dtype=np.float64)
+        x = Tensor(rng.normal(size=(1, 4, 4, 3)), dtype=np.float64)
         from ppvit.attention import apply_rpe
         out = apply_rpe(x, Tensor(np.zeros((3, 1, 3, 3))), Tensor(np.zeros(3)))
         npt.assert_array_equal(out.data, x.data)
@@ -130,10 +131,10 @@ class TestKVSequence:
         k = rng.normal(size=(3, 1, 3, 3))
         b = rng.normal(size=3)
         from ppvit.attention import apply_rpe
-        out = apply_rpe(Tensor(x, dtype=np.float64), Tensor(k, dtype=np.float64),
-                        Tensor(b, dtype=np.float64))
+        out = apply_rpe(Tensor(oracles.to_nhwc(x), dtype=np.float64),
+                        Tensor(k, dtype=np.float64), Tensor(b, dtype=np.float64))
         ref = oracles.depthwise_loops(x, k, b) + x
-        npt.assert_allclose(out.data, ref, rtol=1e-6)
+        npt.assert_allclose(oracles.to_nchw(out.data), ref, rtol=1e-6)
 
     def test_token_count_arithmetic(self):
         # levels of 2x2 and 1x1 concatenate to 5 tokens

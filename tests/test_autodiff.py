@@ -102,9 +102,10 @@ class TestFiniteDifferenceOracle:
         assert relerr(x.grad, fd) < TOL
 
 
-# every differentiable op, three distinct shapes each
+# every differentiable op, three distinct shapes each; maps are
+# channels-last [B, H, W, C]
 SHAPES3 = [(3,), (2, 4), (2, 3, 2)]
-SHAPES4D = [(1, 2, 4, 4), (2, 3, 5, 4), (1, 1, 6, 7), (2, 3, 1, 1), (1, 2, 2, 2)]
+SHAPES4D = [(1, 4, 4, 2), (2, 5, 4, 3), (1, 6, 7, 1), (2, 1, 1, 3), (1, 2, 2, 2)]
 
 
 class TestEveryOpThreeShapes:
@@ -175,6 +176,12 @@ class TestEveryOpThreeShapes:
         x = Tensor(np.array([-5.0, -3.5, 3.5, 6.0]), requires_grad=True,
                    dtype=np.float64)
         check_grads(lambda: proj(T.hardswish(x), 16), [x])
+        # at the kinks the slope is the left limit: 0 at -3, 1.5 at 3
+        for dtype in (np.float32, np.float64):
+            kinks = Tensor(np.array([-3.0, 3.0]), requires_grad=True, dtype=dtype)
+            T.sum(T.hardswish(kinks)).backward()
+            assert kinks.grad.dtype == dtype
+            npt.assert_array_equal(kinks.grad, [0.0, 1.5])
 
     @pytest.mark.parametrize("shape", SHAPES3)
     def test_gelu(self, rng, shape):
@@ -195,12 +202,12 @@ class TestEveryOpThreeShapes:
         check_grads(lambda: proj(T.layer_norm(x, g, b), 19), [x, g, b])
 
     @pytest.mark.parametrize("shape,cout,stride,padding,groups",
-                             [((1, 2, 4, 4), 3, 1, 0, 1),
-                              ((2, 3, 5, 5), 2, 2, 1, 1),
-                              ((1, 4, 6, 5), 4, 1, 1, 2)])
+                             [((1, 4, 4, 2), 3, 1, 0, 1),
+                              ((2, 5, 5, 3), 2, 2, 1, 1),
+                              ((1, 6, 5, 4), 4, 1, 1, 2)])
     def test_conv2d(self, rng, shape, cout, stride, padding, groups):
         x = randt(rng, *shape)
-        w = randt(rng, cout, shape[1] // groups, 3, 3)
+        w = randt(rng, cout, shape[3] // groups, 3, 3)
         b = randt(rng, cout)
         check_grads(lambda: proj(T.conv2d(x, w, b, stride=stride, padding=padding,
                                           groups=groups), 20), [x, w, b])
@@ -208,27 +215,27 @@ class TestEveryOpThreeShapes:
     @pytest.mark.parametrize("shape", SHAPES4D)
     def test_depthwise_conv2d(self, rng, shape):
         x = randt(rng, *shape)
-        w = randt(rng, shape[1], 1, 3, 3)
-        b = randt(rng, shape[1])
+        w = randt(rng, shape[3], 1, 3, 3)
+        b = randt(rng, shape[3])
         for padding in (0, 1, 2):
-            if min(shape[2:]) + 2 * padding < 3:
+            if min(shape[1:3]) + 2 * padding < 3:
                 continue
             check_grads(lambda: proj(T.depthwise_conv2d(x, w, b, padding=padding), 21),
                         [x, w, b])
         # groups == C with stride 2 runs the same kernel on strided taps
         check_grads(lambda: proj(T.conv2d(x, w, b, stride=2, padding=1,
-                                          groups=shape[1]), 24), [x, w, b])
+                                          groups=shape[3]), 24), [x, w, b])
 
-    @pytest.mark.parametrize("shape,oh,ow", [((1, 2, 4, 4), 2, 2),
-                                             ((2, 3, 7, 5), 3, 2),
-                                             ((1, 1, 5, 8), 2, 3)])
+    @pytest.mark.parametrize("shape,oh,ow", [((1, 4, 4, 2), 2, 2),
+                                             ((2, 7, 5, 3), 3, 2),
+                                             ((1, 5, 8, 1), 2, 3)])
     def test_adaptive_avg_pool2d(self, rng, shape, oh, ow):
         x = randt(rng, *shape)
         check_grads(lambda: proj(T.adaptive_avg_pool2d(x, oh, ow), 22), [x])
 
-    @pytest.mark.parametrize("shape,oh,ow", [((1, 2, 4, 4), 2, 2),
-                                             ((2, 3, 7, 5), 3, 2),
-                                             ((1, 1, 6, 6), 2, 2)])
+    @pytest.mark.parametrize("shape,oh,ow", [((1, 4, 4, 2), 2, 2),
+                                             ((2, 7, 5, 3), 3, 2),
+                                             ((1, 6, 6, 1), 2, 2)])
     def test_adaptive_max_pool2d(self, rng, shape, oh, ow):
         x = randt(rng, *shape)
         check_grads(lambda: proj(T.adaptive_max_pool2d(x, oh, ow), 23), [x])
@@ -242,14 +249,14 @@ class TestEveryOpThreeShapes:
 
 class TestGradientMassAndStructure:
     def test_avg_pool_backward_conserves_mass(self, rng):
-        x = randt(rng, 1, 2, 7, 5)
+        x = randt(rng, 1, 7, 5, 2)
         out = T.adaptive_avg_pool2d(x, 3, 2)
         seed_grad = np.abs(np.random.default_rng(0).normal(size=out.shape))
         T.sum(T.mul(out, Tensor(seed_grad))).backward()
         npt.assert_allclose(x.grad.sum(), seed_grad.sum(), rtol=1e-10)
 
     def test_max_pool_routes_to_argmax_only(self, rng):
-        x = randt(rng, 1, 1, 4, 4)
+        x = randt(rng, 1, 4, 4, 1)
         T.sum(T.adaptive_max_pool2d(x, 2, 2)).backward()
         # disjoint 2x2 bins: exactly one winner per bin
         assert (x.grad != 0).sum() == 4

@@ -5,31 +5,15 @@ import numpy.testing as npt
 import pytest
 
 import oracles
-from ppvit import BlockConfig, ConfigError, ShapeError, Tensor
+from ppvit import BlockConfig, ConfigError, PMHSAConfig, ShapeError, Tensor
 from ppvit import tensor as T
-from ppvit.layers import (IRBState, block_forward, image_to_seq, irb_forward,
-                          patch_embed, seq_to_image)
-from ppvit.model import _Init, _init_block, _init_patch_embed
+from ppvit.attention import build_kv_sequence
+from ppvit.layers import block_forward, irb_forward, patch_embed
+from ppvit.model import _Init, _init_attn, _init_block, _init_patch_embed
 
 
 def hswish(x):
     return x * np.clip(x + 3.0, 0.0, 6.0) / 6.0
-
-
-class TestSeqImageBridges:
-    def test_round_trip_identity(self, rng):
-        x = Tensor(rng.normal(size=(2, 12, 5)), dtype=np.float64)
-        back = image_to_seq(seq_to_image(x, 3, 4))
-        npt.assert_array_equal(back.data, x.data)
-
-    def test_row_major_token_order(self):
-        x = Tensor(np.arange(6.0).reshape(1, 6, 1))
-        img = seq_to_image(x, 2, 3)
-        npt.assert_array_equal(img.data[0, 0], [[0, 1, 2], [3, 4, 5]])
-
-    def test_token_count_mismatch(self):
-        with pytest.raises(ShapeError):
-            seq_to_image(Tensor(np.zeros((1, 5, 4))), 2, 3)
 
 
 def make_irb(c, e, kind="irb", seed=0, dtype=np.float64):
@@ -96,6 +80,57 @@ class TestIRB:
             BlockConfig(dim=4, heads=1, pool_ratios=(1,), expansion=0)
 
 
+def graph_ops(out, inputs):
+    """Op names of every recorded node between ``out`` and ``inputs``."""
+    stop = {id(t) for t in inputs}
+    ops, seen, stack = [], set(), [out]
+    while stack:
+        t = stack.pop()
+        if id(t) in seen or id(t) in stop or t.creator is None:
+            continue
+        seen.add(id(t))
+        ops.append(t.creator.op)
+        stack.extend(t.creator.inputs)
+    return ops
+
+
+class TestChannelsLastLayers:
+    """Token sequences and maps share the channels-last layout, so the
+    layers that run convs and pools on token maps only reshape."""
+
+    @pytest.mark.parametrize("layer", ["build_kv_sequence", "irb_forward",
+                                       "patch_embed"])
+    def test_no_transpose_in_graph(self, rng, layer):
+        def leaf(*shape):
+            return Tensor(rng.normal(size=shape), requires_grad=True,
+                          dtype=np.float64)
+
+        if layer == "build_kv_sequence":
+            state = _init_attn(_Init(0, np.float64),
+                               PMHSAConfig(dim=4, heads=1, pool_ratios=(1, 2)))
+            x = leaf(2, 16, 4)
+            out = build_kv_sequence(x, 4, 4, state)
+            expect = {"adaptive_avg_pool2d", "conv2d"}
+        elif layer == "irb_forward":
+            state = make_irb(4, 2)
+            x = leaf(2, 12, 4)
+            out = irb_forward(x, 3, 4, state)
+            expect = {"conv2d", "hardswish"}
+        else:
+            state = _init_patch_embed(_Init(0, np.float64), 3, 4, k=3, stride=2,
+                                      padding=1)
+            x = leaf(2, 8, 6, 3)
+            out, _, _ = patch_embed(x, state)
+            expect = {"conv2d", "layer_norm"}
+        ops = graph_ops(out, [x] + state.params())
+        assert expect <= set(ops), ops
+        assert "transpose" not in ops, ops
+
+    def test_irb_token_count_mismatch(self):
+        with pytest.raises(ShapeError):
+            irb_forward(Tensor(np.zeros((1, 5, 4))), 2, 3, make_irb(4, 2))
+
+
 class TestBlock:
     def test_shape_preserved(self, rng):
         cfg = BlockConfig(dim=8, heads=2, pool_ratios=(1, 2), expansion=2)
@@ -136,10 +171,11 @@ class TestBlock:
 
 
 class TestPatchEmbed:
+    # patch embeds take channels-last [B, H, W, C_in] maps
     def test_stem_geometry_224(self, rng):
         state = _init_patch_embed(_Init(0, np.float32), 3, 8, k=7, stride=4,
                                   padding=3)
-        x = Tensor(rng.normal(size=(1, 3, 224, 224)).astype(np.float32))
+        x = Tensor(rng.normal(size=(1, 224, 224, 3)).astype(np.float32))
         seq, h, w = patch_embed(x, state)
         assert (h, w) == (56, 56)
         assert seq.shape == (1, 56 * 56, 8)
@@ -147,7 +183,7 @@ class TestPatchEmbed:
     def test_transition_geometry_56_to_28(self, rng):
         state = _init_patch_embed(_Init(0, np.float32), 4, 8, k=3, stride=2,
                                   padding=1)
-        x = Tensor(rng.normal(size=(1, 4, 56, 56)).astype(np.float32))
+        x = Tensor(rng.normal(size=(1, 56, 56, 4)).astype(np.float32))
         _, h, w = patch_embed(x, state)
         assert (h, w) == (28, 28)
 
@@ -155,16 +191,16 @@ class TestPatchEmbed:
     def test_stem_is_ceil_div_4(self, size, expect, rng):
         state = _init_patch_embed(_Init(1, np.float32), 3, 4, k=7, stride=4,
                                   padding=3)
-        x = Tensor(rng.normal(size=(1, 3, size, size)).astype(np.float32))
+        x = Tensor(rng.normal(size=(1, size, size, 3)).astype(np.float32))
         _, h, w = patch_embed(x, state)
         assert (h, w) == (expect, expect)
 
     def test_constant_image_interior_tokens_identical(self):
         state = _init_patch_embed(_Init(2, np.float64), 3, 4, k=3, stride=2,
                                   padding=1)
-        x = Tensor(np.full((1, 3, 10, 10), 0.6), dtype=np.float64)
+        x = Tensor(np.full((1, 10, 10, 3), 0.6), dtype=np.float64)
         conv = T.conv2d(x, state.weight, state.bias, stride=state.stride,
                         padding=state.padding)
-        interior = conv.data[0, :, 1:-1, 1:-1]
-        ref = np.broadcast_to(interior[:, :1, :1], interior.shape)
+        interior = conv.data[0, 1:-1, 1:-1, :]
+        ref = np.broadcast_to(interior[:1, :1, :], interior.shape)
         npt.assert_allclose(interior, ref, rtol=1e-10)

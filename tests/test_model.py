@@ -193,6 +193,38 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("case,match", [
+        ("nine_bytes", "manifest_len"),
+        ("no_config", "config"),
+        ("no_seed", "seed"),
+        ("string_seed", "seed"),
+        ("list_manifest", "object"),
+    ])
+    def test_malformed_header_raises_checkpoint_error(self, tmp_path, case, match):
+        import json
+        import struct
+
+        from ppvit.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+
+        manifest = {"format_version": CHECKPOINT_VERSION, "seed": 0,
+                    "config": config_to_dict(preset("nano", num_classes=2))}
+        if case == "no_config":
+            del manifest["config"]
+        elif case == "no_seed":
+            del manifest["seed"]
+        elif case == "string_seed":
+            manifest["seed"] = "zero"
+        elif case == "list_manifest":
+            manifest = [manifest]
+        blob = json.dumps(manifest).encode()
+        data = CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob
+        if case == "nine_bytes":
+            data = CHECKPOINT_MAGIC + b"\x00"
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(data)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
     def test_config_mismatch_rejected(self, tmp_path):
         """Weights saved with RPE cannot load into an RPE-free skeleton."""
         import json

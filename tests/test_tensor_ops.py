@@ -38,49 +38,51 @@ class TestMatmul:
 
 
 class TestConv2d:
+    # maps are channels-last [B, H, W, C]; the loop oracles are NCHW
     def test_identity_kernel(self, rng):
-        x = rng.normal(size=(1, 1, 4, 4))
+        x = rng.normal(size=(1, 4, 4, 1))
         out = T.conv2d(Tensor(x), Tensor(np.ones((1, 1, 1, 1))), stride=1, padding=0)
         npt.assert_allclose(out.data, x, rtol=1e-6)
 
     def test_counting_case(self):
-        x = Tensor(np.ones((1, 1, 4, 4)))
+        x = Tensor(np.ones((1, 4, 4, 1)))
         w = Tensor(np.ones((1, 1, 2, 2)))
         out = T.conv2d(x, w, stride=2, padding=0)
-        assert out.shape == (1, 1, 2, 2)
-        npt.assert_array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
+        assert out.shape == (1, 2, 2, 1)
+        npt.assert_array_equal(out.data, np.full((1, 2, 2, 1), 4.0))
 
     @pytest.mark.parametrize("stride,padding,groups", [(1, 0, 1), (2, 1, 1), (1, 1, 2)])
     def test_against_loops(self, rng, stride, padding, groups):
         x = rng.normal(size=(2, 4, 6, 5))
         w = rng.normal(size=(6, 4 // groups, 3, 3))
         b = rng.normal(size=6)
-        out = T.conv2d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64),
+        out = T.conv2d(Tensor(oracles.to_nhwc(x), dtype=np.float64),
+                       Tensor(w, dtype=np.float64),
                        Tensor(b, dtype=np.float64), stride=stride, padding=padding,
                        groups=groups)
         ref = oracles.conv2d_loops(x, w, b, stride=stride, padding=padding,
                                    groups=groups)
-        npt.assert_allclose(out.data, ref, rtol=1e-5)
+        npt.assert_allclose(oracles.to_nchw(out.data), ref, rtol=1e-5)
 
     def test_output_size_formula(self, rng):
-        x = Tensor(rng.normal(size=(1, 3, 11, 9)))
+        x = Tensor(rng.normal(size=(1, 11, 9, 3)))
         w = Tensor(rng.normal(size=(2, 3, 3, 3)))
         out = T.conv2d(x, w, stride=2, padding=1)
-        assert out.shape == (1, 2, (11 + 2 - 3) // 2 + 1, (9 + 2 - 3) // 2 + 1)
+        assert out.shape == (1, (11 + 2 - 3) // 2 + 1, (9 + 2 - 3) // 2 + 1, 2)
 
     def test_kernel_larger_than_padded_input(self):
         with pytest.raises(ShapeError, match="larger than padded"):
-            T.conv2d(Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros((1, 1, 5, 5))))
+            T.conv2d(Tensor(np.zeros((1, 3, 3, 1))), Tensor(np.zeros((1, 1, 5, 5))))
 
     def test_group_mismatch(self):
         with pytest.raises(ShapeError):
-            T.conv2d(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((2, 3, 3, 3))),
+            T.conv2d(Tensor(np.zeros((1, 4, 4, 3))), Tensor(np.zeros((2, 3, 3, 3))),
                      groups=2)
 
 
 class TestDepthwiseConv2d:
     def test_identity_kernel(self, rng):
-        x = rng.normal(size=(1, 3, 5, 5))
+        x = rng.normal(size=(1, 5, 5, 3))
         k = np.zeros((3, 1, 3, 3))
         k[:, 0, 1, 1] = 1.0
         out = T.depthwise_conv2d(Tensor(x), Tensor(k))
@@ -88,21 +90,21 @@ class TestDepthwiseConv2d:
 
     def test_counting_case(self):
         v = 0.37
-        x = Tensor(np.full((1, 2, 5, 5), v))
+        x = Tensor(np.full((1, 5, 5, 2), v))
         out = T.depthwise_conv2d(x, Tensor(np.ones((2, 1, 3, 3))))
-        npt.assert_allclose(out.data[:, :, 1:-1, 1:-1], 9 * v, rtol=1e-6)
+        npt.assert_allclose(out.data[:, 1:-1, 1:-1, :], 9 * v, rtol=1e-6)
 
     def test_per_channel_independence(self, rng):
-        x = rng.normal(size=(1, 3, 4, 4))
+        x = rng.normal(size=(1, 4, 4, 3))
         w = rng.normal(size=(3, 1, 3, 3))
         base = T.depthwise_conv2d(Tensor(x, dtype=np.float64),
                                   Tensor(w, dtype=np.float64)).data
         x2 = x.copy()
-        x2[:, 1] += 100.0
+        x2[..., 1] += 100.0
         bumped = T.depthwise_conv2d(Tensor(x2, dtype=np.float64),
                                     Tensor(w, dtype=np.float64)).data
-        npt.assert_array_equal(base[:, 0], bumped[:, 0])
-        npt.assert_array_equal(base[:, 2], bumped[:, 2])
+        npt.assert_array_equal(base[..., 0], bumped[..., 0])
+        npt.assert_array_equal(base[..., 2], bumped[..., 2])
 
     def test_against_loops(self, rng):
         # padding 0-2, non-square maps, and the 1x1 and 2x2 maps the RPE
@@ -115,22 +117,23 @@ class TestDepthwiseConv2d:
             x = rng.normal(size=shape)
             w = rng.normal(size=(c, 1, 3, 3))
             b = rng.normal(size=c)
-            out = T.depthwise_conv2d(Tensor(x, dtype=np.float64),
+            out = T.depthwise_conv2d(Tensor(oracles.to_nhwc(x), dtype=np.float64),
                                      Tensor(w, dtype=np.float64),
                                      Tensor(b, dtype=np.float64), padding=padding)
             ref = oracles.depthwise_loops(x, w, b, padding=padding)
-            npt.assert_allclose(out.data, ref, rtol=1e-5, err_msg=f"{shape} p={padding}")
+            npt.assert_allclose(oracles.to_nchw(out.data), ref, rtol=1e-5,
+                                err_msg=f"{shape} p={padding}")
         # the same kernel serves any groups == C conv, here strided
         x = rng.normal(size=(2, 4, 7, 6))
         w = rng.normal(size=(4, 1, 3, 3))
-        out = T.conv2d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64),
-                       stride=2, padding=1, groups=4)
+        out = T.conv2d(Tensor(oracles.to_nhwc(x), dtype=np.float64),
+                       Tensor(w, dtype=np.float64), stride=2, padding=1, groups=4)
         ref = oracles.conv2d_loops(x, w, stride=2, padding=1, groups=4)
-        npt.assert_allclose(out.data, ref, rtol=1e-5)
+        npt.assert_allclose(oracles.to_nchw(out.data), ref, rtol=1e-5)
 
     def test_forward_backward_peak_memory(self, rng):
-        # a [B, C, H, W, 3, 3] window tensor alone would be 9 input sizes
-        x = Tensor(rng.normal(size=(2, 64, 16, 16)).astype(np.float32),
+        # a [B, H, W, C, 3, 3] window tensor alone would be 9 input sizes
+        x = Tensor(rng.normal(size=(2, 16, 16, 64)).astype(np.float32),
                    requires_grad=True)
         w = Tensor(rng.normal(size=(64, 1, 3, 3)).astype(np.float32),
                    requires_grad=True)
@@ -147,18 +150,18 @@ class TestDepthwiseConv2d:
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            T.depthwise_conv2d(Tensor(np.zeros((1, 3, 4, 4))),
+            T.depthwise_conv2d(Tensor(np.zeros((1, 4, 4, 3))),
                                Tensor(np.zeros((2, 1, 3, 3))))
 
 
 class TestAdaptiveAvgPool:
     def test_identity_target(self, rng):
-        x = rng.normal(size=(1, 2, 4, 4))
+        x = rng.normal(size=(1, 4, 4, 2))
         out = T.adaptive_avg_pool2d(Tensor(x), 4, 4)
         npt.assert_array_equal(out.data, x)
 
     def test_constant_invariance(self):
-        x = Tensor(np.full((1, 1, 4, 4), 7.0))
+        x = Tensor(np.full((1, 4, 4, 1), 7.0))
         out = T.adaptive_avg_pool2d(x, 2, 2)
         npt.assert_allclose(out.data, 7.0, rtol=1e-6)
 
@@ -166,37 +169,39 @@ class TestAdaptiveAvgPool:
         # hand evaluation of the bin rule [floor(i*3/2), ceil((i+1)*3/2)):
         # bins {0,1} and {1,2} per axis, so the windows overlap on the
         # middle row/column
-        x = Tensor(np.arange(1.0, 10.0).reshape(1, 1, 3, 3))
+        x = Tensor(np.arange(1.0, 10.0).reshape(1, 3, 3, 1))
         out = T.adaptive_avg_pool2d(x, 2, 2)
-        npt.assert_allclose(out.data[0, 0], [[3.0, 4.0], [6.0, 7.0]], rtol=1e-6)
-        ref = oracles.avg_pool_loops(x.data, 2, 2)
-        npt.assert_allclose(out.data, ref, rtol=1e-6)
+        npt.assert_allclose(out.data[0, :, :, 0], [[3.0, 4.0], [6.0, 7.0]], rtol=1e-6)
+        ref = oracles.avg_pool_loops(oracles.to_nchw(x.data), 2, 2)
+        npt.assert_allclose(oracles.to_nchw(out.data), ref, rtol=1e-6)
 
     @pytest.mark.parametrize("h,w,oh,ow", [(7, 5, 3, 2), (8, 8, 3, 3), (5, 7, 5, 4)])
     def test_against_bin_enumerator(self, rng, h, w, oh, ow):
         x = rng.normal(size=(2, 3, h, w))
-        out = T.adaptive_avg_pool2d(Tensor(x, dtype=np.float64), oh, ow)
-        npt.assert_allclose(out.data, oracles.avg_pool_loops(x, oh, ow), rtol=1e-6)
+        out = T.adaptive_avg_pool2d(Tensor(oracles.to_nhwc(x), dtype=np.float64), oh, ow)
+        npt.assert_allclose(oracles.to_nchw(out.data), oracles.avg_pool_loops(x, oh, ow),
+                            rtol=1e-6)
 
     def test_global_mean_preserved_when_divisible(self, rng):
-        x = rng.normal(size=(1, 2, 8, 8))
+        x = rng.normal(size=(1, 8, 8, 2))
         out = T.adaptive_avg_pool2d(Tensor(x, dtype=np.float64), 4, 2)
         npt.assert_allclose(out.data.mean(), x.mean(), rtol=1e-10)
 
     def test_target_exceeds_input(self):
         with pytest.raises(ShapeError, match="exceeds"):
-            T.adaptive_avg_pool2d(Tensor(np.zeros((1, 1, 3, 3))), 4, 2)
+            T.adaptive_avg_pool2d(Tensor(np.zeros((1, 3, 3, 1))), 4, 2)
 
 
 class TestAdaptiveMaxPool:
     @pytest.mark.parametrize("h,w,oh,ow", [(7, 5, 3, 2), (6, 6, 2, 3)])
     def test_against_bin_enumerator(self, rng, h, w, oh, ow):
         x = rng.normal(size=(2, 2, h, w))
-        out = T.adaptive_max_pool2d(Tensor(x, dtype=np.float64), oh, ow)
-        npt.assert_allclose(out.data, oracles.max_pool_loops(x, oh, ow), rtol=1e-6)
+        out = T.adaptive_max_pool2d(Tensor(oracles.to_nhwc(x), dtype=np.float64), oh, ow)
+        npt.assert_allclose(oracles.to_nchw(out.data), oracles.max_pool_loops(x, oh, ow),
+                            rtol=1e-6)
 
     def test_constant_invariance(self):
-        out = T.adaptive_max_pool2d(Tensor(np.full((1, 1, 5, 5), 2.5)), 2, 2)
+        out = T.adaptive_max_pool2d(Tensor(np.full((1, 5, 5, 1), 2.5)), 2, 2)
         npt.assert_allclose(out.data, 2.5, rtol=1e-6)
 
 
