@@ -369,7 +369,10 @@ def hardswish(x: Tensor) -> Tensor:
     outside the clamp range the clamped branch contributes zero gradient.
     """
     data = x.data
-    out = data * np.clip(data + 3.0, 0.0, 6.0) / 6.0
+    out = data + 3.0
+    np.clip(out, 0.0, 6.0, out=out)
+    out *= data
+    out /= 6.0
 
     def bw(g: Array):
         slope = 2.0 * data
@@ -377,7 +380,8 @@ def hardswish(x: Tensor) -> Tensor:
         slope /= 6.0
         slope[data <= -3.0] = 0.0
         slope[data > 3.0] = 1.0
-        return (g * slope,)
+        slope *= g
+        return (slope,)
 
     return _make("hardswish", out, (x,), bw)
 
@@ -459,36 +463,42 @@ def _tap(a: Array, u: int, v: int, ho: int, wo: int, stride: int) -> Array:
     return a[:, u:u + (ho - 1) * stride + 1:stride, v:v + (wo - 1) * stride + 1:stride]
 
 
-def _depthwise_kernel(padded: Array, k: Array, stride: int):
+def _depthwise_kernel(padded: Array, k: Array, stride: int, padding: int):
     """One input channel per group, ``C_out == C_in``: no window tensor.
 
-    Forward is one einsum over the sliding-window view of the padded input;
-    backward takes kh*kw shifted multiply-adds over strided taps,
-    ``tap(dx_pad) += g * k[:, u, v]`` and ``dk[:, u, v] = sum(g * tap(x_pad))``.
-    Nothing of shape ``[B, Ho, Wo, C, kh, kw]`` is ever allocated.
+    Forward is one einsum over the sliding-window view of the padded input.
+    Backward is two more einsums over window views.  The kernel gradient
+    contracts the forward's windows with ``g``.  The input gradient is the
+    forward applied with the flipped kernel to ``g`` written, dilated by
+    the stride, into a zero map padded by ``k - 1`` on every side; its
+    window view is sliced to the unpadded rows and columns, so ``dx`` comes
+    out without a padded border.  Nothing of shape ``[B, Ho, Wo, C, kh, kw]``
+    is ever allocated.
     """
     kh, kw = k.shape[2:]
+    b, hp, wp, c = padded.shape
     windows = _windows(padded, kh, kw, stride)
     ho, wo = windows.shape[1:3]
     kt = np.ascontiguousarray(k[:, 0].transpose(1, 2, 0))  # [kh, kw, C]
     out = np.einsum("bijcuv,uvc->bijc", windows, kt)
 
-    def bw(g: Array):
-        dpad = np.zeros_like(padded)
-        dkt = np.empty_like(kt)
-        for u in range(kh):
-            for v in range(kw):
-                dtap = _tap(dpad, u, v, ho, wo, stride)
-                dtap += g * kt[u, v]
-                dkt[u, v] = np.einsum("bijc,bijc->c", g, _tap(padded, u, v, ho, wo, stride))
-        return dpad, dkt.transpose(2, 0, 1)[:, None]
+    def bw(g: Array, need_dx: bool):
+        dkt = np.einsum("bijcuv,bijc->uvc", windows, g)
+        dx = None
+        if need_dx:
+            gd = np.zeros((b, hp + kh - 1, wp + kw - 1, c), dtype=padded.dtype)
+            _tap(gd, kh - 1, kw - 1, ho, wo, stride)[...] = g
+            flipped = np.ascontiguousarray(kt[::-1, ::-1])
+            dwin = _windows(gd, kh, kw, 1)[:, padding:hp - padding, padding:wp - padding]
+            dx = np.einsum("bijcuv,uvc->bijc", dwin, flipped)
+        return dx, dkt.transpose(2, 0, 1)[:, None]
 
     return out, bw
 
 
-def _grouped_kernel(padded: Array, k: Array, stride: int, groups: int):
+def _grouped_kernel(padded: Array, k: Array, stride: int, padding: int, groups: int):
     """Dense or grouped conv as einsums over the sliding-window view."""
-    b, cin = padded.shape[0], padded.shape[3]
+    b, hp, wp, cin = padded.shape
     cout, cg, kh, kw = k.shape
     windows = _windows(padded, kh, kw, stride)
     ho, wo = windows.shape[1:3]
@@ -496,16 +506,19 @@ def _grouped_kernel(padded: Array, k: Array, stride: int, groups: int):
     kg = k.reshape(groups, cout // groups, cg, kh, kw)
     out = np.einsum("bijgcuv,gocuv->bijgo", wg, kg, optimize=True)
 
-    def bw(g: Array):
+    def bw(g: Array, need_dx: bool):
         gg = g.reshape(b, ho, wo, groups, cout // groups)
         dk = np.einsum("bijgcuv,bijgo->gocuv", wg, gg, optimize=True)
-        dcols = np.einsum("bijgo,gocuv->uvbijgc", gg, kg, optimize=True)
-        dpad = np.zeros_like(padded)
-        for u in range(kh):
-            for v in range(kw):
-                dtap = _tap(dpad, u, v, ho, wo, stride)
-                dtap += dcols[u, v].reshape(b, ho, wo, cin)
-        return dpad, dk.reshape(cout, cg, kh, kw)
+        dx = None
+        if need_dx:
+            dcols = np.einsum("bijgo,gocuv->uvbijgc", gg, kg, optimize=True)
+            dpad = np.zeros_like(padded)
+            for u in range(kh):
+                for v in range(kw):
+                    dtap = _tap(dpad, u, v, ho, wo, stride)
+                    dtap += dcols[u, v].reshape(b, ho, wo, cin)
+            dx = dpad[:, padding:hp - padding, padding:wp - padding]
+        return dx, dk.reshape(cout, cg, kh, kw)
 
     return out.reshape(b, ho, wo, cout), bw
 
@@ -518,12 +531,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     ``[B, Ho, Wo, C_out]`` with ``Ho = floor((H + 2*padding - kh)/stride) + 1``
     (same for width).  The weight's shape picks the kernel.  One input
     channel per group with ``C_out == C_in`` (depthwise, any
-    kh/kw/stride/padding) runs with no window tensor: an einsum over the
-    sliding-window view forward, kh*kw shifted multiply-adds backward.
-    Every other shape (dense, and grouped with several channels per group)
-    runs as einsums that build the ``[B, Ho, Wo, C_in, kh, kw]`` window
-    tensor in backward.  Both kernels are checked, forward and backward,
-    against the loop oracles in ``tests/oracles.py``.
+    kh/kw/stride/padding) runs with no window tensor: one einsum over a
+    sliding-window view forward, and two backward (the kernel gradient over
+    the forward's windows, the input gradient as the flipped kernel over
+    the dilated, padded output gradient).  Every other shape (dense, and
+    grouped with several channels per group) runs as einsums that build the
+    ``[B, Ho, Wo, C_in, kh, kw]`` window tensor in backward.  The input
+    gradient is skipped (``None``) when ``x`` needs none, as for the image
+    at the stem.  Both kernels are checked, forward and backward, against
+    the loop oracles in ``tests/oracles.py``.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d needs 4-d input/weight, got {x.shape} and {weight.shape}")
@@ -542,15 +558,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     padded = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
     if cg == 1 and cout == cin:
-        out, kernel_bw = _depthwise_kernel(padded, weight.data, stride)
+        out, kernel_bw = _depthwise_kernel(padded, weight.data, stride, padding)
     else:
-        out, kernel_bw = _grouped_kernel(padded, weight.data, stride, groups)
+        out, kernel_bw = _grouped_kernel(padded, weight.data, stride, padding, groups)
     if bias is not None:
         out += bias.data
 
     def bw(g: Array):
-        dpad, dw = kernel_bw(g)
-        dx = dpad[:, padding:padding + h, padding:padding + w]
+        dx, dw = kernel_bw(g, x.requires_grad)
         return (dx, dw) if bias is None else (dx, dw, g.sum(axis=(0, 1, 2)))
 
     inputs = (x, weight) if bias is None else (x, weight, bias)

@@ -95,10 +95,20 @@ def adamw_step(named_params: list[tuple[str, Tensor]], grads: list[np.ndarray],
                 f"{p.data.shape}")
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
-        update = (state.m[i] / c1) / (np.sqrt(state.v[i] / c2) + ADAM_EPS)
-        p.data = p.data - lr * (update + tc.weight_decay * p.data)
+        # In place, in the order of the textbook formula, so the bits match it.
+        m, v = state.m[i], state.v[i]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        update = m / c1
+        denom = v / c2
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        update /= denom
+        update += tc.weight_decay * p.data
+        update *= lr
+        p.data -= update
     return lr
 
 

@@ -226,6 +226,22 @@ class TestEveryOpThreeShapes:
         check_grads(lambda: proj(T.conv2d(x, w, b, stride=2, padding=1,
                                           groups=shape[3]), 24), [x, w, b])
 
+    @pytest.mark.parametrize("shape,kernel,stride,padding", [
+        ((2, 6, 5, 3), (3, 3), 2, 0),  # stride leaves the last row unread
+        ((1, 5, 6, 2), (3, 3), 2, 0),  # ... and here the last column
+        ((2, 5, 4, 3), (2, 3), 1, 1),  # non-square kernel
+        ((1, 4, 5, 2), (3, 2), 2, 1),  # non-square kernel, strided
+        ((1, 3, 4, 2), (2, 2), 1, 2),  # padding >= kernel extent
+        ((2, 2, 3, 2), (2, 2), 2, 3),  # padding >= kernel extent, strided
+    ])
+    def test_depthwise_conv2d_edges(self, rng, shape, kernel, stride, padding):
+        c = shape[3]
+        x = randt(rng, *shape)
+        w = randt(rng, c, 1, *kernel)
+        b = randt(rng, c)
+        check_grads(lambda: proj(T.conv2d(x, w, b, stride=stride, padding=padding,
+                                          groups=c), 25), [x, w, b])
+
     @pytest.mark.parametrize("shape,oh,ow", [((1, 4, 4, 2), 2, 2),
                                              ((2, 7, 5, 3), 3, 2),
                                              ((1, 5, 8, 1), 2, 3)])

@@ -204,3 +204,26 @@ class TestPatchEmbed:
         interior = conv.data[0, 1:-1, 1:-1, :]
         ref = np.broadcast_to(interior[:1, :1, :], interior.shape)
         npt.assert_allclose(interior, ref, rtol=1e-10)
+
+    def test_stem_skips_image_gradient(self, rng):
+        # the image needs no gradient, so the stem's conv node returns None
+        # for it; the weight and bias gradients keep their bits
+        state = _init_patch_embed(_Init(3, np.float32), 3, 8, k=7, stride=4,
+                                  padding=3)
+        img = rng.normal(size=(2, 32, 32, 3)).astype(np.float32)
+
+        def conv_output(x):
+            t, _, _ = patch_embed(x, state)
+            while t.creator.op != "conv2d":
+                t = t.creator.inputs[0]
+            return t
+
+        frozen = conv_output(Tensor(img))
+        live = conv_output(Tensor(img, requires_grad=True))
+        g = rng.normal(size=frozen.shape).astype(np.float32)
+        dx, dw, db = frozen.creator.backward_fn(g)
+        dx_live, dw_live, db_live = live.creator.backward_fn(g)
+        assert dx is None
+        assert dx_live.shape == img.shape
+        npt.assert_array_equal(dw, dw_live)
+        npt.assert_array_equal(db, db_live)

@@ -9,6 +9,7 @@ from ppvit import (CheckpointError, ConfigError, ModelConfig, ShapeError,
                    StageConfig, Tensor, build_model, forward_classify,
                    forward_features, load_checkpoint, no_grad, preset,
                    save_checkpoint)
+from ppvit import tensor as T
 from ppvit.model import (PRESET_NAMES, REFERENCE_PRESETS, config_from_dict,
                          config_to_dict)
 
@@ -110,6 +111,31 @@ class TestHead:
         with no_grad():
             logits = forward_classify(net, rand_images(rng))
         assert logits.shape == (1, 7)
+
+
+class TestDtypeParity:
+    def test_tiny224_float32_matches_float64(self):
+        # the error budget of the float32 kernels: logits and every
+        # parameter gradient of one tiny @224 step against a float64 build;
+        # the gradient bound is global because some gradients (the key
+        # biases) are zero in exact arithmetic
+        image = np.random.default_rng(0).uniform(0, 1, size=(1, 3, 224, 224))
+        out = {}
+        for dtype in (np.float32, np.float64):
+            net = build_model(preset("tiny", num_classes=4), seed=0, dtype=dtype)
+            logits = forward_classify(net, Tensor(image, dtype=dtype))
+            T.cross_entropy_logits(logits, [1]).backward()
+            out[dtype] = logits.data, [(n, p.grad) for n, p in net.named_params()]
+            del net, logits
+        logits32, grads32 = out[np.float32]
+        logits64, grads64 = out[np.float64]
+        assert logits32.dtype == np.float32
+        scale = max(1.0, np.abs(logits64).max())
+        assert np.abs(logits32 - logits64).max() <= 1e-4 * scale
+        gmax = max(np.abs(g).max() for _, g in grads64)
+        worst = {n: np.abs(a - b).max() for (n, a), (_, b) in zip(grads32, grads64)}
+        name = max(worst, key=worst.get)
+        assert worst[name] <= 1e-4 * gmax, f"{name}: {worst[name]:.2e} vs {gmax:.2e}"
 
 
 class TestConfigValidation:

@@ -148,6 +148,16 @@ class TestDepthwiseConv2d:
             tracemalloc.stop()
         assert peak < 6 * x.data.nbytes, f"peak {peak / x.data.nbytes:.1f} input sizes"
 
+    def test_frozen_input_gets_no_gradient(self, rng):
+        x = rng.normal(size=(2, 5, 4, 3))
+        w = Tensor(rng.normal(size=(3, 1, 3, 3)), requires_grad=True)
+        g = rng.normal(size=(2, 5, 4, 3))
+        dx, dw = T.depthwise_conv2d(Tensor(x), w).creator.backward_fn(g)
+        dx_live, dw_live = T.depthwise_conv2d(
+            Tensor(x, requires_grad=True), w).creator.backward_fn(g)
+        assert dx is None and dx_live.shape == x.shape
+        npt.assert_array_equal(dw, dw_live)
+
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             T.depthwise_conv2d(Tensor(np.zeros((1, 4, 4, 3))),

@@ -12,6 +12,7 @@ from ppvit import (AdamWState, ConfigError, DivergenceError, NonFiniteError,
                    build_model, evaluate, forward_classify, gradcheck_suite,
                    load_batch, lr_at, preset, train)
 from ppvit import tensor as T
+from ppvit import training as TR
 from ppvit.training import records_to_csv
 
 
@@ -92,6 +93,29 @@ class TestAdamW:
                                  lambda t: lr_at(tc, t), 0.1, 5)
         for a, b in zip(mine, ref):
             npt.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+
+    def test_float32_step_matches_out_of_place_formula_bit_for_bit(self, rng):
+        # the in-place update keeps the formula's operation order
+        tc = TrainConfig(lr=0.05, weight_decay=0.1, warmup_steps=2,
+                         total_steps=10)
+        step = 3
+        p0 = rng.normal(size=(4, 5)).astype(np.float32)
+        g = rng.normal(size=(4, 5)).astype(np.float32)
+        m0 = rng.normal(scale=0.1, size=(4, 5)).astype(np.float32)
+        v0 = rng.uniform(0.0, 0.1, size=(4, 5)).astype(np.float32)
+        p = Tensor(p0.copy(), requires_grad=True)
+        state = AdamWState(names=["p"], m=[m0.copy()], v=[v0.copy()])
+        lr = adamw_step([("p", p)], [g], state, tc, step)
+
+        b1, b2, eps = TR.ADAM_BETA1, TR.ADAM_BETA2, TR.ADAM_EPS
+        m = b1 * m0 + (1.0 - b1) * g
+        v = b2 * v0 + (1.0 - b2) * g * g
+        update = (m / (1.0 - b1 ** step)) / (np.sqrt(v / (1.0 - b2 ** step)) + eps)
+        ref = p0 - lr * (update + tc.weight_decay * p0)
+        assert p.data.dtype == np.float32
+        npt.assert_array_equal(state.m[0], m)
+        npt.assert_array_equal(state.v[0], v)
+        npt.assert_array_equal(p.data, ref)
 
     def test_applied_lr_is_returned(self):
         tc = TrainConfig(lr=0.4, warmup_steps=10, total_steps=40)
