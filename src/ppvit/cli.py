@@ -60,10 +60,9 @@ def _reject_unknown(section: str, given: dict, allowed: set[str]) -> None:
 def _model_from_section(section: dict) -> ModelConfig:
     if "preset" in section:
         _reject_unknown("model", section, {"preset"} | _MODEL_OVERRIDE_KEYS)
+        # the overrides get the same exact-type checks as an explicit model
         overrides = {k: v for k, v in section.items() if k != "preset"}
-        if "pool_sizes" in overrides and overrides["pool_sizes"] is not None:
-            overrides["pool_sizes"] = tuple(int(s) for s in overrides["pool_sizes"])
-        return preset(section["preset"], **overrides)
+        return config_from_dict(dict(config_to_dict(preset(section["preset"])), **overrides))
     _reject_unknown("model", section, _EXPLICIT_MODEL_KEYS)
     return config_from_dict(section)
 

@@ -6,11 +6,14 @@ image holds, 'stripes' in the orientation of a sinusoidal grating, and
 'checkers' in the cell count of a shifted checkerboard.  ``(seed, index)``
 fully determines every sample, and labels cycle through the classes so the
 set is balanced within one sample.
+
+A set whose rendered images fit ``MEMO_BYTES`` keeps each image it renders,
+so a training loop that revisits the same samples renders each only once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,6 +21,11 @@ from .errors import ConfigError
 from .tensor import Tensor
 
 GENERATOR_KINDS = ("blobs", "stripes", "checkers")
+
+# Sets whose float32 images take at most this many bytes are rendered once
+# per dataset object.  The micro overfit set (32 at 32x32) takes 384 KiB;
+# the tiny sets (64 at 224x224, 37 MiB) render per call and hold nothing.
+MEMO_BYTES = 8 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -27,6 +35,9 @@ class SyntheticDataset:
     image_size: int
     num_classes: int
     seed: int
+    # rendered images, filled by ``load_batch``; not part of the identity
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        hash=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
@@ -104,13 +115,25 @@ def generate_sample(ds: SyntheticDataset, index: int) -> tuple[Tensor, int]:
 
 
 def load_batch(ds: SyntheticDataset, indices) -> tuple[Tensor, np.ndarray]:
-    """Stack samples into [B, 3, S, S] plus an int label vector."""
-    images, labels = [], []
-    for i in indices:
-        img, lab = generate_sample(ds, int(i))
-        images.append(img.data)
-        labels.append(lab)
-    return Tensor(np.stack(images)), np.asarray(labels, dtype=np.int64)
+    """Stack samples into [B, 3, S, S] plus an int label vector.
+
+    The batch is always a fresh array: writing into it never changes a
+    later batch.
+    """
+    idx = [int(i) for i in indices]
+    labels = np.asarray([i % ds.num_classes for i in idx], dtype=np.int64)
+    n, s = ds.num_samples, ds.image_size
+    if n * 3 * s * s * 4 > MEMO_BYTES:
+        return Tensor(np.stack([generate_sample(ds, i)[0].data for i in idx])), labels
+    if not ds._memo:
+        ds._memo.update(images=np.empty((n, 3, s, s), dtype=np.float32),
+                        rendered=np.zeros(n, dtype=bool))
+    images, rendered = ds._memo["images"], ds._memo["rendered"]
+    for i in idx:
+        if not 0 <= i < n or not rendered[i]:
+            images[i] = generate_sample(ds, i)[0].data  # raises when out of range
+            rendered[i] = True
+    return Tensor(images[idx]), labels
 
 
 def label_histogram(ds: SyntheticDataset) -> np.ndarray:

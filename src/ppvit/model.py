@@ -9,6 +9,7 @@ one affine map to the class count.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass
@@ -293,9 +294,21 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelState
 
 @dataclass
 class FeaturePyramid:
-    """Stage outputs B1..B4 as [B, C_i, H_i, W_i] maps at strides 4/8/16/32."""
+    """Stage outputs B1..B4 at strides 4/8/16/32.
 
-    levels: tuple[Tensor, Tensor, Tensor, Tensor]
+    ``tokens`` holds each stage's output as its blocks leave it,
+    ``[B, H_i*W_i, C_i]``, and ``sizes`` its ``(H_i, W_i)`` grid.
+    ``levels`` gives them as ``[B, C_i, H_i, W_i]`` maps, laid out on first
+    access (and recorded for backward only if gradients are enabled then).
+    """
+
+    tokens: tuple[Tensor, Tensor, Tensor, Tensor]
+    sizes: tuple[tuple[int, int], ...]
+
+    @functools.cached_property
+    def levels(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+        return tuple(T.transpose(T.reshape(seq, (seq.shape[0], h, w, -1)), (0, 3, 1, 2))
+                     for seq, (h, w) in zip(self.tokens, self.sizes))
 
     @property
     def b1(self): return self.levels[0]
@@ -321,29 +334,29 @@ def _check_input(model: ModelState, x: Tensor) -> None:
 
 
 def forward_features(model: ModelState, x: Tensor) -> FeaturePyramid:
-    """Run the stem and all four stages; collect each stage's output map.
+    """Run the stem and all four stages; collect each stage's output.
 
-    ``x`` is an NCHW image batch and the pyramid levels are NCHW.  Inside,
-    maps are channels-last, so the layout changes only at these two edges.
+    ``x`` is an NCHW image batch.  Inside, maps are channels-last, so the
+    layout changes only at entry and where a caller reads
+    ``FeaturePyramid.levels``.
     """
     _check_input(model, x)
     b = x.shape[0]
-    levels = []
+    tokens, sizes = [], []
     seq, h, w = patch_embed(T.transpose(x, (0, 2, 3, 1)), model.stem)
     for stage in model.stages:
         if stage.embed is not None:
             seq, h, w = patch_embed(T.reshape(seq, (b, h, w, -1)), stage.embed)
         for blk in stage.blocks:
             seq = block_forward(seq, h, w, blk)
-        levels.append(T.transpose(T.reshape(seq, (b, h, w, -1)), (0, 3, 1, 2)))
-    return FeaturePyramid(levels=tuple(levels))
+        tokens.append(seq)
+        sizes.append((h, w))
+    return FeaturePyramid(tokens=tuple(tokens), sizes=tuple(sizes))
 
 
 def forward_classify(model: ModelState, x: Tensor) -> Tensor:
     """Logits [B, num_classes]: norm B4's tokens, average them, project."""
-    pyramid = forward_features(model, x)
-    b, c, h, w = pyramid.b4.shape
-    tokens = T.reshape(T.transpose(pyramid.b4, (0, 2, 3, 1)), (b, h * w, c))
+    tokens = forward_features(model, x).tokens[3]
     tokens = T.layer_norm(tokens, model.head_ln_gamma, model.head_ln_beta)
     pooled = T.mean(tokens, axis=1)
     return T.linear(pooled, model.head_weight, model.head_bias)
@@ -372,22 +385,43 @@ def config_to_dict(cfg: ModelConfig) -> dict:
     }
 
 
+def _exact(value, kind: type, field: str):
+    """``value`` if it is a ``kind`` (and, for ``int``, not a ``bool``)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigError(
+            f"config field {field!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _ints(values, field: str) -> tuple[int, ...]:
+    _exact(values, list, field)
+    return tuple(_exact(v, int, f"{field}[{i}]") for i, v in enumerate(values))
+
+
 def config_from_dict(d: dict) -> ModelConfig:
+    """Inverse of ``config_to_dict``.  Every field must already have its
+    JSON type: integers are ``int`` (not ``bool`` or ``float``), ``use_rpe``
+    is ``bool``, names are ``str``; anything else raises ``ConfigError``
+    naming the field rather than being coerced."""
     try:
-        stages = tuple(
-            StageConfig(int(s["channels"]), int(s["depth"]), int(s["heads"]),
-                        int(s["expansion"]), tuple(int(p) for p in s["pool_ratios"]))
-            for s in d["stages"])
+        stages = []
+        for i, s in enumerate(_exact(d["stages"], list, "stages"), start=1):
+            _exact(s, dict, f"stages[{i}]")
+            stages.append(StageConfig(
+                *(_exact(s[k], int, f"stages[{i}].{k}")
+                  for k in ("channels", "depth", "heads", "expansion")),
+                _ints(s["pool_ratios"], f"stages[{i}].pool_ratios")))
         sizes = d.get("pool_sizes")
         return ModelConfig(
-            name=str(d["name"]), stages=stages,
-            num_classes=int(d["num_classes"]), head_width=int(d["head_width"]),
-            in_channels=int(d.get("in_channels", 3)),
-            pool_mode=str(d.get("pool_mode", "avg")),
-            use_rpe=bool(d.get("use_rpe", True)),
-            ffn_kind=str(d.get("ffn_kind", "irb")),
-            act=str(d.get("act", "hardswish")),
-            pool_sizes=tuple(int(s) for s in sizes) if sizes is not None else None)
+            name=_exact(d["name"], str, "name"), stages=tuple(stages),
+            num_classes=_exact(d["num_classes"], int, "num_classes"),
+            head_width=_exact(d["head_width"], int, "head_width"),
+            in_channels=_exact(d.get("in_channels", 3), int, "in_channels"),
+            pool_mode=_exact(d.get("pool_mode", "avg"), str, "pool_mode"),
+            use_rpe=_exact(d.get("use_rpe", True), bool, "use_rpe"),
+            ffn_kind=_exact(d.get("ffn_kind", "irb"), str, "ffn_kind"),
+            act=_exact(d.get("act", "hardswish"), str, "act"),
+            pool_sizes=_ints(sizes, "pool_sizes") if sizes is not None else None)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed model config: {exc}") from exc
 
@@ -463,6 +497,15 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[ModelState, dict]:
                               f"got {manifest['seed']!r}")
 
     cfg = config_from_dict(manifest["config"])
+    # The parameter count is closed form, so a manifest that asks for a
+    # model its records cannot hold is refused before anything is built.
+    from .complexity import count_params  # complexity imports this module
+
+    need = 4 * count_params(cfg).total_params
+    if len(raw) - off < need:
+        raise CheckpointError(
+            f"manifest field 'config' describes {need // 4} parameters "
+            f"({need} bytes), but only {len(raw) - off} bytes follow the manifest")
     model = build_model(cfg, seed=manifest["seed"], dtype=dtype)
     expected = dict(model.named_params())
     seen: set[str] = set()

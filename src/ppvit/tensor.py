@@ -331,12 +331,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product ``[.., m, k] @ [.., k, n] -> [.., m, n]``.
 
     Gradients: ``d(a) = g @ b^T`` and ``d(b) = a^T @ g``, summed over any
-    broadcast batch axes.
+    broadcast batch axes.  A 2-d ``b`` against a batched ``a`` (every
+    ``linear``) flattens ``a``'s leading axes, so forward and both
+    gradients are single GEMMs and ``d(b)`` needs no batch sum.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
+    if a.ndim > 2 and b.ndim == 2:
+        k, n = b.shape
+        out = (a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (n,))
+
+        def bw_flat(g: Array):
+            g2 = g.reshape(-1, n)
+            return (g2 @ b.data.T).reshape(a.shape), a.data.reshape(-1, k).T @ g2
+
+        return _make("matmul", out, (a, b), bw_flat)
     try:
         out = a.data @ b.data
     except ValueError as exc:
@@ -497,30 +508,45 @@ def _depthwise_kernel(padded: Array, k: Array, stride: int, padding: int):
 
 
 def _grouped_kernel(padded: Array, k: Array, stride: int, padding: int, groups: int):
-    """Dense or grouped conv as einsums over the sliding-window view."""
-    b, hp, wp, cin = padded.shape
+    """Dense or grouped conv as im2col plus one batched GEMM over the groups.
+
+    ``cols[g, (b, i, j), (u, v, c)]`` copies each output's receptive field
+    once; a row of ``kw * cg`` values is contiguous in the channels-last
+    input, so the copy moves runs rather than single values.  With the
+    kernel as ``kt[g, o, (u, v, c)]``, forward is ``cols @ kt^T``, the
+    kernel gradient ``g^T @ cols``, and the input gradient ``g @ kt``
+    scattered back by k^2 strided adds (col2im).
+    """
+    b, hp, wp, _ = padded.shape
     cout, cg, kh, kw = k.shape
+    n = cout // groups
     windows = _windows(padded, kh, kw, stride)
     ho, wo = windows.shape[1:3]
-    wg = windows.reshape(b, ho, wo, groups, cg, kh, kw)
-    kg = k.reshape(groups, cout // groups, cg, kh, kw)
-    out = np.einsum("bijgcuv,gocuv->bijgo", wg, kg, optimize=True)
+    cols = (windows.reshape(b, ho, wo, groups, cg, kh, kw)
+            .transpose(3, 0, 1, 2, 5, 6, 4).reshape(groups, b * ho * wo, kh * kw * cg))
+    # [G, n, (u, v, c)]: copying the kernel in this order is several times
+    # faster than into [G, (u, v, c), n], and matmul takes the transpose as is
+    kt = (k.reshape(groups, n, cg, kh, kw)
+          .transpose(0, 1, 3, 4, 2).reshape(groups, n, kh * kw * cg))
+    out = np.matmul(cols, kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(b, ho, wo, cout)
 
     def bw(g: Array, need_dx: bool):
-        gg = g.reshape(b, ho, wo, groups, cout // groups)
-        dk = np.einsum("bijgcuv,bijgo->gocuv", wg, gg, optimize=True)
+        gm = g.reshape(b * ho * wo, groups, n).transpose(1, 0, 2)
+        dk = (np.matmul(gm.transpose(0, 2, 1), cols).reshape(groups, n, kh, kw, cg)
+              .transpose(0, 1, 4, 2, 3).reshape(cout, cg, kh, kw))
         dx = None
         if need_dx:
-            dcols = np.einsum("bijgo,gocuv->uvbijgc", gg, kg, optimize=True)
+            dcols = np.matmul(gm, kt).reshape(groups, b, ho, wo, kh, kw, cg)
             dpad = np.zeros_like(padded)
             for u in range(kh):
                 for v in range(kw):
-                    dtap = _tap(dpad, u, v, ho, wo, stride)
-                    dtap += dcols[u, v].reshape(b, ho, wo, cin)
+                    # splitting the unit-stride channel axis keeps this a view
+                    dtap = _tap(dpad, u, v, ho, wo, stride).reshape(b, ho, wo, groups, cg)
+                    dtap += np.moveaxis(dcols[:, :, :, :, u, v], 0, 3)
             dx = dpad[:, padding:hp - padding, padding:wp - padding]
-        return dx, dk.reshape(cout, cg, kh, kw)
+        return dx, dk
 
-    return out.reshape(b, ho, wo, cout), bw
+    return out, bw
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -535,8 +561,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     sliding-window view forward, and two backward (the kernel gradient over
     the forward's windows, the input gradient as the flipped kernel over
     the dilated, padded output gradient).  Every other shape (dense, and
-    grouped with several channels per group) runs as einsums that build the
-    ``[B, Ho, Wo, C_in, kh, kw]`` window tensor in backward.  The input
+    grouped with several channels per group) runs as im2col plus one
+    batched GEMM over the groups, forward and for each gradient.  The input
     gradient is skipped (``None``) when ``x`` needs none, as for the image
     at the stem.  Both kernels are checked, forward and backward, against
     the loop oracles in ``tests/oracles.py``.

@@ -129,6 +129,14 @@ class TestTrain:
         assert code == 2
         assert "momentum" in err and "train" in err
 
+    def test_preset_override_of_the_wrong_type_named(self, capsys, tmp_path):
+        # "false" used to become use_rpe=True and train with RPE on
+        config = write_config(tmp_path, tmp_path / "x",
+                              model={"preset": "nano", "num_classes": 2, "use_rpe": "false"})
+        code, _, err = run_cli(capsys, "train", "--config", str(config))
+        assert code == 2
+        assert "use_rpe" in err
+
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from ppvit import ConfigError, SyntheticDataset, generate_sample, load_batch
-from ppvit.data import (GENERATOR_KINDS, label_histogram,
+from ppvit.data import (GENERATOR_KINDS, MEMO_BYTES, label_histogram,
                         nearest_centroid_accuracy)
 
 BLOBS = SyntheticDataset("blobs", 32, 32, 4, seed=7)
@@ -66,6 +66,51 @@ class TestSampleContract:
     def test_batch_labels_are_int64(self):
         _, labels = load_batch(BLOBS, range(4))
         assert labels.dtype == np.int64
+
+
+class TestRenderMemo:
+    """A set small enough to keep renders each sample once per object."""
+
+    def test_memo_matches_stacked_samples_bit_for_bit(self):
+        ds = SyntheticDataset("blobs", 32, 32, 4, seed=7)
+        order = [5, 0, 31, 5, 17]
+        for _ in range(2):  # the second pass reads only the memo
+            batch, labels = load_batch(ds, order)
+            ref = np.stack([generate_sample(ds, i)[0].data for i in order])
+            assert batch.data.dtype == np.float32
+            assert batch.data.tobytes() == ref.tobytes()
+            assert list(labels) == [generate_sample(ds, i)[1] for i in order]
+        assert ds._memo["rendered"].sum() == 4
+
+    def test_writing_into_a_batch_leaves_the_next_unchanged(self):
+        ds = SyntheticDataset("checkers", 8, 16, 2, seed=3)
+        first, _ = load_batch(ds, [1, 2])
+        clean = first.data.copy()
+        first.data[...] = -1.0
+        again, _ = load_batch(ds, [1, 2])
+        npt.assert_array_equal(again.data, clean)
+
+    def test_index_out_of_range_after_memo_is_full(self):
+        ds = SyntheticDataset("stripes", 8, 16, 4, seed=0)
+        load_batch(ds, range(8))
+        assert ds._memo["rendered"].all()
+        for bad in (8, -1):
+            with pytest.raises(IndexError):
+                load_batch(ds, [0, bad])
+
+    def test_set_over_budget_holds_no_memo(self):
+        s = 64
+        n = MEMO_BYTES // (3 * s * s * 4) + 1
+        ds = SyntheticDataset("blobs", n, s, 4, seed=0)
+        batch, _ = load_batch(ds, [0, n - 1])
+        npt.assert_array_equal(batch.data[1], generate_sample(ds, n - 1)[0].data)
+        assert ds._memo == {}
+
+    def test_memo_is_not_part_of_identity(self):
+        a = SyntheticDataset("blobs", 8, 16, 2, seed=0)
+        b = SyntheticDataset("blobs", 8, 16, 2, seed=0)
+        load_batch(a, [0])
+        assert a == b and hash(a) == hash(b) and "_memo" not in repr(a)
 
 
 class TestValidation:

@@ -1,5 +1,7 @@
 """Backbone assembly, presets, forward contract, checkpoint format."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -172,6 +174,21 @@ class TestConfigValidation:
         cfg = preset("micro", num_classes=4, pool_mode="max", use_rpe=False)
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
+    @pytest.mark.parametrize("stage_field,top_field,value,name", [
+        ("channels", None, "x", "stages[1].channels"),
+        ("channels", None, 8.7, "stages[1].channels"),
+        ("depth", None, True, "stages[1].depth"),
+        (None, "use_rpe", "false", "use_rpe"),
+    ])
+    def test_config_dict_exact_types(self, stage_field, top_field, value, name):
+        d = config_to_dict(preset("micro", num_classes=4))
+        if stage_field is not None:
+            d["stages"][0][stage_field] = value
+        else:
+            d[top_field] = value
+        with pytest.raises(ConfigError, match=re.escape(repr(name))):
+            config_from_dict(d)
+
     def test_config_dict_round_trip_pool_sizes(self):
         cfg = preset("nano", num_classes=2, pool_sizes=(1, 2, 3, 6))
         back = config_from_dict(config_to_dict(cfg))
@@ -250,6 +267,27 @@ class TestCheckpoint:
         path.write_bytes(data)
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
+
+    def test_manifest_larger_than_its_records_refused_before_building(self, tmp_path):
+        import json
+        import struct
+        import tracemalloc
+
+        from ppvit.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+
+        manifest = {"format_version": CHECKPOINT_VERSION, "seed": 0,
+                    "config": config_to_dict(preset("large"))}
+        blob = json.dumps(manifest).encode()
+        path = tmp_path / "large.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="config"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
 
     def test_config_mismatch_rejected(self, tmp_path):
         """Weights saved with RPE cannot load into an RPE-free skeleton."""

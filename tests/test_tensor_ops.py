@@ -51,10 +51,18 @@ class TestConv2d:
         assert out.shape == (1, 2, 2, 1)
         npt.assert_array_equal(out.data, np.full((1, 2, 2, 1), 4.0))
 
-    @pytest.mark.parametrize("stride,padding,groups", [(1, 0, 1), (2, 1, 1), (1, 1, 2)])
-    def test_against_loops(self, rng, stride, padding, groups):
-        x = rng.normal(size=(2, 4, 6, 5))
-        w = rng.normal(size=(6, 4 // groups, 3, 3))
+    # the first three keep their original ids; the last two are the stem's
+    # 7x7/4/pad-3 geometry on an RGB input and a stage embed's 3x3/2/pad-1
+    @pytest.mark.parametrize("stride,padding,groups,cin,k,hw", [
+        pytest.param(1, 0, 1, 4, 3, (6, 5), id="1-0-1"),
+        pytest.param(2, 1, 1, 4, 3, (6, 5), id="2-1-1"),
+        pytest.param(1, 1, 2, 4, 3, (6, 5), id="1-1-2"),
+        pytest.param(4, 3, 1, 3, 7, (16, 12), id="stem-7x7-4-3"),
+        pytest.param(2, 1, 1, 5, 3, (8, 7), id="embed-3x3-2-1"),
+    ])
+    def test_against_loops(self, rng, stride, padding, groups, cin, k, hw):
+        x = rng.normal(size=(2, cin) + hw)
+        w = rng.normal(size=(6, cin // groups, k, k))
         b = rng.normal(size=6)
         out = T.conv2d(Tensor(oracles.to_nhwc(x), dtype=np.float64),
                        Tensor(w, dtype=np.float64),
