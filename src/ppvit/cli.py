@@ -12,10 +12,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import complexity, model as M, training
-from .data import GENERATOR_KINDS, SyntheticDataset
+from .data import SyntheticDataset
 from .errors import ConfigError, DivergenceError, PPVitError
 from .model import ModelConfig, build_model, config_from_dict, config_to_dict, preset
 from .training import TrainConfig
@@ -43,91 +44,49 @@ def _fmt_table(rows: list[list[str]], header: list[str]) -> str:
 
 _MODEL_OVERRIDE_KEYS = {"num_classes", "in_channels", "pool_mode", "use_rpe",
                         "ffn_kind", "act", "pool_sizes"}
-_EXPLICIT_MODEL_KEYS = {"name", "stages", "num_classes", "head_width", "in_channels",
-                        "pool_mode", "use_rpe", "ffn_kind", "act", "pool_sizes"}
 _DATA_DEFAULTS = {"kind": "blobs", "num_samples": 32, "image_size": 32,
                   "num_classes": 4, "seed": 0}
-_TRAIN_DEFAULTS = {"lr": 1e-3, "weight_decay": 0.05, "warmup_steps": 0,
-                   "total_steps": 100, "batch_size": 8, "seed": 0}
 
 
-def _reject_unknown(section: str, given: dict, allowed: set[str]) -> None:
-    for key in given:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {section!r} section")
+@dataclass(frozen=True)
+class RunConfig:
+    """One ``ppvit train`` run, as its run-config JSON states it."""
+
+    model: ModelConfig
+    data: SyntheticDataset
+    train: TrainConfig = TrainConfig()
+    model_seed: int = 0
+    out_dir: str = "runs/latest"
 
 
-def _model_from_section(section: dict) -> ModelConfig:
-    if "preset" in section:
-        _reject_unknown("model", section, {"preset"} | _MODEL_OVERRIDE_KEYS)
-        # the overrides get the same exact-type checks as an explicit model
-        overrides = {k: v for k, v in section.items() if k != "preset"}
-        return config_from_dict(dict(config_to_dict(preset(section["preset"])), **overrides))
-    _reject_unknown("model", section, _EXPLICIT_MODEL_KEYS)
-    return config_from_dict(section)
+def load_run_config(path) -> RunConfig:
+    """Parse and validate a run config; every field not given is defaulted.
 
-
-def load_run_config(path) -> dict:
-    """Parse and validate a run config; returns the fully defaulted form."""
+    The ``model`` section is either a full ``ModelConfig`` or a ``preset``
+    name plus overrides of the ``_MODEL_OVERRIDE_KEYS`` fields, which are
+    checked as the same fields of an explicit model are.
+    """
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _reject_unknown("top-level", raw, {"model", "model_seed", "data", "train", "out_dir"})
-    if "model" not in raw:
-        raise ConfigError("config is missing the 'model' section")
-
-    cfg = _model_from_section(dict(raw["model"]))
-
-    data_sec = dict(_DATA_DEFAULTS)
-    given = dict(raw.get("data", {}))
-    _reject_unknown("data", given, set(_DATA_DEFAULTS))
-    data_sec.update(given)
-    ds = SyntheticDataset(kind=str(data_sec["kind"]),
-                          num_samples=int(data_sec["num_samples"]),
-                          image_size=int(data_sec["image_size"]),
-                          num_classes=int(data_sec["num_classes"]),
-                          seed=int(data_sec["seed"]))
-
-    train_sec = dict(_TRAIN_DEFAULTS)
-    given = dict(raw.get("train", {}))
-    _reject_unknown("train", given, set(_TRAIN_DEFAULTS))
-    train_sec.update(given)
-    tc = TrainConfig(lr=float(train_sec["lr"]),
-                     weight_decay=float(train_sec["weight_decay"]),
-                     warmup_steps=int(train_sec["warmup_steps"]),
-                     total_steps=int(train_sec["total_steps"]),
-                     batch_size=int(train_sec["batch_size"]),
-                     seed=int(train_sec["seed"]))
-
-    return {
-        "model": cfg,
-        "model_seed": int(raw.get("model_seed", 0)),
-        "data": ds,
-        "train": tc,
-        "out_dir": str(raw.get("out_dir", "runs/latest")),
-    }
-
-
-def _effective_config_json(run: dict) -> str:
-    ds, tc = run["data"], run["train"]
-    return json.dumps({
-        "model": config_to_dict(run["model"]),
-        "model_seed": run["model_seed"],
-        "data": {"kind": ds.kind, "num_samples": ds.num_samples,
-                 "image_size": ds.image_size, "num_classes": ds.num_classes,
-                 "seed": ds.seed},
-        "train": {"lr": tc.lr, "weight_decay": tc.weight_decay,
-                  "warmup_steps": tc.warmup_steps, "total_steps": tc.total_steps,
-                  "batch_size": tc.batch_size, "seed": tc.seed},
-        "out_dir": run["out_dir"],
-    }, indent=2, sort_keys=True)
+    if isinstance(raw.get("model"), dict) and "preset" in raw["model"]:
+        overrides = dict(raw["model"])
+        name = overrides.pop("preset")
+        unknown = sorted(overrides.keys() - _MODEL_OVERRIDE_KEYS)
+        if unknown:
+            raise ConfigError(f"config field 'model.{unknown[0]}' cannot override a preset")
+        if name not in M.PRESET_NAMES:
+            raise ConfigError(f"config field 'model.preset' must be one of "
+                              f"{', '.join(M.PRESET_NAMES)}, got {name!r}")
+        raw["model"] = dict(config_to_dict(preset(name)), **overrides)
+    if isinstance(raw.get("data", {}), dict):
+        raw["data"] = dict(_DATA_DEFAULTS, **raw.get("data", {}))
+    return config_from_dict(raw, RunConfig)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +95,7 @@ def _effective_config_json(run: dict) -> str:
 
 def _resolve_config(args) -> ModelConfig:
     if args.config:
-        return load_run_config(args.config)["model"]
+        return load_run_config(args.config).model
     return preset(args.preset)
 
 
@@ -150,12 +109,13 @@ def cmd_summary(args) -> int:
         return 0
 
     unit = "FLOPs (2x MAC)" if args.double_macs else "FLOPs (1 MAC = 1)"
-    grid = args.input // 4
+    k, stride, _ = M.EMBED_GEOMETRY[0]
+    grid = args.input // stride
     rows = [["stem", f"{grid}x{grid}", str(cfg.stages[0].channels), "-", "-",
-             "7x7 conv /4"]]
+             f"{k}x{k} conv /{stride}"]]
     for i, st in enumerate(cfg.stages, start=1):
         if i > 1:
-            grid //= 2
+            grid //= M.EMBED_GEOMETRY[i - 1][1]
         ratios = ",".join(map(str, st.pool_ratios))
         if cfg.pool_sizes is not None:
             ratios = "sizes " + ",".join(map(str, cfg.pool_sizes))
@@ -202,13 +162,13 @@ def cmd_squeeze(args) -> int:
 def cmd_train(args) -> int:
     run = load_run_config(args.config)
     print(_paint("effective config:", "1"))
-    print(_effective_config_json(run))
-    out_dir = Path(run["out_dir"])
+    print(json.dumps(config_to_dict(run), indent=2, sort_keys=True))
+    out_dir = Path(run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    net = build_model(run["model"], seed=run["model_seed"])
+    net = build_model(run.model, seed=run.model_seed)
     metrics = out_dir / "metrics.csv"
     ckpt = out_dir / "checkpoint.ckpt"
-    records = training.train(net, run["data"], run["train"],
+    records = training.train(net, run.data, run.train,
                              metrics_path=metrics, checkpoint_path=ckpt)
     last = records[-1]
     print(f"finished {last.step} steps: loss {last.loss:.4f}, "
@@ -264,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--preset", choices=M.PRESET_NAMES)
     g.add_argument("--config", help="run-config JSON; its model section is used")
     s.add_argument("--input", type=int, default=224,
-                   help="square input size (multiple of 32)")
+                   help=f"square input size (multiple of {M.INPUT_MULTIPLE})")
     s.add_argument("--per-layer", action="store_true",
                    help="emit the per-layer breakdown instead of per-stage")
     s.add_argument("--csv", action="store_true", help="print CSV only")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .model import ModelConfig
+from .model import EMBED_GEOMETRY, INPUT_MULTIPLE, ModelConfig
 
 REFERENCE_PARAMS = {"tiny": 11.6e6, "small": 24.1e6, "base": 36.1e6, "large": 54.5e6}
 REFERENCE_FLOPS = {"tiny": 1.8e9, "small": 3.7e9, "base": 6.5e9, "large": 9.8e9}
@@ -142,14 +142,14 @@ def _walk(cfg: ModelConfig, hw: tuple[int, int] | None) -> ComplexityReport:
     layers: list[LayerCost] = []
     c_prev = cfg.in_channels
     cost, hw = _patch_embed_cost("stem", c_prev, cfg.stages[0].channels,
-                                 7, 4, 3, hw)
+                                 *EMBED_GEOMETRY[0], hw)
     layers.append(cost)
     c_prev = cfg.stages[0].channels
     for i, st in enumerate(cfg.stages):
         scope = f"stages.{i + 1}"
         if i > 0:
             cost, hw = _patch_embed_cost(f"{scope}.embed", c_prev, st.channels,
-                                         3, 2, 1, hw)
+                                         *EMBED_GEOMETRY[i], hw)
             layers.append(cost)
             c_prev = st.channels
         for b in range(st.depth):
@@ -175,9 +175,9 @@ def count_params(cfg: ModelConfig) -> ComplexityReport:
 
 def count_flops(cfg: ModelConfig, input_hw: tuple[int, int]) -> ComplexityReport:
     """Joint report at the given input size (H and W multiples of 32)."""
-    h, w = input_hw
-    if h < 32 or w < 32 or h % 32 or w % 32:
-        raise ConfigError(f"input size must be multiples of 32, got {h}x{w}")
+    (h, w), m = input_hw, INPUT_MULTIPLE
+    if h < m or w < m or h % m or w % m:
+        raise ConfigError(f"input size must be multiples of {m}, got {h}x{w}")
     report = _walk(cfg, (h, w))
     report.input_hw = (h, w)
     return report

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import struct
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -65,6 +68,8 @@ class ModelConfig:
             raise ConfigError(f"stages must hold 4 entries, got {len(self.stages)}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be at least 2, got {self.num_classes}")
+        if self.head_width < 1:
+            raise ConfigError(f"head_width must be positive, got {self.head_width}")
         for i, st in enumerate(self.stages, start=1):
             if st.channels % self.head_width:
                 raise ConfigError(
@@ -80,6 +85,13 @@ class ModelConfig:
         return BlockConfig(st.channels, st.heads, st.pool_ratios, st.expansion,
                            self.pool_mode, self.use_rpe, self.ffn_kind, self.act,
                            self.pool_sizes)
+
+
+# (kernel, stride, padding) of the patch embed that opens each stage: the
+# stem for stage 1, then one stride-2 conv per stage.  Inputs must be a
+# multiple of the product of the strides, so that every stage's grid is exact.
+EMBED_GEOMETRY = ((7, 4, 3), (3, 2, 1), (3, 2, 1), (3, 2, 1))
+INPUT_MULTIPLE = math.prod(stride for _, stride, _ in EMBED_GEOMETRY)
 
 
 # Pyramid pooling ratios shrink stage to stage with the token grid; the last
@@ -270,13 +282,13 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelState
     """
     init = _Init(seed, dtype)
     stem = _init_patch_embed(init, cfg.in_channels, cfg.stages[0].channels,
-                             k=7, stride=4, padding=3)
+                             *EMBED_GEOMETRY[0])
     stages: list[StageState] = []
     for i, st in enumerate(cfg.stages):
         embed = None
         if i > 0:
             embed = _init_patch_embed(init, cfg.stages[i - 1].channels, st.channels,
-                                      k=3, stride=2, padding=1)
+                                      *EMBED_GEOMETRY[i])
         bcfg = cfg.block_config(i)
         blocks = [_init_block(init, bcfg) for _ in range(st.depth)]
         stages.append(StageState(embed=embed, blocks=blocks))
@@ -327,10 +339,10 @@ def _check_input(model: ModelState, x: Tensor) -> None:
     if x.ndim != 4 or x.shape[1] != model.cfg.in_channels:
         raise ShapeError(
             f"input must be [B, {model.cfg.in_channels}, H, W], got {x.shape}")
-    h, w = x.shape[2], x.shape[3]
-    if h < 32 or w < 32 or h % 32 or w % 32:
+    h, w, m = x.shape[2], x.shape[3], INPUT_MULTIPLE
+    if h < m or w < m or h % m or w % m:
         raise ShapeError(
-            f"input height/width must be multiples of 32 (at least 32), got {h}x{w}")
+            f"input height/width must be multiples of {m} (at least {m}), got {h}x{w}")
 
 
 def forward_features(model: ModelState, x: Tensor) -> FeaturePyramid:
@@ -366,64 +378,73 @@ def forward_classify(model: ModelState, x: Tensor) -> Tensor:
 # config (de)serialization
 # ---------------------------------------------------------------------------
 
-def config_to_dict(cfg: ModelConfig) -> dict:
-    return {
-        "name": cfg.name,
-        "num_classes": cfg.num_classes,
-        "head_width": cfg.head_width,
-        "in_channels": cfg.in_channels,
-        "pool_mode": cfg.pool_mode,
-        "use_rpe": cfg.use_rpe,
-        "ffn_kind": cfg.ffn_kind,
-        "act": cfg.act,
-        "pool_sizes": list(cfg.pool_sizes) if cfg.pool_sizes is not None else None,
-        "stages": [
-            {"channels": st.channels, "depth": st.depth, "heads": st.heads,
-             "expansion": st.expansion, "pool_ratios": list(st.pool_ratios)}
-            for st in cfg.stages
-        ],
-    }
+def config_to_dict(cfg) -> dict:
+    """A config dataclass as JSON values: its ``init`` fields, with tuples
+    as lists and nested configs as dicts."""
+    return {f.name: _to_json(getattr(cfg, f.name)) for f in fields(cfg) if f.init}
 
 
-def _exact(value, kind: type, field: str):
-    """``value`` if it is a ``kind`` (and, for ``int``, not a ``bool``)."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ConfigError(
-            f"config field {field!r} must be {kind.__name__}, got {value!r}")
+def _to_json(value):
+    if is_dataclass(value):
+        return config_to_dict(value)
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
     return value
 
 
-def _ints(values, field: str) -> tuple[int, ...]:
-    _exact(values, list, field)
-    return tuple(_exact(v, int, f"{field}[{i}]") for i, v in enumerate(values))
+def config_from_dict(d, cls=ModelConfig, where: str = ""):
+    """Inverse of ``config_to_dict``: build ``cls`` from JSON values.
+
+    Each ``init`` field of ``cls`` takes its annotated type exactly: ``int``
+    is never a ``bool``, ``float`` also takes an ``int`` (converted),
+    ``tuple[X, ...]`` takes a list and a nested config takes an object.
+    Fields with a default may be left out.  An unknown, missing or wrongly
+    typed field raises ``ConfigError`` naming it with its dotted path from
+    ``where`` (list items are numbered from 1, as stages are), such as
+    ``stages[1].channels``.
+    """
+    _expect(d, dict, where)
+    prefix = f"{where}." if where else ""
+    known = {f.name: f for f in fields(cls) if f.init}
+    for key in d:
+        if key not in known:
+            raise ConfigError(f"unknown config field {prefix + key!r}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for name, f in known.items():
+        if name in d:
+            values[name] = _load(d[name], hints[name], prefix + name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"config field {prefix + name!r} is missing")
+    return cls(**values)
 
 
-def config_from_dict(d: dict) -> ModelConfig:
-    """Inverse of ``config_to_dict``.  Every field must already have its
-    JSON type: integers are ``int`` (not ``bool`` or ``float``), ``use_rpe``
-    is ``bool``, names are ``str``; anything else raises ``ConfigError``
-    naming the field rather than being coerced."""
-    try:
-        stages = []
-        for i, s in enumerate(_exact(d["stages"], list, "stages"), start=1):
-            _exact(s, dict, f"stages[{i}]")
-            stages.append(StageConfig(
-                *(_exact(s[k], int, f"stages[{i}].{k}")
-                  for k in ("channels", "depth", "heads", "expansion")),
-                _ints(s["pool_ratios"], f"stages[{i}].pool_ratios")))
-        sizes = d.get("pool_sizes")
-        return ModelConfig(
-            name=_exact(d["name"], str, "name"), stages=tuple(stages),
-            num_classes=_exact(d["num_classes"], int, "num_classes"),
-            head_width=_exact(d["head_width"], int, "head_width"),
-            in_channels=_exact(d.get("in_channels", 3), int, "in_channels"),
-            pool_mode=_exact(d.get("pool_mode", "avg"), str, "pool_mode"),
-            use_rpe=_exact(d.get("use_rpe", True), bool, "use_rpe"),
-            ffn_kind=_exact(d.get("ffn_kind", "irb"), str, "ffn_kind"),
-            act=_exact(d.get("act", "hardswish"), str, "act"),
-            pool_sizes=_ints(sizes, "pool_sizes") if sizes is not None else None)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed model config: {exc}") from exc
+def _load(value, kind, where: str):
+    """``value`` as the annotated type ``kind``; see ``config_from_dict``."""
+    if isinstance(kind, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (kind,) = (k for k in typing.get_args(kind) if k is not type(None))
+    if typing.get_origin(kind) is tuple:
+        _expect(value, list, where)
+        item = typing.get_args(kind)[0]
+        return tuple(_load(v, item, f"{where}[{i}]") for i, v in enumerate(value, start=1))
+    if is_dataclass(kind):
+        return config_from_dict(value, kind, where)
+    if kind is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise ConfigError(f"config field {where!r} is out of range: {exc}") from exc
+    return _expect(value, kind, where)
+
+
+def _expect(value, kind: type, where: str):
+    """``value`` if it is a ``kind``, and a ``bool`` only if ``kind`` is."""
+    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        name = f"config field {where!r}" if where else "config"
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +468,12 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(model: ModelState, path, extra: dict | None = None) -> None:
+    """Write ``model`` to ``path``.  The format holds float32 data only, so a
+    model with any other parameter dtype is refused before the file opens."""
+    for name, p in model.named_params():
+        if p.data.dtype != np.float32:
+            raise CheckpointError(
+                f"parameter {name!r} is {p.data.dtype}; checkpoints hold float32 only")
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "seed": model.seed,
@@ -492,7 +519,7 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[ModelState, dict]:
     for field in ("config", "seed"):
         if field not in manifest:
             raise CheckpointError(f"manifest has no {field!r} field")
-    if not isinstance(manifest["seed"], int):
+    if type(manifest["seed"]) is not int:
         raise CheckpointError(f"manifest field 'seed' must be an integer, "
                               f"got {manifest['seed']!r}")
 

@@ -34,10 +34,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(
+                f"weight_decay must be nonnegative and finite, got {self.weight_decay}")
         if self.total_steps < 1:
             raise ConfigError(f"total_steps must be positive, got {self.total_steps}")
         if not 0 <= self.warmup_steps <= self.total_steps:

@@ -137,6 +137,42 @@ class TestTrain:
         assert code == 2
         assert "use_rpe" in err
 
+    @pytest.mark.parametrize("section,field,value", [
+        ("data", "num_samples", 8.9),
+        ("train", "seed", True),
+        ("train", "lr", "0.001"),
+        ("train", "total_steps", 3.7),
+        (None, "model_seed", True),
+    ])
+    def test_wrong_json_type_named(self, capsys, tmp_path, section, field, value):
+        # each of these used to be coerced (8 samples, seed 1, lr 0.001, 3 steps)
+        config = write_config(tmp_path, tmp_path / "x")
+        raw = json.loads(config.read_text())
+        (raw[section] if section else raw)[field] = value
+        config.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "train", "--config", str(config))
+        assert code == 2
+        assert repr(f"{section}.{field}" if section else field) in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("section,field", [("model", "head_width"), ("data", "size")])
+    def test_unknown_section_field_named(self, capsys, tmp_path, section, field):
+        config = write_config(tmp_path, tmp_path / "x")
+        raw = json.loads(config.read_text())
+        raw[section][field] = 4
+        config.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "train", "--config", str(config))
+        assert code == 2
+        assert repr(f"{section}.{field}") in err
+
+    def test_integer_for_a_float_field_is_converted(self, tmp_path):
+        config = write_config(tmp_path, tmp_path / "x")
+        raw = json.loads(config.read_text())
+        raw["train"]["weight_decay"] = 0
+        config.write_text(json.dumps(raw))
+        wd = cli.load_run_config(config).train.weight_decay
+        assert wd == 0.0 and type(wd) is float
+
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -12,8 +12,8 @@ from ppvit import (CheckpointError, ConfigError, ModelConfig, ShapeError,
                    forward_features, load_checkpoint, no_grad, preset,
                    save_checkpoint)
 from ppvit import tensor as T
-from ppvit.model import (PRESET_NAMES, REFERENCE_PRESETS, config_from_dict,
-                         config_to_dict)
+from ppvit.model import (EMBED_GEOMETRY, INPUT_MULTIPLE, PRESET_NAMES,
+                         REFERENCE_PRESETS, config_from_dict, config_to_dict)
 
 
 def micro_model(seed=0, **overrides):
@@ -52,6 +52,13 @@ class TestBuildDeterminism:
 
 
 class TestGeometry:
+    def test_build_follows_the_embed_geometry_table(self):
+        net = micro_model()
+        embeds = [net.stem] + [st.embed for st in net.stages[1:]]
+        assert ([(e.weight.shape[-1], e.stride, e.padding) for e in embeds]
+                == list(EMBED_GEOMETRY))
+        assert INPUT_MULTIPLE == 32
+
     def test_stride_ladder_64(self, rng):
         net = micro_model()
         with no_grad():
@@ -189,6 +196,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=re.escape(repr(name))):
             config_from_dict(d)
 
+    @pytest.mark.parametrize("edit,name", [
+        ({"depth": 1}, "depth"),
+        ({"stages": 4}, "stages"),
+        ({"pool_sizes": [1, "2"]}, "pool_sizes[2]"),
+        ({"head_width": None}, "head_width"),
+    ], ids=["unknown", "not-a-list", "list-item", "null"])
+    def test_config_dict_field_named(self, edit, name):
+        d = dict(config_to_dict(preset("micro", num_classes=4)), **edit)
+        with pytest.raises(ConfigError, match=re.escape(repr(name))):
+            config_from_dict(d)
+
+    def test_config_dict_missing_stage_field_named(self):
+        d = config_to_dict(preset("micro", num_classes=4))
+        del d["stages"][1]["heads"]
+        with pytest.raises(ConfigError, match=re.escape("'stages[2].heads' is missing")):
+            config_from_dict(d)
+
+    def test_zero_head_width_is_a_config_error(self):
+        d = dict(config_to_dict(preset("nano", num_classes=2)), head_width=0)
+        with pytest.raises(ConfigError, match="head_width"):
+            config_from_dict(d)
+
     def test_config_dict_round_trip_pool_sizes(self):
         cfg = preset("nano", num_classes=2, pool_sizes=(1, 2, 3, 6))
         back = config_from_dict(config_to_dict(cfg))
@@ -241,6 +270,7 @@ class TestCheckpoint:
         ("no_config", "config"),
         ("no_seed", "seed"),
         ("string_seed", "seed"),
+        ("bool_seed", "seed"),
         ("list_manifest", "object"),
     ])
     def test_malformed_header_raises_checkpoint_error(self, tmp_path, case, match):
@@ -257,6 +287,8 @@ class TestCheckpoint:
             del manifest["seed"]
         elif case == "string_seed":
             manifest["seed"] = "zero"
+        elif case == "bool_seed":
+            manifest["seed"] = True
         elif case == "list_manifest":
             manifest = [manifest]
         blob = json.dumps(manifest).encode()
@@ -267,6 +299,13 @@ class TestCheckpoint:
         path.write_bytes(data)
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
+
+    def test_float64_model_refused_before_the_file_opens(self, tmp_path):
+        net = build_model(preset("micro", num_classes=4), seed=0, dtype=np.float64)
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(CheckpointError, match="'stem.conv.weight' is float64"):
+            save_checkpoint(net, path)
+        assert not path.exists()
 
     def test_manifest_larger_than_its_records_refused_before_building(self, tmp_path):
         import json

@@ -58,6 +58,13 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             TrainConfig(warmup_steps=11, total_steps=10)
 
+    @pytest.mark.parametrize("field,value", [
+        ("lr", math.nan), ("lr", math.inf), ("weight_decay", math.nan),
+        ("weight_decay", math.inf)])
+    def test_non_finite_rates_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
 
 class TestAdamW:
     def test_zero_grad_zero_decay_is_identity(self):
