@@ -10,7 +10,7 @@ affordable at high resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,28 +106,20 @@ class PMHSAConfig:
 
 @dataclass
 class PMHSAState:
-    """Parameters of one attention layer (all [in, out] for the linears)."""
+    """Parameters of one attention layer (linear weights are [in, out]).
+
+    ``rpe`` is the depthwise 3x3 position encoding [C, 1, 3, 3] shared
+    across pyramid levels, ``None`` when ``cfg.use_rpe`` is off;
+    ``pool_ln`` normalizes the concatenated pooled sequence.
+    """
 
     cfg: PMHSAConfig
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-    rpe_weight: Tensor  # [C, 1, 3, 3], shared across pyramid levels
-    rpe_bias: Tensor
-    ln_gamma: Tensor  # applied to the concatenated pooled sequence
-    ln_beta: Tensor
-
-    def params(self) -> list[Tensor]:
-        ps = [self.wq, self.bq, self.wk, self.bk, self.wv, self.bv, self.wo, self.bo,
-              self.ln_gamma, self.ln_beta]
-        if self.cfg.use_rpe:
-            ps[8:8] = [self.rpe_weight, self.rpe_bias]
-        return ps
+    q: T.Affine
+    k: T.Affine
+    v: T.Affine
+    o: T.Affine
+    rpe: T.Affine | None
+    pool_ln: T.Norm
 
 
 def pyramid_pool(x_map: Tensor, targets: list[tuple[int, int]],
@@ -155,11 +147,11 @@ def build_kv_sequence(x: Tensor, h: int, w: int, state: PMHSAState) -> Tensor:
         raise ShapeError(f"sequence length {n} does not match map {h}x{w}")
     levels = pyramid_pool(T.reshape(x, (b, h, w, c)), cfg.level_targets(h, w),
                           cfg.pool_mode)
-    if cfg.use_rpe:
-        levels = [apply_rpe(p, state.rpe_weight, state.rpe_bias) for p in levels]
+    if state.rpe is not None:
+        levels = [apply_rpe(p, state.rpe.weight, state.rpe.bias) for p in levels]
     flat = [T.reshape(p, (b, p.shape[1] * p.shape[2], c)) for p in levels]
     seq = flat[0] if len(flat) == 1 else T.concat(flat, axis=1)
-    return T.layer_norm(seq, state.ln_gamma, state.ln_beta)
+    return T.layer_norm(seq, state.pool_ln.gamma, state.pool_ln.beta)
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -186,8 +178,8 @@ def pmhsa_forward(x: Tensor, h: int, w: int, state: PMHSAState) -> Tensor:
     """Full layer: queries from ``x``, keys/values from the pooled sequence."""
     cfg = state.cfg
     kv = build_kv_sequence(x, h, w, state)
-    q = T.linear(x, state.wq, state.bq)
-    k = T.linear(kv, state.wk, state.bk)
-    v = T.linear(kv, state.wv, state.bv)
+    q = T.linear(x, state.q.weight, state.q.bias)
+    k = T.linear(kv, state.k.weight, state.k.bias)
+    v = T.linear(kv, state.v.weight, state.v.bias)
     out = multi_head_attention(q, k, v, cfg.heads)
-    return T.linear(out, state.wo, state.bo)
+    return T.linear(out, state.o.weight, state.o.bias)

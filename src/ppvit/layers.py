@@ -25,43 +25,33 @@ class IRBState:
     """Inverted-bottleneck FFN parameters.
 
     The 1x1 convs are stored as token-space linears ([C, E*C] and [E*C, C]);
-    a 1x1 conv over a [B, H, W, C] map is exactly a per-token linear map.  ``dw_*`` is
-    absent when ``kind == 'mlp'``.
+    a 1x1 conv over a [B, H, W, C] map is exactly a per-token linear map.
+    ``dw`` is the depthwise 3x3 [E*C, 1, 3, 3], ``None`` for the token-MLP
+    variant.
     """
 
-    kind: str  # 'irb' or 'mlp'
     act: str
-    w_expand: Tensor
-    b_expand: Tensor
-    w_project: Tensor
-    b_project: Tensor
-    dw_weight: Tensor | None = None  # [E*C, 1, 3, 3]
-    dw_bias: Tensor | None = None
-
-    def params(self) -> list[Tensor]:
-        ps = [self.w_expand, self.b_expand]
-        if self.kind == "irb":
-            ps += [self.dw_weight, self.dw_bias]
-        ps += [self.w_project, self.b_project]
-        return ps
+    expand: T.Affine
+    dw: T.Affine | None
+    project: T.Affine
 
 
 def irb_forward(x: Tensor, h: int, w: int, state: IRBState) -> Tensor:
     """Expand, (depthwise filter,) activate, project.  [B, N, C] -> same.
 
-    The 'irb' kind activates after both the expansion and the depthwise
-    conv; the 'mlp' kind activates once between the two linears.  The
-    depthwise conv runs on the hidden tokens reshaped to a [B, h, w, E*C]
-    map, so ``N`` must equal ``h*w``.
+    With ``dw`` it activates after both the expansion and the depthwise
+    conv; without it, once between the two linears.  The depthwise conv
+    runs on the hidden tokens reshaped to a [B, h, w, E*C] map, so ``N``
+    must equal ``h*w``.
     """
     act = _ACTS[state.act]
-    hdn = act(T.linear(x, state.w_expand, state.b_expand))
-    if state.kind == "irb":
+    hdn = act(T.linear(x, state.expand.weight, state.expand.bias))
+    if state.dw is not None:
         b, n, e = hdn.shape
-        img = T.depthwise_conv2d(T.reshape(hdn, (b, h, w, e)), state.dw_weight,
-                                 state.dw_bias, padding=1)
+        img = T.depthwise_conv2d(T.reshape(hdn, (b, h, w, e)), state.dw.weight,
+                                 state.dw.bias, padding=1)
         hdn = act(T.reshape(img, (b, n, e)))
-    return T.linear(hdn, state.w_project, state.b_project)
+    return T.linear(hdn, state.project.weight, state.project.bias)
 
 
 @dataclass(frozen=True)
@@ -93,25 +83,22 @@ class BlockConfig:
 
 @dataclass
 class BlockState:
+    """One block's parameters; ``ln1`` follows the attention residual and
+    ``ln2`` the FFN residual."""
+
     cfg: BlockConfig
     attn: PMHSAState
+    ln1: T.Norm
     ffn: IRBState
-    ln1_gamma: Tensor  # after the attention residual
-    ln1_beta: Tensor
-    ln2_gamma: Tensor  # after the FFN residual
-    ln2_beta: Tensor
-
-    def params(self) -> list[Tensor]:
-        return (self.attn.params() + self.ffn.params()
-                + [self.ln1_gamma, self.ln1_beta, self.ln2_gamma, self.ln2_beta])
+    ln2: T.Norm
 
 
 def block_forward(x: Tensor, h: int, w: int, state: BlockState) -> Tensor:
     """Post-norm block: norm(x + attn(x)) then norm(. + ffn(.))."""
     att = T.layer_norm(T.add(x, pmhsa_forward(x, h, w, state.attn)),
-                       state.ln1_gamma, state.ln1_beta)
+                       state.ln1.gamma, state.ln1.beta)
     return T.layer_norm(T.add(att, irb_forward(att, h, w, state.ffn)),
-                        state.ln2_gamma, state.ln2_beta)
+                        state.ln2.gamma, state.ln2.beta)
 
 
 @dataclass
@@ -120,24 +107,19 @@ class PatchEmbedState:
 
     The stem uses a 7x7/4 kernel (pad 3); stage transitions use 3x3/2
     (pad 1).  Both halve-or-quarter the grid while letting neighboring
-    patches overlap.
+    patches overlap.  ``conv.weight`` is [C_out, C_in, k, k].
     """
 
-    weight: Tensor  # [C_out, C_in, k, k]
-    bias: Tensor
-    ln_gamma: Tensor
-    ln_beta: Tensor
+    conv: T.Affine
+    ln: T.Norm
     stride: int
     padding: int
-
-    def params(self) -> list[Tensor]:
-        return [self.weight, self.bias, self.ln_gamma, self.ln_beta]
 
 
 def patch_embed(x_img: Tensor, state: PatchEmbedState) -> tuple[Tensor, int, int]:
     """[B, H, W, C_in] map -> ([B, H'*W', C_out], H', W')."""
-    y = T.conv2d(x_img, state.weight, state.bias,
+    y = T.conv2d(x_img, state.conv.weight, state.conv.bias,
                  stride=state.stride, padding=state.padding)
     b, h, w, c = y.shape
-    seq = T.layer_norm(T.reshape(y, (b, h * w, c)), state.ln_gamma, state.ln_beta)
+    seq = T.layer_norm(T.reshape(y, (b, h * w, c)), state.ln.gamma, state.ln.beta)
     return seq, h, w

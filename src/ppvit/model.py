@@ -79,6 +79,9 @@ class ModelConfig:
                 raise ConfigError(
                     f"stages[{i}].heads={st.heads} must equal channels/head_width="
                     f"{st.channels // self.head_width}")
+        # every block switch fails here, when the config loads, not at build
+        for i in range(len(self.stages)):
+            self.block_config(i).attn_config()
 
     def block_config(self, stage_index: int) -> BlockConfig:
         st = self.stages[stage_index]
@@ -118,7 +121,7 @@ REFERENCE_PRESETS = ("tiny", "small", "base", "large")
 
 def preset(name: str, num_classes: int = 1000, **overrides) -> ModelConfig:
     """Build a named configuration; extra keyword fields override defaults."""
-    if name not in _PRESET_TABLE:
+    if not isinstance(name, str) or name not in _PRESET_TABLE:
         raise ConfigError(
             f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}")
     chans, depths, exps, head_width, ratios = _PRESET_TABLE[name]
@@ -151,58 +154,41 @@ class _Init:
         self.rng = np.random.default_rng(seed)
         self.dtype = dtype
 
-    def weight(self, *shape: int) -> Tensor:
-        return Tensor(_trunc_normal(self.rng, shape).astype(self.dtype),
-                      requires_grad=True)
+    def _leaf(self, values: np.ndarray) -> Tensor:
+        return Tensor(values.astype(self.dtype), requires_grad=True)
 
-    def zeros(self, *shape: int) -> Tensor:
-        return Tensor(np.zeros(shape, dtype=self.dtype), requires_grad=True)
+    def affine(self, shape: tuple[int, ...], out: int) -> T.Affine:
+        """A truncated-normal weight of ``shape`` and a zero bias of ``out``."""
+        return T.Affine(self._leaf(_trunc_normal(self.rng, shape)),
+                        self._leaf(np.zeros(out)))
 
-    def ones(self, *shape: int) -> Tensor:
-        return Tensor(np.ones(shape, dtype=self.dtype), requires_grad=True)
+    def norm(self, c: int) -> T.Norm:
+        return T.Norm(self._leaf(np.ones(c)), self._leaf(np.zeros(c)))
 
 
 def _init_patch_embed(init: _Init, cin: int, cout: int, k: int, stride: int,
                       padding: int) -> PatchEmbedState:
-    return PatchEmbedState(
-        weight=init.weight(cout, cin, k, k), bias=init.zeros(cout),
-        ln_gamma=init.ones(cout), ln_beta=init.zeros(cout),
-        stride=stride, padding=padding)
+    return PatchEmbedState(init.affine((cout, cin, k, k), cout), init.norm(cout),
+                           stride, padding)
 
 
 def _init_attn(init: _Init, cfg: PMHSAConfig) -> PMHSAState:
     c = cfg.dim
-    return PMHSAState(
-        cfg=cfg,
-        wq=init.weight(c, c), bq=init.zeros(c),
-        wk=init.weight(c, c), bk=init.zeros(c),
-        wv=init.weight(c, c), bv=init.zeros(c),
-        wo=init.weight(c, c), bo=init.zeros(c),
-        rpe_weight=init.weight(c, 1, 3, 3), rpe_bias=init.zeros(c),
-        ln_gamma=init.ones(c), ln_beta=init.zeros(c))
+    q, k, v, o = (init.affine((c, c), c) for _ in range(4))
+    rpe = init.affine((c, 1, 3, 3), c)  # drawn when off too; see build_model
+    return PMHSAState(cfg, q, k, v, o, rpe if cfg.use_rpe else None, init.norm(c))
 
 
 def _init_irb(init: _Init, cfg: BlockConfig) -> IRBState:
-    c, e = cfg.dim, cfg.expansion
-    hidden = c * e
-    dw_w = dw_b = None
-    w_exp, b_exp = init.weight(c, hidden), init.zeros(hidden)
-    if cfg.ffn_kind == "irb":
-        dw_w, dw_b = init.weight(hidden, 1, 3, 3), init.zeros(hidden)
-    w_proj, b_proj = init.weight(hidden, c), init.zeros(c)
-    return IRBState(kind=cfg.ffn_kind, act=cfg.act,
-                    w_expand=w_exp, b_expand=b_exp,
-                    w_project=w_proj, b_project=b_proj,
-                    dw_weight=dw_w, dw_bias=dw_b)
+    c, hidden = cfg.dim, cfg.dim * cfg.expansion
+    expand = init.affine((c, hidden), hidden)
+    dw = init.affine((hidden, 1, 3, 3), hidden) if cfg.ffn_kind == "irb" else None
+    return IRBState(cfg.act, expand, dw, init.affine((hidden, c), c))
 
 
 def _init_block(init: _Init, cfg: BlockConfig) -> BlockState:
-    return BlockState(
-        cfg=cfg,
-        attn=_init_attn(init, cfg.attn_config()),
-        ffn=_init_irb(init, cfg),
-        ln1_gamma=init.ones(cfg.dim), ln1_beta=init.zeros(cfg.dim),
-        ln2_gamma=init.ones(cfg.dim), ln2_beta=init.zeros(cfg.dim))
+    return BlockState(cfg, _init_attn(init, cfg.attn_config()), init.norm(cfg.dim),
+                      _init_irb(init, cfg), init.norm(cfg.dim))
 
 
 @dataclass
@@ -217,53 +203,20 @@ class ModelState:
     seed: int
     stem: PatchEmbedState
     stages: list[StageState]
-    head_ln_gamma: Tensor
-    head_ln_beta: Tensor
-    head_weight: Tensor
-    head_bias: Tensor
+    head_ln: T.Norm
+    head_fc: T.Affine
 
     def named_params(self) -> list[tuple[str, Tensor]]:
-        """Stable (name, tensor) listing; the order defines file layout."""
-        out: list[tuple[str, Tensor]] = []
+        """Stable (name, tensor) listing; the order defines file layout.
 
-        def emb(prefix: str, pe: PatchEmbedState):
-            out.extend([(f"{prefix}.conv.weight", pe.weight),
-                        (f"{prefix}.conv.bias", pe.bias),
-                        (f"{prefix}.ln.gamma", pe.ln_gamma),
-                        (f"{prefix}.ln.beta", pe.ln_beta)])
-
-        emb("stem", self.stem)
-        for si, stage in enumerate(self.stages, start=1):
-            if stage.embed is not None:
-                emb(f"stages.{si}.embed", stage.embed)
-            for bi, blk in enumerate(stage.blocks):
-                p = f"stages.{si}.blocks.{bi}"
-                a = blk.attn
-                out.extend([(f"{p}.attn.q.weight", a.wq), (f"{p}.attn.q.bias", a.bq),
-                            (f"{p}.attn.k.weight", a.wk), (f"{p}.attn.k.bias", a.bk),
-                            (f"{p}.attn.v.weight", a.wv), (f"{p}.attn.v.bias", a.bv),
-                            (f"{p}.attn.o.weight", a.wo), (f"{p}.attn.o.bias", a.bo)])
-                if a.cfg.use_rpe:
-                    out.extend([(f"{p}.attn.rpe.weight", a.rpe_weight),
-                                (f"{p}.attn.rpe.bias", a.rpe_bias)])
-                out.extend([(f"{p}.attn.pool_ln.gamma", a.ln_gamma),
-                            (f"{p}.attn.pool_ln.beta", a.ln_beta),
-                            (f"{p}.ln1.gamma", blk.ln1_gamma),
-                            (f"{p}.ln1.beta", blk.ln1_beta)])
-                f = blk.ffn
-                out.extend([(f"{p}.ffn.expand.weight", f.w_expand),
-                            (f"{p}.ffn.expand.bias", f.b_expand)])
-                if f.kind == "irb":
-                    out.extend([(f"{p}.ffn.dw.weight", f.dw_weight),
-                                (f"{p}.ffn.dw.bias", f.dw_bias)])
-                out.extend([(f"{p}.ffn.project.weight", f.w_project),
-                            (f"{p}.ffn.project.bias", f.b_project),
-                            (f"{p}.ln2.gamma", blk.ln2_gamma),
-                            (f"{p}.ln2.beta", blk.ln2_beta)])
-        out.extend([("head.ln.gamma", self.head_ln_gamma),
-                    ("head.ln.beta", self.head_ln_beta),
-                    ("head.fc.weight", self.head_weight),
-                    ("head.fc.bias", self.head_bias)])
+        Each name is a field path (``T.named_tensors``) under ``stem``,
+        ``stages.{i}`` (numbered from 1), ``head.ln`` or ``head.fc``.
+        """
+        out = list(T.named_tensors(self.stem, "stem"))
+        for i, stage in enumerate(self.stages, start=1):
+            out += T.named_tensors(stage, f"stages.{i}")
+        out += T.named_tensors(self.head_ln, "head.ln")
+        out += T.named_tensors(self.head_fc, "head.fc")
         return out
 
     def params(self) -> list[Tensor]:
@@ -276,9 +229,8 @@ class ModelState:
 def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelState:
     """Instantiate every parameter; bit-identical across builds for one seed.
 
-    Note the RPE pair is always allocated (so seeded draws line up between
-    ablation arms) but is neither used, counted, nor saved when
-    ``cfg.use_rpe`` is off.
+    Note the RPE pair is always drawn (so seeded draws line up between
+    ablation arms), but is kept only when ``cfg.use_rpe`` is on.
     """
     init = _Init(seed, dtype)
     stem = _init_patch_embed(init, cfg.in_channels, cfg.stages[0].channels,
@@ -293,11 +245,9 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelState
         blocks = [_init_block(init, bcfg) for _ in range(st.depth)]
         stages.append(StageState(embed=embed, blocks=blocks))
     c4 = cfg.stages[-1].channels
-    return ModelState(
-        cfg=cfg, seed=seed, stem=stem, stages=stages,
-        head_ln_gamma=init.ones(c4), head_ln_beta=init.zeros(c4),
-        head_weight=init.weight(c4, cfg.num_classes),
-        head_bias=init.zeros(cfg.num_classes))
+    return ModelState(cfg=cfg, seed=seed, stem=stem, stages=stages,
+                      head_ln=init.norm(c4),
+                      head_fc=init.affine((c4, cfg.num_classes), cfg.num_classes))
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +319,9 @@ def forward_features(model: ModelState, x: Tensor) -> FeaturePyramid:
 def forward_classify(model: ModelState, x: Tensor) -> Tensor:
     """Logits [B, num_classes]: norm B4's tokens, average them, project."""
     tokens = forward_features(model, x).tokens[3]
-    tokens = T.layer_norm(tokens, model.head_ln_gamma, model.head_ln_beta)
+    tokens = T.layer_norm(tokens, model.head_ln.gamma, model.head_ln.beta)
     pooled = T.mean(tokens, axis=1)
-    return T.linear(pooled, model.head_weight, model.head_bias)
+    return T.linear(pooled, model.head_fc.weight, model.head_fc.bias)
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +417,19 @@ CHECKPOINT_MAGIC = b"PPVT\x00\x01\x00\x00"
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(model: ModelState, path, extra: dict | None = None) -> None:
-    """Write ``model`` to ``path``.  The format holds float32 data only, so a
-    model with any other parameter dtype is refused before the file opens."""
+def check_checkpoint_dtype(model: ModelState) -> None:
+    """Raise ``CheckpointError`` naming the first parameter that is not
+    float32, the only dtype the format holds."""
     for name, p in model.named_params():
         if p.data.dtype != np.float32:
             raise CheckpointError(
                 f"parameter {name!r} is {p.data.dtype}; checkpoints hold float32 only")
+
+
+def save_checkpoint(model: ModelState, path, extra: dict | None = None) -> None:
+    """Write ``model`` to ``path``; a model ``check_checkpoint_dtype``
+    refuses is refused before the file opens."""
+    check_checkpoint_dtype(model)
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "seed": model.seed,

@@ -16,7 +16,8 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -210,6 +211,49 @@ def backward(loss: Tensor, seed: Array | None = None) -> None:
 def zero_grads(tensors: Iterable[Tensor]) -> None:
     for t in tensors:
         t.grad = None
+
+
+# ---------------------------------------------------------------------------
+# parameter records
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Affine:
+    """A weight and the bias added after it (linear, conv or depthwise conv)."""
+
+    weight: Tensor
+    bias: Tensor
+
+
+@dataclass
+class Norm:
+    """Layer-norm scale and shift over the last axis."""
+
+    gamma: Tensor
+    beta: Tensor
+
+
+def named_tensors(record, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+    """Every ``Tensor`` reachable from ``record``, under its dotted field path.
+
+    Dataclass fields are walked in declaration order and list items by
+    index, so a state record's field paths are its parameter names and its
+    field order is their order.  Other values (``None``, ints, strings,
+    tuples) yield nothing, so a config record, which holds only those, adds
+    no name.
+    """
+    if isinstance(record, Tensor):
+        yield prefix, record
+    elif is_dataclass(record) or isinstance(record, list):
+        items = (enumerate(record) if isinstance(record, list) else
+                 ((f.name, getattr(record, f.name)) for f in fields(record)))
+        for key, value in items:
+            yield from named_tensors(value, f"{prefix}.{key}" if prefix else str(key))
+
+
+def params(record) -> list[Tensor]:
+    """The tensors of ``named_tensors(record)``, in the same order."""
+    return [t for _, t in named_tensors(record)]
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:

@@ -16,7 +16,8 @@ import numpy as np
 from . import tensor as T
 from .data import SyntheticDataset, load_batch
 from .errors import ConfigError, DivergenceError, NonFiniteError
-from .model import ModelState, forward_classify, save_checkpoint
+from .model import (ModelState, check_checkpoint_dtype, forward_classify,
+                    save_checkpoint)
 from .tensor import Tensor, finite_difference_grad, no_grad
 
 ADAM_BETA1 = 0.9
@@ -156,11 +157,14 @@ def train(model: ModelState, ds: SyntheticDataset, tc: TrainConfig,
 
     Raises ``DivergenceError`` carrying the step index if the loss (or any
     intermediate value) stops being finite.  Artifacts are written only
-    after the loop finishes, so reruns produce byte-identical files.
+    after the loop finishes, so reruns produce byte-identical files; a model
+    the checkpoint cannot hold is refused before the first step.
     """
     if model.cfg.num_classes != ds.num_classes:
         raise ConfigError(
             f"model has {model.cfg.num_classes} classes, dataset has {ds.num_classes}")
+    if checkpoint_path is not None:
+        check_checkpoint_dtype(model)
     named = model.named_params()
     state = AdamWState.for_params(named)
     stream = _BatchStream(ds.num_samples, tc.batch_size, tc.seed)
@@ -369,7 +373,7 @@ def _block_cases() -> list[GradcheckCase]:
         blk = _init_block(init, cfg)
         x = Tensor(np.random.default_rng(5).normal(size=(1, 16, 8)),
                    requires_grad=True, dtype=np.float64)
-        inputs = [x] + blk.params()
+        inputs = [x] + T.params(blk)
         cases.append(_check_full(
             name,
             lambda blk=blk, x=x: _projection_loss(block_forward(x, 4, 4, blk),

@@ -101,9 +101,11 @@ def test_criterion_6_vanilla_equivalence(criterion):
         x = rng.normal(size=(b, h * w, c))
         out = pmhsa_forward(Tensor(x, dtype=np.float64), h, w, state)
         ref = oracles.vanilla_mhsa(
-            x, state.wq.data, state.bq.data, state.wk.data, state.bk.data,
-            state.wv.data, state.bv.data, state.wo.data, state.bo.data,
-            state.ln_gamma.data, state.ln_beta.data, heads)
+            x, state.q.weight.data, state.q.bias.data,
+            state.k.weight.data, state.k.bias.data,
+            state.v.weight.data, state.v.bias.data,
+            state.o.weight.data, state.o.bias.data,
+            state.pool_ln.gamma.data, state.pool_ln.beta.data, heads)
         err = float(np.abs(out.data - ref).max())
         worst = max(worst, err)
         ok &= err < 1e-5

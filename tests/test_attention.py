@@ -149,7 +149,7 @@ class TestKVSequence:
         """Tokens appear level by level; each is the norm of its pooled vector."""
         cfg = PMHSAConfig(dim=4, heads=1, pool_ratios=(1, 2), use_rpe=False)
         state = make_state(cfg)
-        gamma, beta = state.ln_gamma.data, state.ln_beta.data
+        gamma, beta = state.pool_ln.gamma.data, state.pool_ln.beta.data
         x = rng.normal(size=(1, 16, 4))
         kv = build_kv_sequence(Tensor(x, dtype=np.float64), 4, 4, state)
         x_map = x.reshape(1, 4, 4, 4).transpose(0, 3, 1, 2)
@@ -195,10 +195,10 @@ class TestForward:
         out = pmhsa_forward(Tensor(x, dtype=np.float64), 2, 2, state)
         npt.assert_allclose(out.data - out.data[:, :1, :], 0.0, atol=1e-12)
         pooled = x.reshape(2, 2, 4).mean(axis=(0, 1))
-        token = oracles.layer_norm_loops(pooled, state.ln_gamma.data,
-                                         state.ln_beta.data)
-        value = token @ state.wv.data + state.bv.data
-        expect = value @ state.wo.data + state.bo.data
+        token = oracles.layer_norm_loops(pooled, state.pool_ln.gamma.data,
+                                         state.pool_ln.beta.data)
+        value = token @ state.v.weight.data + state.v.bias.data
+        expect = value @ state.o.weight.data + state.o.bias.data
         npt.assert_allclose(out.data[0, 0], expect, rtol=1e-8)
 
     def test_attention_rows_sum_to_one(self, rng):
@@ -206,8 +206,8 @@ class TestForward:
         state = make_state(cfg)
         x = Tensor(rng.normal(size=(2, 16, 8)), dtype=np.float64)
         kv = build_kv_sequence(x, 4, 4, state)
-        q = T.linear(x, state.wq, state.bq)
-        k = T.linear(kv, state.wk, state.bk)
+        q = T.linear(x, state.q.weight, state.q.bias)
+        k = T.linear(kv, state.k.weight, state.k.bias)
         b, n, c = q.shape
         d = c // cfg.heads
         qh = q.data.reshape(b, n, cfg.heads, d).transpose(0, 2, 1, 3)
@@ -237,9 +237,11 @@ class TestVanillaEquivalence:
         x = np.random.default_rng(seed + 100).normal(size=(b, h * w, c))
         out = pmhsa_forward(Tensor(x, dtype=np.float64), h, w, state)
         ref = oracles.vanilla_mhsa(
-            x, state.wq.data, state.bq.data, state.wk.data, state.bk.data,
-            state.wv.data, state.bv.data, state.wo.data, state.bo.data,
-            state.ln_gamma.data, state.ln_beta.data, heads)
+            x, state.q.weight.data, state.q.bias.data,
+            state.k.weight.data, state.k.bias.data,
+            state.v.weight.data, state.v.bias.data,
+            state.o.weight.data, state.o.bias.data,
+            state.pool_ln.gamma.data, state.pool_ln.beta.data, heads)
         npt.assert_allclose(out.data, ref, atol=1e-5, rtol=1e-7)
 
     def test_multi_head_attention_head_partition(self, rng):
@@ -272,7 +274,7 @@ class TestLayerGradients:
         def loss():
             return T.sum(T.mul(pmhsa_forward(x, 4, 4, state), proj))
 
-        params = [x] + state.params()
+        params = [x] + T.params(state)
         for p in params:
             p.grad = None
         loss().backward()

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from ppvit import cli
+from ppvit import model as M
 
 
 @pytest.fixture(autouse=True)
@@ -153,6 +154,25 @@ class TestTrain:
         code, _, err = run_cli(capsys, "train", "--config", str(config))
         assert code == 2
         assert repr(f"{section}.{field}" if section else field) in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("ffn_kind", "bogus"), ("act", "relu"), ("pool_mode", "median"),
+        ("pool_ratios", [0]), ("expansion", 0),
+    ], ids=["ffn_kind", "act", "pool_mode", "pool_ratios", "expansion"])
+    def test_bad_model_switch_refused_when_the_config_loads(self, capsys, tmp_path,
+                                                            field, value):
+        # refused when the config loads: nothing printed, no out_dir
+        model = M.config_to_dict(M.preset("nano", num_classes=2))
+        if field in model:
+            model[field] = value
+        else:
+            model["stages"][0][field] = value
+        config = write_config(tmp_path, tmp_path / "x", model=model)
+        code, out, err = run_cli(capsys, "train", "--config", str(config))
+        assert code == 2
+        assert field in err
+        assert out == ""
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("section,field", [("model", "head_width"), ("data", "size")])

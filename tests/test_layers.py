@@ -26,7 +26,7 @@ def make_irb(c, e, kind="irb", seed=0, dtype=np.float64):
 class TestIRB:
     def test_zero_weights_give_zero_output(self, rng):
         state = make_irb(4, 2)
-        for p in state.params():
+        for p in T.params(state):
             p.data = np.zeros_like(p.data)
         x = Tensor(rng.normal(size=(1, 9, 4)), dtype=np.float64)
         out = irb_forward(x, 3, 3, state)
@@ -36,14 +36,14 @@ class TestIRB:
         # E=1, identity 1x1s, identity depthwise kernel: the layer becomes
         # hardswish applied twice
         state = make_irb(3, 1)
-        state.w_expand.data = np.eye(3)
-        state.b_expand.data = np.zeros(3)
-        state.w_project.data = np.eye(3)
-        state.b_project.data = np.zeros(3)
+        state.expand.weight.data = np.eye(3)
+        state.expand.bias.data = np.zeros(3)
+        state.project.weight.data = np.eye(3)
+        state.project.bias.data = np.zeros(3)
         dw = np.zeros((3, 1, 3, 3))
         dw[:, 0, 1, 1] = 1.0
-        state.dw_weight.data = dw
-        state.dw_bias.data = np.zeros(3)
+        state.dw.weight.data = dw
+        state.dw.bias.data = np.zeros(3)
         x = rng.normal(size=(1, 16, 3))
         out = irb_forward(Tensor(x, dtype=np.float64), 4, 4, state)
         npt.assert_allclose(out.data, hswish(hswish(x)), rtol=1e-8)
@@ -53,27 +53,27 @@ class TestIRB:
         state = make_irb(4, 2)
         dw = np.zeros((8, 1, 3, 3))
         dw[:, 0, 1, 1] = 1.0
-        state.dw_weight.data = dw
-        state.dw_bias.data = np.zeros(8)
+        state.dw.weight.data = dw
+        state.dw.bias.data = np.zeros(8)
         x = rng.normal(size=(2, 9, 4))
         out = irb_forward(Tensor(x, dtype=np.float64), 3, 3, state)
-        hidden = hswish(hswish(x @ state.w_expand.data + state.b_expand.data))
-        ref = hidden @ state.w_project.data + state.b_project.data
+        hidden = hswish(hswish(x @ state.expand.weight.data + state.expand.bias.data))
+        ref = hidden @ state.project.weight.data + state.project.bias.data
         npt.assert_allclose(out.data, ref, rtol=1e-7)
 
     def test_mlp_kind_single_activation(self, rng):
         state = make_irb(4, 2, kind="mlp")
         x = rng.normal(size=(1, 6, 4))
         out = irb_forward(Tensor(x, dtype=np.float64), 2, 3, state)
-        ref = (hswish(x @ state.w_expand.data + state.b_expand.data)
-               @ state.w_project.data + state.b_project.data)
+        ref = (hswish(x @ state.expand.weight.data + state.expand.bias.data)
+               @ state.project.weight.data + state.project.bias.data)
         npt.assert_allclose(out.data, ref, rtol=1e-7)
 
     def test_hidden_width_is_expansion_times_c(self):
         state = make_irb(6, 3)
-        assert state.w_expand.shape == (6, 18)
-        assert state.dw_weight.shape == (18, 1, 3, 3)
-        assert state.w_project.shape == (18, 6)
+        assert state.expand.weight.shape == (6, 18)
+        assert state.dw.weight.shape == (18, 1, 3, 3)
+        assert state.project.weight.shape == (18, 6)
 
     def test_bad_expansion(self):
         with pytest.raises(ConfigError):
@@ -122,7 +122,7 @@ class TestChannelsLastLayers:
             x = leaf(2, 8, 6, 3)
             out, _, _ = patch_embed(x, state)
             expect = {"conv2d", "layer_norm"}
-        ops = graph_ops(out, [x] + state.params())
+        ops = graph_ops(out, [x] + T.params(state))
         assert expect <= set(ops), ops
         assert "transpose" not in ops, ops
 
@@ -144,12 +144,12 @@ class TestBlock:
         branches vanish and the block is LN2(LN1(x))."""
         cfg = BlockConfig(dim=6, heads=2, pool_ratios=(1,), expansion=2)
         blk = _init_block(_Init(4, np.float64), cfg)
-        for p in blk.attn.params() + blk.ffn.params():
+        for p in T.params(blk.attn) + T.params(blk.ffn):
             p.data = np.zeros_like(p.data)
         x = rng.normal(size=(1, 4, 6))
         out = block_forward(Tensor(x, dtype=np.float64), 2, 2, blk)
-        inner = oracles.layer_norm_loops(x, blk.ln1_gamma.data, blk.ln1_beta.data)
-        ref = oracles.layer_norm_loops(inner, blk.ln2_gamma.data, blk.ln2_beta.data)
+        inner = oracles.layer_norm_loops(x, blk.ln1.gamma.data, blk.ln1.beta.data)
+        ref = oracles.layer_norm_loops(inner, blk.ln2.gamma.data, blk.ln2.beta.data)
         npt.assert_allclose(out.data, ref, rtol=1e-7, atol=1e-10)
 
     def test_gradient_vs_finite_differences(self):
@@ -199,7 +199,7 @@ class TestPatchEmbed:
         state = _init_patch_embed(_Init(2, np.float64), 3, 4, k=3, stride=2,
                                   padding=1)
         x = Tensor(np.full((1, 10, 10, 3), 0.6), dtype=np.float64)
-        conv = T.conv2d(x, state.weight, state.bias, stride=state.stride,
+        conv = T.conv2d(x, state.conv.weight, state.conv.bias, stride=state.stride,
                         padding=state.padding)
         interior = conv.data[0, 1:-1, 1:-1, :]
         ref = np.broadcast_to(interior[:1, :1, :], interior.shape)

@@ -51,11 +51,61 @@ class TestBuildDeterminism:
         assert len(names) == len(set(names))
 
 
+def reachable_tensors(obj, seen=None):
+    """Every Tensor reachable through attributes, lists, tuples and dicts."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, Tensor):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif isinstance(obj, dict):
+        children = list(obj.values())
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        children = list(vars(obj).values())
+    else:
+        return []
+    return [t for c in children for t in reachable_tensors(c, seen)]
+
+
+class TestParamWalk:
+    def test_every_reachable_tensor_named_exactly_once(self):
+        net = micro_model()
+        named = [id(p) for _, p in net.named_params()]
+        assert len(named) == len(set(named))
+        assert set(named) == {id(t) for t in reachable_tensors(net)}
+
+    def test_names_are_field_paths(self):
+        net = micro_model()
+        # stages are numbered from 1; blocks, like every list, from 0
+        root = {"stem": net.stem, "stages": [None] + net.stages,
+                "head": {"ln": net.head_ln, "fc": net.head_fc}}
+        for name, p in net.named_params():
+            obj = root
+            for part in name.split("."):
+                obj = (obj[int(part)] if isinstance(obj, list) else
+                       obj[part] if isinstance(obj, dict) else getattr(obj, part))
+            assert obj is p, name
+
+    @pytest.mark.parametrize("use_rpe", [True, False])
+    @pytest.mark.parametrize("ffn_kind", ["irb", "mlp"])
+    def test_optional_records_follow_the_switches(self, use_rpe, ffn_kind):
+        net = micro_model(use_rpe=use_rpe, ffn_kind=ffn_kind)
+        blocks = [blk for stage in net.stages for blk in stage.blocks]
+        assert all((blk.attn.rpe is None) == (not use_rpe) for blk in blocks)
+        assert all((blk.ffn.dw is None) == (ffn_kind == "mlp") for blk in blocks)
+        names = [n for n, _ in net.named_params()]
+        assert any(".attn.rpe." in n for n in names) == use_rpe
+        assert any(".ffn.dw." in n for n in names) == (ffn_kind == "irb")
+
+
 class TestGeometry:
     def test_build_follows_the_embed_geometry_table(self):
         net = micro_model()
         embeds = [net.stem] + [st.embed for st in net.stages[1:]]
-        assert ([(e.weight.shape[-1], e.stride, e.padding) for e in embeds]
+        assert ([(e.conv.weight.shape[-1], e.stride, e.padding) for e in embeds]
                 == list(EMBED_GEOMETRY))
         assert INPUT_MULTIPLE == 32
 
@@ -111,8 +161,8 @@ class TestHead:
         b4 = pyr.b4.data
         tokens = b4.transpose(0, 2, 3, 1).reshape(b4.shape[0], -1, b4.shape[1])
         normed = oracles.layer_norm_loops(
-            tokens, net.head_ln_gamma.data, net.head_ln_beta.data)
-        ref = normed.mean(axis=1) @ net.head_weight.data + net.head_bias.data
+            tokens, net.head_ln.gamma.data, net.head_ln.beta.data)
+        ref = normed.mean(axis=1) @ net.head_fc.weight.data + net.head_fc.bias.data
         npt.assert_allclose(logits.data, ref, rtol=1e-4, atol=1e-5)
 
     def test_logit_width_is_num_classes(self, rng):
@@ -173,6 +223,10 @@ class TestConfigValidation:
             preset("huge")
         for name in PRESET_NAMES:
             assert name in str(exc.value)
+
+    def test_preset_name_must_be_a_string(self):
+        with pytest.raises(ConfigError, match="unknown preset"):
+            preset(["tiny"])
 
     def test_reference_presets_subset(self):
         assert set(REFERENCE_PRESETS) <= set(PRESET_NAMES)
@@ -299,6 +353,20 @@ class TestCheckpoint:
         path.write_bytes(data)
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
+
+    # sha256 of seed-3 nano checkpoints (1000 classes); any change to the
+    # parameter names, their order or the draws changes these bytes
+    @pytest.mark.parametrize("overrides,digest", [
+        ({}, "f28804fa04209b6e842052149dcf08a380f4592154cf11fa9cf6885c31be97b0"),
+        ({"use_rpe": False}, "2f9305495d35169792769b93298b57e43dbbb83d642cb49886fdbcc8a5c59268"),
+        ({"ffn_kind": "mlp"}, "a47dedd45c38bd93a9d9be1eae3e1f2f645ee2d2c99964b1feefcfc0b142dc6e"),
+    ], ids=["base", "no_rpe", "mlp_ffn"])
+    def test_nano_checkpoint_bytes_pinned(self, tmp_path, overrides, digest):
+        import hashlib
+
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(preset("nano", **overrides), seed=3), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_float64_model_refused_before_the_file_opens(self, tmp_path):
         net = build_model(preset("micro", num_classes=4), seed=0, dtype=np.float64)

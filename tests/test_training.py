@@ -7,8 +7,8 @@ import numpy.testing as npt
 import pytest
 
 import oracles
-from ppvit import (AdamWState, ConfigError, DivergenceError, NonFiniteError,
-                   SyntheticDataset, Tensor, TrainConfig, adamw_step,
+from ppvit import (AdamWState, CheckpointError, ConfigError, DivergenceError,
+                   NonFiniteError, SyntheticDataset, Tensor, TrainConfig, adamw_step,
                    build_model, evaluate, forward_classify, gradcheck_suite,
                    load_batch, lr_at, preset, train)
 from ppvit import tensor as T
@@ -182,7 +182,7 @@ class TestTrainLoop:
         # normalization rescales mere magnitude away, so poison a weight
         # outright; the first forward pass must trip the finite guard
         net, ds, tc = nano_setup(steps=3)
-        net.stem.weight.data[0, 0, 0, 0] = np.nan
+        net.stem.conv.weight.data[0, 0, 0, 0] = np.nan
         with pytest.raises(DivergenceError, match="diverged at step 1") as exc:
             train(net, ds, tc)
         assert exc.value.step == 1
@@ -198,6 +198,17 @@ class TestTrainLoop:
         _, manifest = load_checkpoint(ckpt)
         assert manifest["extra"]["steps"] == 3
         assert manifest["extra"]["final_loss"] == records[-1].loss
+
+    def test_float64_model_with_checkpoint_refused_before_the_first_step(self, tmp_path):
+        # the checkpoint holds float32 only, so the run is refused before it
+        # takes a step or writes an artifact
+        _, ds, tc = nano_setup(steps=2)
+        net = build_model(preset("nano", num_classes=2), seed=0, dtype=np.float64)
+        metrics = tmp_path / "metrics.csv"
+        with pytest.raises(CheckpointError, match="'stem.conv.weight' is float64"):
+            train(net, ds, tc, metrics_path=metrics, checkpoint_path=tmp_path / "m.ckpt")
+        assert not metrics.exists()
+        assert all(p.grad is None for p in net.params())
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_two_steps_keep_build_dtype(self, dtype):
