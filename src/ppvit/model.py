@@ -15,7 +15,7 @@ import math
 import struct
 import types
 import typing
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -79,9 +79,13 @@ class ModelConfig:
                 raise ConfigError(
                     f"stages[{i}].heads={st.heads} must equal channels/head_width="
                     f"{st.channels // self.head_width}")
-        # every block switch fails here, when the config loads, not at build
+        # every block switch fails here, when the config loads, not at build,
+        # naming the first stage it fails in
         for i in range(len(self.stages)):
-            self.block_config(i).attn_config()
+            try:
+                self.block_config(i).attn_config()
+            except ConfigError as exc:
+                raise ConfigError(f"stages[{i + 1}]: {exc}") from exc
 
     def block_config(self, stage_index: int) -> BlockConfig:
         st = self.stages[stage_index]
@@ -140,30 +144,54 @@ def _trunc_normal(rng: np.random.Generator, shape: tuple[int, ...],
                   std: float = 0.02) -> np.ndarray:
     """Normal(0, std) with values beyond 2 std redrawn until inside."""
     out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
+    limit = 2.0 * std
+    # |out| > limit and a masked write, with no temporary the size of ``out``
+    bad = (out < -limit) | (out > limit)
     while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+        np.place(out, bad, rng.normal(0.0, std, size=np.count_nonzero(bad)))
+        bad = (out < -limit) | (out > limit)
     return out
 
 
 class _Init:
-    """Draws parameters in a fixed order so builds are seed-deterministic."""
+    """Lays parameters out in a fixed order, so builds are seed-deterministic.
 
-    def __init__(self, seed: int, dtype):
-        self.rng = np.random.default_rng(seed)
+    Given an arena ``size``, each parameter is a view of the next slot of
+    one zeroed buffer and each draw is written straight into its slot;
+    without one (sub-layer builds), each parameter gets its own array.  A
+    ``seed`` of ``None`` draws nothing: weights keep their zeros (norm
+    scales their ones) for a checkpoint load to fill.
+    """
+
+    def __init__(self, seed: int | None, dtype, size: int | None = None):
+        self.rng = None if seed is None else np.random.default_rng(seed)
         self.dtype = dtype
+        self.data = None if size is None else np.zeros(size, dtype=dtype)
+        self.cursor = 0
 
-    def _leaf(self, values: np.ndarray) -> Tensor:
-        return Tensor(values.astype(self.dtype), requires_grad=True)
+    def _slot(self, shape: tuple[int, ...]) -> Tensor:
+        if self.data is None:
+            return Tensor(np.zeros(shape, dtype=self.dtype), requires_grad=True)
+        lo, self.cursor = self.cursor, self.cursor + math.prod(shape)
+        if self.cursor > self.data.size:
+            raise ShapeError(f"the parameter arena holds {self.data.size} values; "
+                             f"the build needs more")
+        return Tensor(self.data[lo:self.cursor].reshape(shape), requires_grad=True)
+
+    def draw(self, shape: tuple[int, ...]) -> np.ndarray | float:
+        """A truncated-normal draw of ``shape``, or 0 when not drawing."""
+        return 0.0 if self.rng is None else _trunc_normal(self.rng, shape)
 
     def affine(self, shape: tuple[int, ...], out: int) -> T.Affine:
         """A truncated-normal weight of ``shape`` and a zero bias of ``out``."""
-        return T.Affine(self._leaf(_trunc_normal(self.rng, shape)),
-                        self._leaf(np.zeros(out)))
+        weight = self._slot(shape)
+        weight.data[...] = self.draw(shape)
+        return T.Affine(weight, self._slot((out,)))
 
     def norm(self, c: int) -> T.Norm:
-        return T.Norm(self._leaf(np.ones(c)), self._leaf(np.zeros(c)))
+        gamma = self._slot((c,))
+        gamma.data[...] = 1.0
+        return T.Norm(gamma, self._slot((c,)))
 
 
 def _init_patch_embed(init: _Init, cin: int, cout: int, k: int, stride: int,
@@ -175,8 +203,10 @@ def _init_patch_embed(init: _Init, cin: int, cout: int, k: int, stride: int,
 def _init_attn(init: _Init, cfg: PMHSAConfig) -> PMHSAState:
     c = cfg.dim
     q, k, v, o = (init.affine((c, c), c) for _ in range(4))
-    rpe = init.affine((c, 1, 3, 3), c)  # drawn when off too; see build_model
-    return PMHSAState(cfg, q, k, v, o, rpe if cfg.use_rpe else None, init.norm(c))
+    rpe = init.affine((c, 1, 3, 3), c) if cfg.use_rpe else None
+    if rpe is None:
+        init.draw((c, 1, 3, 3))  # drawn when off too, with no slot; see build_model
+    return PMHSAState(cfg, q, k, v, o, rpe, init.norm(c))
 
 
 def _init_irb(init: _Init, cfg: BlockConfig) -> IRBState:
@@ -199,12 +229,23 @@ class StageState:
 
 @dataclass
 class ModelState:
+    """The network's parameters, as state records over one ``arena``.
+
+    Every parameter's ``data`` is a view of ``arena.data``, in
+    ``named_params`` order; records built elsewhere are adopted into an
+    arena when the state is made.
+    """
+
     cfg: ModelConfig
     seed: int
     stem: PatchEmbedState
     stages: list[StageState]
     head_ln: T.Norm
     head_fc: T.Affine
+    arena: T.Arena = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.arena = T.Arena(self.named_params())
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         """Stable (name, tensor) listing; the order defines file layout.
@@ -232,7 +273,16 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelState
     Note the RPE pair is always drawn (so seeded draws line up between
     ablation arms), but is kept only when ``cfg.use_rpe`` is on.
     """
-    init = _Init(seed, dtype)
+    return _build(cfg, seed, dtype, draw=True)
+
+
+def _build(cfg: ModelConfig, seed: int, dtype, draw: bool) -> ModelState:
+    """The model's records over one arena sized by ``count_params``, each
+    parameter drawn into its slot in ``named_params`` order (or, with no
+    ``draw``, left for a load to fill)."""
+    from .complexity import count_params  # complexity imports this module
+
+    init = _Init(seed if draw else None, dtype, count_params(cfg).total_params)
     stem = _init_patch_embed(init, cfg.in_channels, cfg.stages[0].channels,
                              *EMBED_GEOMETRY[0])
     stages: list[StageState] = []
@@ -245,9 +295,14 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelState
         blocks = [_init_block(init, bcfg) for _ in range(st.depth)]
         stages.append(StageState(embed=embed, blocks=blocks))
     c4 = cfg.stages[-1].channels
-    return ModelState(cfg=cfg, seed=seed, stem=stem, stages=stages,
-                      head_ln=init.norm(c4),
-                      head_fc=init.affine((c4, cfg.num_classes), cfg.num_classes))
+    model = ModelState(cfg=cfg, seed=seed, stem=stem, stages=stages,
+                       head_ln=init.norm(c4),
+                       head_fc=init.affine((c4, cfg.num_classes), cfg.num_classes))
+    if init.cursor != init.data.size:
+        raise ShapeError(f"the build filled {init.cursor} of {init.data.size} arena values")
+    if model.arena.data is not init.data:
+        raise ShapeError("the build laid parameters out of named_params order")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +506,11 @@ def save_checkpoint(model: ModelState, path, extra: dict | None = None) -> None:
 
 
 def load_checkpoint(path, dtype=np.float32) -> tuple[ModelState, dict]:
-    """Rebuild the model a checkpoint describes and restore its parameters."""
+    """Rebuild the model a checkpoint describes and restore its parameters.
+
+    The model's structure and arena are laid out with no draws, and each
+    record is copied into its parameter's view.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:8] != CHECKPOINT_MAGIC:
@@ -472,9 +531,9 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[ModelState, dict]:
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported format_version {manifest.get('format_version')!r}")
-    for field in ("config", "seed"):
-        if field not in manifest:
-            raise CheckpointError(f"manifest has no {field!r} field")
+    for key in ("config", "seed"):
+        if key not in manifest:
+            raise CheckpointError(f"manifest has no {key!r} field")
     if type(manifest["seed"]) is not int:
         raise CheckpointError(f"manifest field 'seed' must be an integer, "
                               f"got {manifest['seed']!r}")
@@ -489,7 +548,7 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[ModelState, dict]:
         raise CheckpointError(
             f"manifest field 'config' describes {need // 4} parameters "
             f"({need} bytes), but only {len(raw) - off} bytes follow the manifest")
-    model = build_model(cfg, seed=manifest["seed"], dtype=dtype)
+    model = _build(cfg, manifest["seed"], dtype, draw=False)
     expected = dict(model.named_params())
     seen: set[str] = set()
     while off < len(raw):
@@ -513,7 +572,7 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[ModelState, dict]:
         if tuple(dims) != target.shape:
             raise CheckpointError(
                 f"parameter {name!r} has shape {tuple(dims)}, expected {target.shape}")
-        target.data = data.reshape(dims).astype(dtype)
+        target.data[...] = data.reshape(dims)
         seen.add(name)
     missing = set(expected) - seen
     if missing:

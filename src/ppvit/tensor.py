@@ -13,8 +13,10 @@ float64.  Every operation validates that its result is finite and raises
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import contextvars
+import itertools
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -41,7 +43,7 @@ def no_grad():
 
 
 def _ensure_finite(arr: Array, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"operation '{op}' produced non-finite values")
 
 
@@ -254,6 +256,63 @@ def named_tensors(record, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
 def params(record) -> list[Tensor]:
     """The tensors of ``named_tensors(record)``, in the same order."""
     return [t for _, t in named_tensors(record)]
+
+
+def pack(arrays: Sequence[Array]) -> tuple[Array, list[Array]]:
+    """One flat buffer holding ``arrays`` back to back, and each one's view.
+
+    Arrays that already are such views of one buffer, in order and with no
+    gaps, come back as they are; others are copied into a new buffer.  All
+    must share one dtype.
+    """
+    dtypes = {a.dtype for a in arrays}
+    if len(dtypes) > 1:
+        raise ShapeError(f"cannot pack arrays of mixed dtypes {sorted(map(str, dtypes))}")
+    base = arrays[0].base if arrays else None
+    if isinstance(base, np.ndarray) and base.ndim == 1 and base.dtype in dtypes:
+        start = at = base.__array_interface__["data"][0]
+        for a in arrays:
+            if (a.base is not base or not a.flags.c_contiguous
+                    or a.__array_interface__["data"][0] != at):
+                break
+            at += a.nbytes
+        else:
+            if at == start + base.nbytes:
+                return base, list(arrays)
+    data = np.concatenate([a.ravel() for a in arrays] or [np.empty(0)])
+    offsets = itertools.accumulate((a.size for a in arrays), initial=0)
+    return data, [data[at:at + a.size].reshape(a.shape) for at, a in zip(offsets, arrays)]
+
+
+class Arena:
+    """Named parameters back to back, with no gaps, in one flat buffer.
+
+    ``data[offsets[i]:offsets[i + 1]]`` holds parameter ``names[i]``, and
+    ``views[i]`` is the array its ``Tensor.data`` is bound to.  Code that
+    writes a parameter writes into its view; rebinding ``Tensor.data``
+    detaches the parameter from the arena.
+    """
+
+    def __init__(self, named: Sequence[tuple[str, Tensor]]):
+        """The arena ``named`` lies in.  A list that does not already fill
+        one buffer, in order, is adopted: its data is copied into a new
+        buffer and each ``Tensor.data`` is rebound to its view."""
+        self.names = [n for n, _ in named]
+        self.data, self.views = pack([p.data for _, p in named])
+        for (_, p), view in zip(named, self.views):
+            p.data = view
+        self.offsets = [0, *itertools.accumulate(v.size for v in self.views)]
+
+    def holds(self, named: Sequence[tuple[str, Tensor]]) -> bool:
+        """Whether ``named`` are this arena's parameters, in order, each
+        still bound to its view."""
+        return len(named) == len(self.views) and all(
+            p.data is view and n == name
+            for (n, p), name, view in zip(named, self.names, self.views))
+
+    def name_at(self, offset: int) -> str:
+        """The name of the parameter that holds flat index ``offset``."""
+        return self.names[bisect.bisect_right(self.offsets, offset) - 1]
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -626,7 +685,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"bias shape {bias.shape} does not match C_out={cout}")
 
-    padded = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    padded = np.zeros((x.shape[0], hp, wp, cin), dtype=x.dtype)
+    padded[:, padding:padding + h, padding:padding + w] = x.data
     if cg == 1 and cout == cin:
         out, kernel_bw = _depthwise_kernel(padded, weight.data, stride, padding)
     else:

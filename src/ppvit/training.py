@@ -9,7 +9,7 @@ shuffle, so two runs from one config produce identical traces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,19 +61,69 @@ def lr_at(tc: TrainConfig, step: int) -> float:
     return tc.lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
+# Values per AdamW pass.  Each chunk of the parameter, gradient and moment
+# buffers stays in cache through the update's dozen ufunc passes, while
+# one pass over a whole arena goes to DRAM every time and per-parameter
+# passes pay a dozen calls for each small parameter.  On tiny (11.2 M
+# values, 2 shared vCPUs) a step took 61-70 ms at this size, 74-82 ms at
+# 16,384, 82-91 ms at 262,144 and 97-124 ms at 1,048,576.
+ADAMW_CHUNK = 65_536
+
+
 @dataclass
 class AdamWState:
-    """First/second moment buffers, aligned with a named parameter list."""
+    """First/second moments, laid out like the parameter arena.
+
+    ``m`` and ``v`` hold one view per parameter of the flat buffers
+    ``m_flat`` and ``v_flat``; arrays given that are not such views are
+    copied in.  ``arena`` is the parameter arena the last step ran over and
+    ``chunks`` its ``ADAMW_CHUNK`` pieces (see ``_chunk_pieces``).
+    """
 
     names: list[str]
     m: list[np.ndarray]
     v: list[np.ndarray]
+    m_flat: np.ndarray = field(init=False, repr=False)
+    v_flat: np.ndarray = field(init=False, repr=False)
+    arena: T.Arena | None = field(default=None, init=False, repr=False)
+    chunks: list = field(default_factory=list, init=False, repr=False)
+
+    def __post_init__(self):
+        self.m_flat, self.m = T.pack(self.m)
+        self.v_flat, self.v = T.pack(self.v)
 
     @classmethod
     def for_params(cls, named_params: list[tuple[str, Tensor]]) -> "AdamWState":
-        return cls(names=[n for n, _ in named_params],
-                   m=[np.zeros_like(p.data) for _, p in named_params],
-                   v=[np.zeros_like(p.data) for _, p in named_params])
+        """Zero moments for ``named_params``.  The buffers are fresh zero
+        pages, so no page is touched before the first step."""
+        arena = T.Arena(named_params)
+        flat = [np.zeros(arena.data.size, dtype=arena.data.dtype) for _ in range(2)]
+        m, v = ([f[lo:hi].reshape(view.shape) for lo, hi, view in
+                 zip(arena.offsets, arena.offsets[1:], arena.views)] for f in flat)
+        state = cls(arena.names, m, v)
+        state.bind(named_params)
+        return state
+
+    def bind(self, named_params: list[tuple[str, Tensor]]) -> T.Arena:
+        """The arena of ``named_params``, adopting them into a new one if
+        ``arena`` does not hold them."""
+        if self.arena is None or not self.arena.holds(named_params):
+            arena = T.Arena(named_params)
+            if [p.shape for p in arena.views] != [m.shape for m in self.m]:
+                raise ConfigError("params, grads, and optimizer state are misaligned")
+            self.arena, self.chunks = arena, _chunk_pieces(arena.offsets)
+        return self.arena
+
+
+def _chunk_pieces(offsets: list[int]) -> list[list[tuple[int, slice | None]]]:
+    """For each ``ADAMW_CHUNK`` values of a buffer whose parameters start at
+    ``offsets``, the pieces that fill it, in order: a parameter index and
+    the slice of its flattened values, or ``None`` for all of them."""
+    return [[(i, None if lo <= a and b <= lo + ADAMW_CHUNK else
+              slice(max(a, lo) - a, min(b, lo + ADAMW_CHUNK) - a))
+             for i, (a, b) in enumerate(zip(offsets, offsets[1:]))
+             if a < lo + ADAMW_CHUNK and b > lo]
+            for lo in range(0, offsets[-1], ADAMW_CHUNK)]
 
 
 def adamw_step(named_params: list[tuple[str, Tensor]], grads: list[np.ndarray],
@@ -81,36 +131,51 @@ def adamw_step(named_params: list[tuple[str, Tensor]], grads: list[np.ndarray],
     """One in-place update; ``step`` is 1-based.  Returns the lr applied.
 
     Weight decay is decoupled: ``p -= lr * (m_hat / (sqrt(v_hat) + eps)
-    + wd * p)``, with bias-corrected moments.
+    + wd * p)``, with bias-corrected moments.  The update runs over the
+    parameter arena and the flat moments in chunks of ``ADAMW_CHUNK``
+    values; each chunk's gradients are gathered into one scratch buffer
+    of the arena's dtype and checked for non-finite values first.  A
+    parameter list that is not the state's arena is adopted into one.
     """
     if step < 1:
         raise ConfigError(f"step must be 1-based, got {step}")
     if len(named_params) != len(state.m) or len(grads) != len(state.m):
         raise ConfigError("params, grads, and optimizer state are misaligned")
-    lr = lr_at(tc, min(step, tc.total_steps))
-    c1 = 1.0 - ADAM_BETA1 ** step
-    c2 = 1.0 - ADAM_BETA2 ** step
-    for i, ((name, p), g) in enumerate(zip(named_params, grads)):
+    for (name, p), g in zip(named_params, grads):
         if g.shape != p.data.shape:
             raise ConfigError(
                 f"gradient shape {g.shape} does not match parameter {name!r} "
                 f"{p.data.shape}")
-        if not np.all(np.isfinite(g)):
+    arena = state.bind(named_params)
+    lr = lr_at(tc, min(step, tc.total_steps))
+    c1 = 1.0 - ADAM_BETA1 ** step
+    c2 = 1.0 - ADAM_BETA2 ** step
+    scratch = np.empty((4, min(ADAMW_CHUNK, arena.data.size)), dtype=arena.data.dtype)
+    for lo, pieces in zip(range(0, arena.data.size, ADAMW_CHUNK), state.chunks):
+        hi = min(lo + ADAMW_CHUNK, arena.data.size)
+        g, tmp, update, denom = scratch[:, :hi - lo]
+        np.concatenate([grads[i] if part is None else grads[i].reshape(-1)[part]
+                        for i, part in pieces], axis=None, out=g)
+        finite = np.isfinite(g)
+        if not finite.all():
+            name = arena.name_at(lo + int(np.argmin(finite)))
             raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
         # In place, in the order of the textbook formula, so the bits match it.
-        m, v = state.m[i], state.v[i]
+        p, m, v = arena.data[lo:hi], state.m_flat[lo:hi], state.v_flat[lo:hi]
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        update = m / c1
-        denom = v / c2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(m, c1, out=update)
+        np.divide(v, c2, out=denom)
         np.sqrt(denom, out=denom)
         denom += ADAM_EPS
         update /= denom
-        update += tc.weight_decay * p.data
+        update += np.multiply(p, tc.weight_decay, out=tmp)
         update *= lr
-        p.data -= update
+        p -= update
     return lr
 
 

@@ -169,3 +169,28 @@ def adamw_hand(x0, grad_fn, lr_fn, weight_decay, steps,
         x = x - lr_fn(t) * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * x)
         trajectory.append(x.copy())
     return trajectory
+
+
+def adamw_loop(params, grads, m, v, lr, weight_decay, step,
+               beta1=0.9, beta2=0.999, eps=1e-8):
+    """One AdamW step, one parameter at a time, in place on every array.
+
+    The operations of the textbook formula in its order, applied to each
+    parameter's own arrays: the loop the chunked optimizer replaces, and
+    the bits it must reproduce.
+    """
+    c1 = 1.0 - beta1 ** step
+    c2 = 1.0 - beta2 ** step
+    for p, g, mi, vi in zip(params, grads, m, v):
+        mi *= beta1
+        mi += (1.0 - beta1) * g
+        vi *= beta2
+        vi += (1.0 - beta2) * g * g
+        update = mi / c1
+        denom = vi / c2
+        np.sqrt(denom, out=denom)
+        denom += eps
+        update /= denom
+        update += weight_decay * p
+        update *= lr
+        p -= update

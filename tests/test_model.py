@@ -272,11 +272,76 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="head_width"):
             config_from_dict(d)
 
+    @pytest.mark.parametrize("stage,field,value", [
+        (1, "pool_ratios", [0]), (3, "expansion", 0), (2, "pool_ratios", [4, 2])])
+    def test_stage_value_error_names_its_stage(self, stage, field, value):
+        d = config_to_dict(preset("micro", num_classes=4))
+        d["stages"][stage - 1][field] = value
+        with pytest.raises(ConfigError, match=re.escape(f"stages[{stage}]: {field}")):
+            config_from_dict(d)
+
     def test_config_dict_round_trip_pool_sizes(self):
         cfg = preset("nano", num_classes=2, pool_sizes=(1, 2, 3, 6))
         back = config_from_dict(config_to_dict(cfg))
         assert back == cfg
         assert back.pool_sizes == (1, 2, 3, 6)
+
+
+class TestArena:
+    """Every parameter is a view of its model's one flat arena."""
+
+    @staticmethod
+    def assert_in_arena(net):
+        named = net.named_params()
+        assert net.arena.holds(named)
+        assert net.arena.names == [n for n, _ in named]
+        assert net.arena.offsets[-1] == net.arena.data.size == net.param_count()
+        assert all(p.data.base is net.arena.data for _, p in named)
+
+    @pytest.mark.parametrize("overrides", [{}, {"use_rpe": False}, {"ffn_kind": "mlp"}])
+    def test_build_draws_into_one_arena(self, overrides):
+        net = micro_model(**overrides)
+        self.assert_in_arena(net)
+        assert net.arena.data.dtype == np.float32
+
+    def test_shared_after_a_train_step_and_after_a_load(self, tmp_path):
+        from ppvit import SyntheticDataset, TrainConfig, train
+
+        net = micro_model()
+        before = net.arena.data.copy()
+        ds = SyntheticDataset("blobs", 4, 32, 4, seed=7)
+        path = tmp_path / "m.ckpt"
+        train(net, ds, TrainConfig(total_steps=2, batch_size=4), checkpoint_path=path)
+        self.assert_in_arena(net)
+        assert not np.array_equal(net.arena.data, before)
+        loaded, _ = load_checkpoint(path)
+        self.assert_in_arena(loaded)
+        npt.assert_array_equal(loaded.arena.data, net.arena.data)
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        import ppvit.model as M
+
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(micro_model(seed=4), path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a parameter")
+
+        monkeypatch.setattr(M, "_trunc_normal", no_draws)
+        loaded, _ = load_checkpoint(path)
+        self.assert_in_arena(loaded)
+
+    def test_build_peak_memory_under_twice_the_parameters(self):
+        import tracemalloc
+
+        micro_model()  # imports and caches outside the traced build
+        tracemalloc.start()
+        try:
+            net = micro_model()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * net.arena.data.nbytes, (peak, net.arena.data.nbytes)
 
 
 class TestCheckpoint:

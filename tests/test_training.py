@@ -150,6 +150,69 @@ class TestAdamW:
             adamw_step(named, [np.ones(3)], state, tc, 1)
 
 
+class TestChunkedAdamW:
+    """The arena-chunked step against the per-parameter loop oracle."""
+
+    @staticmethod
+    def _standalone(sizes, rng):
+        return [(f"p{i}", Tensor(rng.normal(size=n).astype(np.float32), requires_grad=True))
+                for i, n in enumerate(sizes)]
+
+    def _run_against_oracle(self, named, grad_fn, tc, steps=3):
+        state = AdamWState.for_params(named)
+        ref = [p.data.copy() for _, p in named]
+        ref_m = [np.zeros_like(p) for p in ref]
+        ref_v = [np.zeros_like(p) for p in ref]
+        for step in range(1, steps + 1):
+            grads = grad_fn(step)
+            lr = adamw_step(named, grads, state, tc, step)
+            oracles.adamw_loop(ref, grads, ref_m, ref_v, lr, tc.weight_decay, step)
+            for (name, p), r, rm, rv, m, v in zip(named, ref, ref_m, ref_v, state.m, state.v):
+                npt.assert_array_equal(p.data, r, err_msg=f"{name} at step {step}")
+                npt.assert_array_equal(m, rm, err_msg=f"{name} m at step {step}")
+                npt.assert_array_equal(v, rv, err_msg=f"{name} v at step {step}")
+        return state
+
+    def test_micro_model_matches_per_parameter_loop_bit_for_bit(self):
+        net = build_model(preset("micro", num_classes=4), seed=0)
+        ds = SyntheticDataset("blobs", 8, 32, 4, seed=7)
+        tc = TrainConfig(lr=2e-3, weight_decay=0.05, warmup_steps=1,
+                         total_steps=3, batch_size=8)
+        named = net.named_params()
+
+        def grads(step):
+            images, labels = load_batch(ds, np.arange(8))
+            loss = T.cross_entropy_logits(forward_classify(net, images), labels)
+            T.zero_grads([p for _, p in named])
+            loss.backward()
+            return [p.grad for _, p in named]
+
+        state = self._run_against_oracle(named, grads, tc)
+        assert state.arena.data is net.arena.data
+
+    def test_parameter_spanning_chunk_boundaries(self, rng):
+        # p0 ends 3 values short of the first boundary, p1 crosses it and
+        # p2 crosses the next two; the list is adopted into a new arena
+        chunk = TR.ADAMW_CHUNK
+        named = self._standalone([chunk - 3, 10, 2 * chunk + 5], rng)
+        grads = {s: [rng.normal(size=p.shape).astype(np.float32) for _, p in named]
+                 for s in (1, 2, 3)}
+        tc = TrainConfig(lr=0.05, weight_decay=0.1, warmup_steps=0, total_steps=3)
+        state = self._run_against_oracle(named, grads.__getitem__, tc)
+        assert len(state.chunks) == 4
+        assert all(p.data.base is state.arena.data for _, p in named)
+
+    def test_nan_in_a_later_chunk_names_its_parameter(self, rng):
+        chunk = TR.ADAMW_CHUNK
+        named = self._standalone([chunk + 5, 10, 20], rng)
+        state = AdamWState.for_params(named)
+        grads = [np.ones(p.shape, dtype=np.float32) for _, p in named]
+        grads[2][7] = np.inf
+        tc = TrainConfig(total_steps=5)
+        with pytest.raises(NonFiniteError, match="'p2'"):
+            adamw_step(named, grads, state, tc, 1)
+
+
 class TestTrainLoop:
     def test_two_runs_identical(self):
         net_a, ds, tc = nano_setup()
