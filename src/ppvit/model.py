@@ -481,6 +481,12 @@ def check_checkpoint_dtype(model: ModelState) -> None:
                 f"parameter {name!r} is {p.data.dtype}; checkpoints hold float32 only")
 
 
+def _record_header(name: str, shape: tuple[int, ...]) -> bytes:
+    """The bytes of a parameter record that come before its data."""
+    nb = name.encode("utf-8")
+    return struct.pack(f"<H{len(nb)}sB{len(shape)}I", len(nb), nb, len(shape), *shape)
+
+
 def save_checkpoint(model: ModelState, path, extra: dict | None = None) -> None:
     """Write ``model`` to ``path``; a model ``check_checkpoint_dtype``
     refuses is refused before the file opens."""
@@ -497,11 +503,7 @@ def save_checkpoint(model: ModelState, path, extra: dict | None = None) -> None:
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for name, p in model.named_params():
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", p.ndim))
-            fh.write(struct.pack(f"<{p.ndim}I", *p.shape))
+            fh.write(_record_header(name, p.shape))
             fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
 
 
@@ -509,7 +511,9 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[ModelState, dict]:
     """Rebuild the model a checkpoint describes and restore its parameters.
 
     The model's structure and arena are laid out with no draws, and each
-    record is copied into its parameter's view.
+    record is copied into its parameter's view.  The records must fill the
+    file exactly, in ``named_params`` order, each header byte-equal to the
+    one ``save_checkpoint`` writes for that parameter.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -549,32 +553,19 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[ModelState, dict]:
             f"manifest field 'config' describes {need // 4} parameters "
             f"({need} bytes), but only {len(raw) - off} bytes follow the manifest")
     model = _build(cfg, manifest["seed"], dtype, draw=False)
-    expected = dict(model.named_params())
-    seen: set[str] = set()
-    while off < len(raw):
-        try:
-            (nlen,) = struct.unpack_from("<H", raw, off)
-            off += 2
-            name = raw[off:off + nlen].decode("utf-8")
-            off += nlen
-            (ndim,) = struct.unpack_from("<B", raw, off)
-            off += 1
-            dims = struct.unpack_from(f"<{ndim}I", raw, off)
-            off += 4 * ndim
-            count = int(np.prod(dims)) if ndim else 1
-            data = np.frombuffer(raw, dtype="<f4", count=count, offset=off)
-        except (struct.error, UnicodeDecodeError, ValueError) as exc:
-            raise CheckpointError(f"truncated or corrupt record: {exc}") from exc
-        off += 4 * count
-        if name not in expected:
-            raise CheckpointError(f"unexpected parameter {name!r}")
-        target = expected[name]
-        if tuple(dims) != target.shape:
+    named = model.named_params()
+    headers = [_record_header(name, p.shape) for name, p in named]
+    size = sum(map(len, headers)) + 4 * model.arena.data.size
+    if len(raw) - off != size:
+        raise CheckpointError(
+            f"{len(raw) - off} bytes follow the manifest, but the records of its "
+            f"'config' take {size}")
+    for (name, p), header in zip(named, headers):
+        if raw[off:off + len(header)] != header:
             raise CheckpointError(
-                f"parameter {name!r} has shape {tuple(dims)}, expected {target.shape}")
-        target.data[...] = data.reshape(dims)
-        seen.add(name)
-    missing = set(expected) - seen
-    if missing:
-        raise CheckpointError(f"missing parameters: {sorted(missing)[:5]}")
+                f"the record at byte {off} is not parameter {name!r} {p.shape}; "
+                f"records follow named_params order")
+        off += len(header)
+        p.data[...] = np.frombuffer(raw, "<f4", p.size, off).reshape(p.shape)
+        off += 4 * p.size
     return model, manifest

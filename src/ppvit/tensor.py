@@ -13,7 +13,6 @@ float64.  Every operation validates that its result is finite and raises
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import contextvars
 import itertools
@@ -258,32 +257,6 @@ def params(record) -> list[Tensor]:
     return [t for _, t in named_tensors(record)]
 
 
-def pack(arrays: Sequence[Array]) -> tuple[Array, list[Array]]:
-    """One flat buffer holding ``arrays`` back to back, and each one's view.
-
-    Arrays that already are such views of one buffer, in order and with no
-    gaps, come back as they are; others are copied into a new buffer.  All
-    must share one dtype.
-    """
-    dtypes = {a.dtype for a in arrays}
-    if len(dtypes) > 1:
-        raise ShapeError(f"cannot pack arrays of mixed dtypes {sorted(map(str, dtypes))}")
-    base = arrays[0].base if arrays else None
-    if isinstance(base, np.ndarray) and base.ndim == 1 and base.dtype in dtypes:
-        start = at = base.__array_interface__["data"][0]
-        for a in arrays:
-            if (a.base is not base or not a.flags.c_contiguous
-                    or a.__array_interface__["data"][0] != at):
-                break
-            at += a.nbytes
-        else:
-            if at == start + base.nbytes:
-                return base, list(arrays)
-    data = np.concatenate([a.ravel() for a in arrays] or [np.empty(0)])
-    offsets = itertools.accumulate((a.size for a in arrays), initial=0)
-    return data, [data[at:at + a.size].reshape(a.shape) for at, a in zip(offsets, arrays)]
-
-
 class Arena:
     """Named parameters back to back, with no gaps, in one flat buffer.
 
@@ -296,12 +269,31 @@ class Arena:
     def __init__(self, named: Sequence[tuple[str, Tensor]]):
         """The arena ``named`` lies in.  A list that does not already fill
         one buffer, in order, is adopted: its data is copied into a new
-        buffer and each ``Tensor.data`` is rebound to its view."""
+        buffer and each ``Tensor.data`` is rebound to its view.  All
+        parameters must share one dtype."""
         self.names = [n for n, _ in named]
-        self.data, self.views = pack([p.data for _, p in named])
-        for (_, p), view in zip(named, self.views):
-            p.data = view
-        self.offsets = [0, *itertools.accumulate(v.size for v in self.views)]
+        arrays = [p.data for _, p in named]
+        dtypes = {a.dtype for a in arrays}
+        if len(dtypes) > 1:
+            raise ShapeError(
+                f"cannot lay out parameters of mixed dtypes {sorted(map(str, dtypes))}")
+        self.offsets = [0, *itertools.accumulate(a.size for a in arrays)]
+        base = arrays[0].base if arrays else None
+        fills = (isinstance(base, np.ndarray) and base.ndim == 1
+                 and base.dtype in dtypes and base.size == self.offsets[-1])
+        if fills:
+            start = base.__array_interface__["data"][0]
+            fills = all(a.base is base and a.flags.c_contiguous
+                        and a.__array_interface__["data"][0] == start + lo * a.itemsize
+                        for a, lo in zip(arrays, self.offsets))
+        if fills:
+            self.data, self.views = base, arrays
+        else:
+            self.data = np.concatenate([a.ravel() for a in arrays] or [np.empty(0)])
+            self.views = [self.data[lo:hi].reshape(a.shape) for a, lo, hi
+                          in zip(arrays, self.offsets, self.offsets[1:])]
+            for (_, p), view in zip(named, self.views):
+                p.data = view
 
     def holds(self, named: Sequence[tuple[str, Tensor]]) -> bool:
         """Whether ``named`` are this arena's parameters, in order, each
@@ -309,10 +301,6 @@ class Arena:
         return len(named) == len(self.views) and all(
             p.data is view and n == name
             for (n, p), name, view in zip(named, self.names, self.views))
-
-    def name_at(self, offset: int) -> str:
-        """The name of the parameter that holds flat index ``offset``."""
-        return self.names[bisect.bisect_right(self.offsets, offset) - 1]
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:

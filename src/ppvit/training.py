@@ -72,47 +72,32 @@ ADAMW_CHUNK = 65_536
 
 @dataclass
 class AdamWState:
-    """First/second moments, laid out like the parameter arena.
+    """First and second moments over one parameter arena.
 
-    ``m`` and ``v`` hold one view per parameter of the flat buffers
-    ``m_flat`` and ``v_flat``; arrays given that are not such views are
-    copied in.  ``arena`` is the parameter arena the last step ran over and
-    ``chunks`` its ``ADAMW_CHUNK`` pieces (see ``_chunk_pieces``).
+    ``m`` and ``v`` are flat buffers laid out like ``arena.data``, so
+    ``m[offsets[i]:offsets[i + 1]]`` is parameter ``arena.names[i]``'s
+    first moment.  ``chunks`` are the arena's ``ADAMW_CHUNK`` pieces (see
+    ``_chunk_pieces``).
     """
 
-    names: list[str]
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    m_flat: np.ndarray = field(init=False, repr=False)
-    v_flat: np.ndarray = field(init=False, repr=False)
-    arena: T.Arena | None = field(default=None, init=False, repr=False)
-    chunks: list = field(default_factory=list, init=False, repr=False)
+    arena: T.Arena
+    m: np.ndarray
+    v: np.ndarray
+    chunks: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.m_flat, self.m = T.pack(self.m)
-        self.v_flat, self.v = T.pack(self.v)
+        if not self.m.shape == self.v.shape == self.arena.data.shape:
+            raise ConfigError("params, grads, and optimizer state are misaligned")
+        self.chunks = _chunk_pieces(self.arena.offsets)
 
     @classmethod
     def for_params(cls, named_params: list[tuple[str, Tensor]]) -> "AdamWState":
-        """Zero moments for ``named_params``.  The buffers are fresh zero
-        pages, so no page is touched before the first step."""
+        """Zero moments over the arena of ``named_params`` (``T.Arena``).
+        The buffers are fresh zero pages, so no page is touched before the
+        first step."""
         arena = T.Arena(named_params)
-        flat = [np.zeros(arena.data.size, dtype=arena.data.dtype) for _ in range(2)]
-        m, v = ([f[lo:hi].reshape(view.shape) for lo, hi, view in
-                 zip(arena.offsets, arena.offsets[1:], arena.views)] for f in flat)
-        state = cls(arena.names, m, v)
-        state.bind(named_params)
-        return state
-
-    def bind(self, named_params: list[tuple[str, Tensor]]) -> T.Arena:
-        """The arena of ``named_params``, adopting them into a new one if
-        ``arena`` does not hold them."""
-        if self.arena is None or not self.arena.holds(named_params):
-            arena = T.Arena(named_params)
-            if [p.shape for p in arena.views] != [m.shape for m in self.m]:
-                raise ConfigError("params, grads, and optimizer state are misaligned")
-            self.arena, self.chunks = arena, _chunk_pieces(arena.offsets)
-        return self.arena
+        return cls(arena, *(np.zeros(arena.data.size, dtype=arena.data.dtype)
+                            for _ in range(2)))
 
 
 def _chunk_pieces(offsets: list[int]) -> list[list[tuple[int, slice | None]]]:
@@ -133,20 +118,23 @@ def adamw_step(named_params: list[tuple[str, Tensor]], grads: list[np.ndarray],
     Weight decay is decoupled: ``p -= lr * (m_hat / (sqrt(v_hat) + eps)
     + wd * p)``, with bias-corrected moments.  The update runs over the
     parameter arena and the flat moments in chunks of ``ADAMW_CHUNK``
-    values; each chunk's gradients are gathered into one scratch buffer
-    of the arena's dtype and checked for non-finite values first.  A
-    parameter list that is not the state's arena is adopted into one.
+    values, each chunk's gradients gathered into one scratch buffer of the
+    arena's dtype.  Every gradient is checked for its shape and for
+    non-finite values before any value is written, and a parameter list
+    that the state's arena does not hold is refused.
     """
     if step < 1:
         raise ConfigError(f"step must be 1-based, got {step}")
-    if len(named_params) != len(state.m) or len(grads) != len(state.m):
+    arena = state.arena
+    if not arena.holds(named_params) or len(grads) != len(named_params):
         raise ConfigError("params, grads, and optimizer state are misaligned")
     for (name, p), g in zip(named_params, grads):
         if g.shape != p.data.shape:
             raise ConfigError(
                 f"gradient shape {g.shape} does not match parameter {name!r} "
                 f"{p.data.shape}")
-    arena = state.bind(named_params)
+        if not np.isfinite(g).all():
+            raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
     lr = lr_at(tc, min(step, tc.total_steps))
     c1 = 1.0 - ADAM_BETA1 ** step
     c2 = 1.0 - ADAM_BETA2 ** step
@@ -156,12 +144,8 @@ def adamw_step(named_params: list[tuple[str, Tensor]], grads: list[np.ndarray],
         g, tmp, update, denom = scratch[:, :hi - lo]
         np.concatenate([grads[i] if part is None else grads[i].reshape(-1)[part]
                         for i, part in pieces], axis=None, out=g)
-        finite = np.isfinite(g)
-        if not finite.all():
-            name = arena.name_at(lo + int(np.argmin(finite)))
-            raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
         # In place, in the order of the textbook formula, so the bits match it.
-        p, m, v = arena.data[lo:hi], state.m_flat[lo:hi], state.v_flat[lo:hi]
+        p, m, v = arena.data[lo:hi], state.m[lo:hi], state.v[lo:hi]
         m *= ADAM_BETA1
         m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
         v *= ADAM_BETA2
@@ -241,15 +225,15 @@ def train(model: ModelState, ds: SyntheticDataset, tc: TrainConfig,
             loss = T.cross_entropy_logits(logits, labels)
             T.zero_grads([p for _, p in named])
             loss.backward()
+            loss_val = loss.item()
+            if not math.isfinite(loss_val):
+                raise DivergenceError(step)
+            grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
+                     for _, p in named]
+            lr = adamw_step(named, grads, state, tc, step)
         except NonFiniteError as exc:
             raise DivergenceError(step) from exc
-        loss_val = loss.item()
-        if not math.isfinite(loss_val):
-            raise DivergenceError(step)
         acc = float((logits.data.argmax(axis=1) == labels).mean())
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                 for _, p in named]
-        lr = adamw_step(named, grads, state, tc, step)
         records.append(TrainRecord(step, loss_val, acc, lr))
     if metrics_path is not None:
         with open(metrics_path, "w") as fh:

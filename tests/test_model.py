@@ -461,6 +461,41 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < 2 ** 20, peak
 
+    @staticmethod
+    def nano_records(path):
+        """Save a seed-3 nano checkpoint to ``path``; its header bytes and
+        its records' bytes, in named_params order."""
+        import struct
+
+        net = build_model(preset("nano", num_classes=2), seed=3)
+        save_checkpoint(net, path)
+        blob = path.read_bytes()
+        off = 16 + struct.unpack("<Q", blob[8:16])[0]
+        head, records = blob[:off], []
+        for name, p in net.named_params():
+            size = 2 + len(name) + 1 + 4 * p.ndim + 4 * p.size
+            records.append(blob[off:off + size])
+            off += size
+        assert off == len(blob)
+        return head, records
+
+    def test_duplicate_last_record_refused(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        head, records = self.nano_records(path)
+        last = bytearray(records[-1])
+        last[-4:] = np.float32(7.0).tobytes()
+        path.write_bytes(head + b"".join(records) + bytes(last))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_records_out_of_order_refused(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        head, records = self.nano_records(path)
+        records[0], records[1] = records[1], records[0]
+        path.write_bytes(head + b"".join(records))
+        with pytest.raises(CheckpointError, match="'stem.conv.weight'"):
+            load_checkpoint(path)
+
     def test_config_mismatch_rejected(self, tmp_path):
         """Weights saved with RPE cannot load into an RPE-free skeleton."""
         import json

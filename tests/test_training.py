@@ -111,8 +111,11 @@ class TestAdamW:
         m0 = rng.normal(scale=0.1, size=(4, 5)).astype(np.float32)
         v0 = rng.uniform(0.0, 0.1, size=(4, 5)).astype(np.float32)
         p = Tensor(p0.copy(), requires_grad=True)
-        state = AdamWState(names=["p"], m=[m0.copy()], v=[v0.copy()])
-        lr = adamw_step([("p", p)], [g], state, tc, step)
+        named = [("p", p)]
+        state = AdamWState.for_params(named)
+        state.m[:] = m0.ravel()
+        state.v[:] = v0.ravel()
+        lr = adamw_step(named, [g], state, tc, step)
 
         b1, b2, eps = TR.ADAM_BETA1, TR.ADAM_BETA2, TR.ADAM_EPS
         m = b1 * m0 + (1.0 - b1) * g
@@ -120,8 +123,8 @@ class TestAdamW:
         update = (m / (1.0 - b1 ** step)) / (np.sqrt(v / (1.0 - b2 ** step)) + eps)
         ref = p0 - lr * (update + tc.weight_decay * p0)
         assert p.data.dtype == np.float32
-        npt.assert_array_equal(state.m[0], m)
-        npt.assert_array_equal(state.v[0], v)
+        npt.assert_array_equal(state.m.reshape(m.shape), m)
+        npt.assert_array_equal(state.v.reshape(v.shape), v)
         npt.assert_array_equal(p.data, ref)
 
     def test_applied_lr_is_returned(self):
@@ -148,6 +151,22 @@ class TestAdamW:
             adamw_step(named, [np.ones(2), np.ones(2)], state, tc, 1)
         with pytest.raises(ConfigError):
             adamw_step(named, [np.ones(3)], state, tc, 1)
+        with pytest.raises(ConfigError, match="misaligned"):
+            AdamWState(state.arena, np.zeros(3), np.zeros(2))
+
+    def test_detached_parameter_refused_before_any_write(self):
+        # rebinding Tensor.data detaches the parameter from the state's arena
+        p, q = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+        named = [("p", p), ("q", q)]
+        state = AdamWState.for_params(named)
+        arena = state.arena.data
+        q.data = q.data.copy()
+        tc = TrainConfig(total_steps=5)
+        with pytest.raises(ConfigError, match="misaligned"):
+            adamw_step(named, [np.ones(2), np.ones(3)], state, tc, 1)
+        npt.assert_array_equal(arena, np.ones(5))
+        npt.assert_array_equal(q.data, np.ones(3))
+        assert not state.m.any() and not state.v.any()
 
 
 class TestChunkedAdamW:
@@ -167,7 +186,10 @@ class TestChunkedAdamW:
             grads = grad_fn(step)
             lr = adamw_step(named, grads, state, tc, step)
             oracles.adamw_loop(ref, grads, ref_m, ref_v, lr, tc.weight_decay, step)
-            for (name, p), r, rm, rv, m, v in zip(named, ref, ref_m, ref_v, state.m, state.v):
+            offsets = state.arena.offsets
+            for (name, p), r, rm, rv, lo, hi in zip(named, ref, ref_m, ref_v,
+                                                    offsets, offsets[1:]):
+                m, v = state.m[lo:hi].reshape(rm.shape), state.v[lo:hi].reshape(rv.shape)
                 npt.assert_array_equal(p.data, r, err_msg=f"{name} at step {step}")
                 npt.assert_array_equal(m, rm, err_msg=f"{name} m at step {step}")
                 npt.assert_array_equal(v, rv, err_msg=f"{name} v at step {step}")
@@ -212,6 +234,22 @@ class TestChunkedAdamW:
         with pytest.raises(NonFiniteError, match="'p2'"):
             adamw_step(named, grads, state, tc, 1)
 
+    def test_nan_in_a_later_chunk_writes_nothing(self, rng):
+        # p0 fills the first chunk and p1 lies in the second, so a check
+        # made chunk by chunk would find the NaN only after p0 was stepped
+        chunk = TR.ADAMW_CHUNK
+        named = self._standalone([chunk, 10], rng)
+        state = AdamWState.for_params(named)
+        tc = TrainConfig(total_steps=5)
+        grads = [np.ones(p.shape, dtype=np.float32) for _, p in named]
+        adamw_step(named, grads, state, tc, 1)
+        before = [a.copy() for a in (named[0][1].data, state.m, state.v)]
+        grads[1][3] = np.nan
+        with pytest.raises(NonFiniteError, match="'p1'"):
+            adamw_step(named, grads, state, tc, 2)
+        for a, b in zip((named[0][1].data, state.m, state.v), before):
+            npt.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
+
 
 class TestTrainLoop:
     def test_two_runs_identical(self):
@@ -249,6 +287,21 @@ class TestTrainLoop:
         with pytest.raises(DivergenceError, match="diverged at step 1") as exc:
             train(net, ds, tc)
         assert exc.value.step == 1
+
+    def test_non_finite_gradient_diverges_before_any_write(self, monkeypatch):
+        net, ds, tc = nano_setup(steps=3)
+        before = net.arena.data.copy()
+        real_backward = T.backward
+
+        def poisoned(loss, seed=None):
+            real_backward(loss, seed)
+            net.head_fc.weight.grad[0, 0] = np.nan
+
+        monkeypatch.setattr(T, "backward", poisoned)
+        with pytest.raises(DivergenceError) as exc:
+            train(net, ds, tc)
+        assert exc.value.step == 1
+        npt.assert_array_equal(net.arena.data.view(np.uint32), before.view(np.uint32))
 
     def test_artifacts_written(self, tmp_path):
         from ppvit import load_checkpoint
@@ -293,8 +346,7 @@ class TestTrainLoop:
             assert [n for (n, _), g in zip(named, grads) if g.dtype != dtype] == []
             adamw_step(named, grads, state, tc, step)
         assert [n for n, p in named if p.data.dtype != dtype] == []
-        moments = state.m + state.v
-        assert all(a.dtype == dtype for a in moments)
+        assert state.m.dtype == state.v.dtype == dtype
 
     def test_evaluate_bounds(self):
         net, ds, _ = nano_setup()
