@@ -15,7 +15,7 @@ from .complexity import (ComplexityReport, SqueezeReport, attention_core_flops,
 from .data import SyntheticDataset, generate_sample, load_batch
 from .errors import (CheckpointError, ConfigError, DivergenceError,
                      NonFiniteError, PPVitError, ShapeError)
-from .layers import BlockConfig, block_forward, irb_forward, patch_embed
+from .layers import block_forward, irb_forward, patch_embed
 from .model import (FeaturePyramid, ModelConfig, ModelState, StageConfig,
                     build_model, config_from_dict, config_to_dict,
                     forward_classify, forward_features, load_checkpoint,
@@ -30,7 +30,7 @@ __all__ = [
     "Tensor", "backward", "no_grad", "finite_difference_grad",
     "PMHSAConfig", "PMHSAState", "pmhsa_forward", "pooled_extent",
     "pool_targets", "pooled_len",
-    "BlockConfig", "block_forward", "irb_forward", "patch_embed",
+    "block_forward", "irb_forward", "patch_embed",
     "ModelConfig", "StageConfig", "ModelState", "FeaturePyramid",
     "build_model", "forward_features", "forward_classify", "preset",
     "save_checkpoint", "load_checkpoint", "config_to_dict", "config_from_dict",

@@ -90,18 +90,11 @@ class PMHSAConfig:
         if self.pool_mode not in ("avg", "max"):
             raise ConfigError(f"pool_mode must be 'avg' or 'max', got {self.pool_mode!r}")
 
-    @property
-    def head_dim(self) -> int:
-        return self.dim // self.heads
-
     def level_targets(self, h: int, w: int) -> list[tuple[int, int]]:
         """Pooled grid per pyramid level for an ``h`` x ``w`` map."""
         if self.pool_sizes is not None:
             return [(min(s, h), min(s, w)) for s in self.pool_sizes]
         return pool_targets(h, w, self.pool_ratios)
-
-    def pooled_len(self, h: int, w: int) -> int:
-        return int(np.sum([th * tw for th, tw in self.level_targets(h, w)]))
 
 
 @dataclass

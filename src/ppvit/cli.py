@@ -12,12 +12,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import complexity, model as M, training
 from .data import SyntheticDataset
-from .errors import ConfigError, DivergenceError, PPVitError
+from .errors import ConfigError, PPVitError
 from .model import ModelConfig, build_model, config_from_dict, config_to_dict, preset
 from .training import TrainConfig
 
@@ -42,8 +42,8 @@ def _fmt_table(rows: list[list[str]], header: list[str]) -> str:
 # config file handling
 # ---------------------------------------------------------------------------
 
-_MODEL_OVERRIDE_KEYS = {"num_classes", "in_channels", "pool_mode", "use_rpe",
-                        "ffn_kind", "act", "pool_sizes"}
+# a preset fixes its name, stage shapes and head width; the rest may be overridden
+_MODEL_OVERRIDE_KEYS = {f.name for f in fields(ModelConfig)} - {"name", "stages", "head_width"}
 _DATA_DEFAULTS = {"kind": "blobs", "num_samples": 32, "image_size": 32,
                   "num_classes": 4, "seed": 0}
 
@@ -146,8 +146,6 @@ def cmd_summary(args) -> int:
 
 
 def cmd_squeeze(args) -> int:
-    if any(r < 1 for r in args.ratios):
-        raise ConfigError(f"pool ratios must be positive, got {args.ratios}")
     hw = tuple(args.hw) if args.hw else None
     rep = complexity.squeeze_ratio(tuple(args.ratios), hw)
     print(f"pool ratios: {list(rep.pool_ratios)}")
@@ -262,16 +260,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PPVitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PPVitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .model import EMBED_GEOMETRY, INPUT_MULTIPLE, ModelConfig
+from .model import EMBED_GEOMETRY, ModelConfig, check_input_size
 
 REFERENCE_PARAMS = {"tiny": 11.6e6, "small": 24.1e6, "base": 36.1e6, "large": 54.5e6}
 REFERENCE_FLOPS = {"tiny": 1.8e9, "small": 3.7e9, "base": 6.5e9, "large": 9.8e9}
@@ -112,7 +112,7 @@ def _block_costs(scope: str, cfg: ModelConfig, stage_index: int,
 
     h, w = hw
     n = h * w
-    targets = cfg.block_config(stage_index).attn_config().level_targets(h, w)
+    targets = cfg.attn_config(stage_index).level_targets(h, w)
     m = sum(th * tw for th, tw in targets)
 
     attn_flops = attention_core_flops(n, m, c)  # QKV projections + both matmuls
@@ -175,9 +175,8 @@ def count_params(cfg: ModelConfig) -> ComplexityReport:
 
 def count_flops(cfg: ModelConfig, input_hw: tuple[int, int]) -> ComplexityReport:
     """Joint report at the given input size (H and W multiples of 32)."""
-    (h, w), m = input_hw, INPUT_MULTIPLE
-    if h < m or w < m or h % m or w % m:
-        raise ConfigError(f"input size must be multiples of {m}, got {h}x{w}")
+    h, w = input_hw
+    check_input_size(h, w, ConfigError)
     report = _walk(cfg, (h, w))
     report.input_hw = (h, w)
     return report

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tensor as T
-from .attention import PMHSAConfig, PMHSAState, pmhsa_forward
-from .errors import ConfigError
+from .attention import PMHSAState, pmhsa_forward
 from .tensor import Tensor
 
 
@@ -54,39 +53,11 @@ def irb_forward(x: Tensor, h: int, w: int, state: IRBState) -> Tensor:
     return T.linear(hdn, state.project.weight, state.project.bias)
 
 
-@dataclass(frozen=True)
-class BlockConfig:
-    """One transformer block: attention shape plus FFN expansion."""
-
-    dim: int
-    heads: int
-    pool_ratios: tuple[int, ...]
-    expansion: int
-    pool_mode: str = "avg"
-    use_rpe: bool = True
-    ffn_kind: str = "irb"
-    act: str = "hardswish"
-    pool_sizes: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.expansion < 1:
-            raise ConfigError(f"expansion must be positive, got {self.expansion}")
-        if self.ffn_kind not in ("irb", "mlp"):
-            raise ConfigError(f"ffn_kind must be 'irb' or 'mlp', got {self.ffn_kind!r}")
-        if self.act not in _ACTS:
-            raise ConfigError(f"act must be one of {sorted(_ACTS)}, got {self.act!r}")
-
-    def attn_config(self) -> PMHSAConfig:
-        return PMHSAConfig(self.dim, self.heads, self.pool_ratios,
-                           self.pool_mode, self.use_rpe, self.pool_sizes)
-
-
 @dataclass
 class BlockState:
     """One block's parameters; ``ln1`` follows the attention residual and
     ``ln2`` the FFN residual."""
 
-    cfg: BlockConfig
     attn: PMHSAState
     ln1: T.Norm
     ffn: IRBState

@@ -21,9 +21,9 @@ import numpy as np
 
 from . import tensor as T
 from .attention import PMHSAConfig, PMHSAState
-from .errors import CheckpointError, ConfigError, ShapeError
-from .layers import (BlockConfig, BlockState, IRBState, PatchEmbedState,
-                     block_forward, patch_embed)
+from .errors import CheckpointError, ConfigError, PPVitError, ShapeError
+from .layers import (_ACTS, BlockState, IRBState, PatchEmbedState, block_forward,
+                     patch_embed)
 from .tensor import Tensor
 
 
@@ -70,6 +70,10 @@ class ModelConfig:
             raise ConfigError(f"num_classes must be at least 2, got {self.num_classes}")
         if self.head_width < 1:
             raise ConfigError(f"head_width must be positive, got {self.head_width}")
+        if self.ffn_kind not in ("irb", "mlp"):
+            raise ConfigError(f"ffn_kind must be 'irb' or 'mlp', got {self.ffn_kind!r}")
+        if self.act not in _ACTS:
+            raise ConfigError(f"act must be one of {sorted(_ACTS)}, got {self.act!r}")
         for i, st in enumerate(self.stages, start=1):
             if st.channels % self.head_width:
                 raise ConfigError(
@@ -79,19 +83,20 @@ class ModelConfig:
                 raise ConfigError(
                     f"stages[{i}].heads={st.heads} must equal channels/head_width="
                     f"{st.channels // self.head_width}")
-        # every block switch fails here, when the config loads, not at build,
-        # naming the first stage it fails in
-        for i in range(len(self.stages)):
+            # every block setting fails here, when the config loads, not at
+            # build, naming the first stage it fails in
             try:
-                self.block_config(i).attn_config()
+                if st.expansion < 1:
+                    raise ConfigError(f"expansion must be positive, got {st.expansion}")
+                self.attn_config(i - 1)
             except ConfigError as exc:
-                raise ConfigError(f"stages[{i + 1}]: {exc}") from exc
+                raise ConfigError(f"stages[{i}]: {exc}") from exc
 
-    def block_config(self, stage_index: int) -> BlockConfig:
+    def attn_config(self, stage_index: int) -> PMHSAConfig:
+        """The attention config every block of stage ``stage_index`` (from 0) shares."""
         st = self.stages[stage_index]
-        return BlockConfig(st.channels, st.heads, st.pool_ratios, st.expansion,
-                           self.pool_mode, self.use_rpe, self.ffn_kind, self.act,
-                           self.pool_sizes)
+        return PMHSAConfig(st.channels, st.heads, st.pool_ratios, self.pool_mode,
+                           self.use_rpe, self.pool_sizes)
 
 
 # (kernel, stride, padding) of the patch embed that opens each stage: the
@@ -99,6 +104,14 @@ class ModelConfig:
 # multiple of the product of the strides, so that every stage's grid is exact.
 EMBED_GEOMETRY = ((7, 4, 3), (3, 2, 1), (3, 2, 1), (3, 2, 1))
 INPUT_MULTIPLE = math.prod(stride for _, stride, _ in EMBED_GEOMETRY)
+
+
+def check_input_size(h: int, w: int, error: type[PPVitError] = ShapeError) -> None:
+    """Raise ``error`` unless ``h`` and ``w`` are positive multiples of ``INPUT_MULTIPLE``."""
+    m = INPUT_MULTIPLE
+    if h < m or w < m or h % m or w % m:
+        raise error(f"input height/width must be multiples of {m} (at least {m}), "
+                    f"got {h}x{w}")
 
 
 # Pyramid pooling ratios shrink stage to stage with the token grid; the last
@@ -209,16 +222,18 @@ def _init_attn(init: _Init, cfg: PMHSAConfig) -> PMHSAState:
     return PMHSAState(cfg, q, k, v, o, rpe, init.norm(c))
 
 
-def _init_irb(init: _Init, cfg: BlockConfig) -> IRBState:
-    c, hidden = cfg.dim, cfg.dim * cfg.expansion
+def _init_irb(init: _Init, c: int, expansion: int, ffn_kind: str, act: str) -> IRBState:
+    hidden = c * expansion
     expand = init.affine((c, hidden), hidden)
-    dw = init.affine((hidden, 1, 3, 3), hidden) if cfg.ffn_kind == "irb" else None
-    return IRBState(cfg.act, expand, dw, init.affine((hidden, c), c))
+    dw = init.affine((hidden, 1, 3, 3), hidden) if ffn_kind == "irb" else None
+    return IRBState(act, expand, dw, init.affine((hidden, c), c))
 
 
-def _init_block(init: _Init, cfg: BlockConfig) -> BlockState:
-    return BlockState(cfg, _init_attn(init, cfg.attn_config()), init.norm(cfg.dim),
-                      _init_irb(init, cfg), init.norm(cfg.dim))
+def _init_block(init: _Init, attn_cfg: PMHSAConfig, expansion: int, ffn_kind: str,
+                act: str) -> BlockState:
+    c = attn_cfg.dim
+    return BlockState(_init_attn(init, attn_cfg), init.norm(c),
+                      _init_irb(init, c, expansion, ffn_kind, act), init.norm(c))
 
 
 @dataclass
@@ -291,8 +306,9 @@ def _build(cfg: ModelConfig, seed: int, dtype, draw: bool) -> ModelState:
         if i > 0:
             embed = _init_patch_embed(init, cfg.stages[i - 1].channels, st.channels,
                                       *EMBED_GEOMETRY[i])
-        bcfg = cfg.block_config(i)
-        blocks = [_init_block(init, bcfg) for _ in range(st.depth)]
+        attn_cfg = cfg.attn_config(i)
+        blocks = [_init_block(init, attn_cfg, st.expansion, cfg.ffn_kind, cfg.act)
+                  for _ in range(st.depth)]
         stages.append(StageState(embed=embed, blocks=blocks))
     c4 = cfg.stages[-1].channels
     model = ModelState(cfg=cfg, seed=seed, stem=stem, stages=stages,
@@ -344,10 +360,7 @@ def _check_input(model: ModelState, x: Tensor) -> None:
     if x.ndim != 4 or x.shape[1] != model.cfg.in_channels:
         raise ShapeError(
             f"input must be [B, {model.cfg.in_channels}, H, W], got {x.shape}")
-    h, w, m = x.shape[2], x.shape[3], INPUT_MULTIPLE
-    if h < m or w < m or h % m or w % m:
-        raise ShapeError(
-            f"input height/width must be multiples of {m} (at least {m}), got {h}x{w}")
+    check_input_size(x.shape[2], x.shape[3])
 
 
 def forward_features(model: ModelState, x: Tensor) -> FeaturePyramid:

@@ -215,15 +215,17 @@ def train(model: ModelState, ds: SyntheticDataset, tc: TrainConfig,
     if checkpoint_path is not None:
         check_checkpoint_dtype(model)
     named = model.named_params()
+    params = [p for _, p in named]
     state = AdamWState.for_params(named)
     stream = _BatchStream(ds.num_samples, tc.batch_size, tc.seed)
     records: list[TrainRecord] = []
     for step in range(1, tc.total_steps + 1):
+        # no gradient of the last step lives on through this step's forward
+        T.zero_grads(params)
         images, labels = load_batch(ds, stream.next())
         try:
             logits = forward_classify(model, images)
             loss = T.cross_entropy_logits(logits, labels)
-            T.zero_grads([p for _, p in named])
             loss.backward()
             loss_val = loss.item()
             if not math.isfinite(loss_val):
@@ -235,6 +237,7 @@ def train(model: ModelState, ds: SyntheticDataset, tc: TrainConfig,
             raise DivergenceError(step) from exc
         acc = float((logits.data.argmax(axis=1) == labels).mean())
         records.append(TrainRecord(step, loss_val, acc, lr))
+        del logits, loss, grads  # so one step's graph is alive at a time
     if metrics_path is not None:
         with open(metrics_path, "w") as fh:
             fh.write(records_to_csv(records))
@@ -407,19 +410,20 @@ def _ops_cases() -> list[GradcheckCase]:
 
 
 def _block_cases() -> list[GradcheckCase]:
-    from .layers import BlockConfig, block_forward
+    from .attention import PMHSAConfig
+    from .layers import block_forward
     from .model import _Init, _init_block
 
     cases = []
-    for name, kwargs in [
-        ("block_irb_avg", {}),
-        ("block_mlp", {"ffn_kind": "mlp"}),
-        ("block_max_pool", {"pool_mode": "max"}),
-        ("block_no_rpe", {"use_rpe": False}),
+    for name, ffn_kind, kwargs in [
+        ("block_irb_avg", "irb", {}),
+        ("block_mlp", "mlp", {}),
+        ("block_max_pool", "irb", {"pool_mode": "max"}),
+        ("block_no_rpe", "irb", {"use_rpe": False}),
     ]:
-        cfg = BlockConfig(dim=8, heads=2, pool_ratios=(1, 2), expansion=2, **kwargs)
+        attn_cfg = PMHSAConfig(dim=8, heads=2, pool_ratios=(1, 2), **kwargs)
         init = _Init(seed=11, dtype=np.float64)
-        blk = _init_block(init, cfg)
+        blk = _init_block(init, attn_cfg, 2, ffn_kind, "hardswish")
         x = Tensor(np.random.default_rng(5).normal(size=(1, 16, 8)),
                    requires_grad=True, dtype=np.float64)
         inputs = [x] + T.params(blk)

@@ -5,11 +5,11 @@ import numpy.testing as npt
 import pytest
 
 import oracles
-from ppvit import BlockConfig, ConfigError, PMHSAConfig, ShapeError, Tensor
+from ppvit import PMHSAConfig, ShapeError, Tensor
 from ppvit import tensor as T
 from ppvit.attention import build_kv_sequence
 from ppvit.layers import block_forward, irb_forward, patch_embed
-from ppvit.model import _Init, _init_attn, _init_block, _init_patch_embed
+from ppvit.model import _Init, _init_attn, _init_block, _init_irb, _init_patch_embed
 
 
 def hswish(x):
@@ -17,10 +17,12 @@ def hswish(x):
 
 
 def make_irb(c, e, kind="irb", seed=0, dtype=np.float64):
-    cfg = BlockConfig(dim=c, heads=1, pool_ratios=(1,), expansion=e,
-                      ffn_kind=kind)
-    from ppvit.model import _init_irb
-    return _init_irb(_Init(seed, dtype), cfg)
+    return _init_irb(_Init(seed, dtype), c, e, kind, "hardswish")
+
+
+def make_block(dim, heads, ratios, seed):
+    attn_cfg = PMHSAConfig(dim=dim, heads=heads, pool_ratios=ratios)
+    return _init_block(_Init(seed, np.float64), attn_cfg, 2, "irb", "hardswish")
 
 
 class TestIRB:
@@ -74,10 +76,6 @@ class TestIRB:
         assert state.expand.weight.shape == (6, 18)
         assert state.dw.weight.shape == (18, 1, 3, 3)
         assert state.project.weight.shape == (18, 6)
-
-    def test_bad_expansion(self):
-        with pytest.raises(ConfigError):
-            BlockConfig(dim=4, heads=1, pool_ratios=(1,), expansion=0)
 
 
 def graph_ops(out, inputs):
@@ -133,8 +131,7 @@ class TestChannelsLastLayers:
 
 class TestBlock:
     def test_shape_preserved(self, rng):
-        cfg = BlockConfig(dim=8, heads=2, pool_ratios=(1, 2), expansion=2)
-        blk = _init_block(_Init(3, np.float64), cfg)
+        blk = make_block(8, 2, (1, 2), seed=3)
         x = Tensor(rng.normal(size=(2, 16, 8)), dtype=np.float64)
         out = block_forward(x, 4, 4, blk)
         assert out.shape == (2, 16, 8)
@@ -142,8 +139,7 @@ class TestBlock:
     def test_zeroed_block_reduces_to_stacked_norms(self, rng):
         """With all attention/FFN weights and biases zero, both residual
         branches vanish and the block is LN2(LN1(x))."""
-        cfg = BlockConfig(dim=6, heads=2, pool_ratios=(1,), expansion=2)
-        blk = _init_block(_Init(4, np.float64), cfg)
+        blk = make_block(6, 2, (1,), seed=4)
         for p in T.params(blk.attn) + T.params(blk.ffn):
             p.data = np.zeros_like(p.data)
         x = rng.normal(size=(1, 4, 6))
@@ -155,8 +151,7 @@ class TestBlock:
     def test_gradient_vs_finite_differences(self):
         from ppvit.tensor import finite_difference_grad
 
-        cfg = BlockConfig(dim=8, heads=2, pool_ratios=(1, 2), expansion=2)
-        blk = _init_block(_Init(5, np.float64), cfg)
+        blk = make_block(8, 2, (1, 2), seed=5)
         x = Tensor(np.random.default_rng(8).normal(size=(1, 16, 8)),
                    requires_grad=True, dtype=np.float64)
 

@@ -92,13 +92,17 @@ class TestParamWalk:
     @pytest.mark.parametrize("use_rpe", [True, False])
     @pytest.mark.parametrize("ffn_kind", ["irb", "mlp"])
     def test_optional_records_follow_the_switches(self, use_rpe, ffn_kind):
-        net = micro_model(use_rpe=use_rpe, ffn_kind=ffn_kind)
-        blocks = [blk for stage in net.stages for blk in stage.blocks]
-        assert all((blk.attn.rpe is None) == (not use_rpe) for blk in blocks)
-        assert all((blk.ffn.dw is None) == (ffn_kind == "mlp") for blk in blocks)
-        names = [n for n, _ in net.named_params()]
-        assert any(".attn.rpe." in n for n in names) == use_rpe
-        assert any(".ffn.dw." in n for n in names) == (ffn_kind == "irb")
+        for switches in ({}, {"pool_mode": "max", "act": "gelu", "pool_sizes": (1, 2)}):
+            net = micro_model(use_rpe=use_rpe, ffn_kind=ffn_kind, **switches)
+            for i, stage in enumerate(net.stages):
+                assert all(blk.attn.cfg == net.cfg.attn_config(i) for blk in stage.blocks)
+            blocks = [blk for stage in net.stages for blk in stage.blocks]
+            assert all(blk.ffn.act == net.cfg.act for blk in blocks)
+            assert all((blk.attn.rpe is None) == (not use_rpe) for blk in blocks)
+            assert all((blk.ffn.dw is None) == (ffn_kind == "mlp") for blk in blocks)
+            names = [n for n, _ in net.named_params()]
+            assert any(".attn.rpe." in n for n in names) == use_rpe
+            assert any(".ffn.dw." in n for n in names) == (ffn_kind == "irb")
 
 
 class TestGeometry:

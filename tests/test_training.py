@@ -348,6 +348,24 @@ class TestTrainLoop:
         assert [n for n, p in named if p.data.dtype != dtype] == []
         assert state.m.dtype == state.v.dtype == dtype
 
+    def test_one_step_graph_alive_at_a_time(self):
+        # a step's graph, gradient list and leaf gradients are freed before
+        # the next forward, so more steps raise no peak
+        import tracemalloc
+
+        ds = SyntheticDataset("blobs", 32, 32, 4, seed=7)
+        load_batch(ds, np.arange(32))  # the rendered samples belong to no step
+        peaks = []
+        for steps in (1, 3):
+            net = build_model(preset("micro", num_classes=4), seed=0)
+            tracemalloc.start()
+            try:
+                train(net, ds, TrainConfig(total_steps=steps, batch_size=32))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0], peaks
+
     def test_evaluate_bounds(self):
         net, ds, _ = nano_setup()
         loss, acc = evaluate(net, ds, batch_size=3)
