@@ -33,9 +33,8 @@ def pooled_extent(extent: int, ratio: int) -> int:
 def pool_targets(h: int, w: int, ratios: tuple[int, ...]) -> list[tuple[int, int]]:
     """Per-level pooled grids for an ``h`` x ``w`` token map.
 
-    Raises ``ConfigError`` if any level would round to an empty grid (cannot
-    happen for positive extents with the half-away-from-zero rule, but the
-    guard keeps the contract explicit).
+    Raises ``ConfigError`` if any level rounds to an empty grid, which
+    happens when a ratio is more than twice the extent it pools.
     """
     targets = []
     for p in ratios:
@@ -171,8 +170,8 @@ def pmhsa_forward(x: Tensor, h: int, w: int, state: PMHSAState) -> Tensor:
     """Full layer: queries from ``x``, keys/values from the pooled sequence."""
     cfg = state.cfg
     kv = build_kv_sequence(x, h, w, state)
-    q = T.linear(x, state.q.weight, state.q.bias)
-    k = T.linear(kv, state.k.weight, state.k.bias)
-    v = T.linear(kv, state.v.weight, state.v.bias)
+    q = T.matmul(x, state.q.weight, state.q.bias)
+    k = T.matmul(kv, state.k.weight, state.k.bias)
+    v = T.matmul(kv, state.v.weight, state.v.bias)
     out = multi_head_attention(q, k, v, cfg.heads)
-    return T.linear(out, state.o.weight, state.o.bias)
+    return T.matmul(out, state.o.weight, state.o.bias)

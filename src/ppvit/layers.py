@@ -44,13 +44,13 @@ def irb_forward(x: Tensor, h: int, w: int, state: IRBState) -> Tensor:
     must equal ``h*w``.
     """
     act = _ACTS[state.act]
-    hdn = act(T.linear(x, state.expand.weight, state.expand.bias))
+    hdn = act(T.matmul(x, state.expand.weight, state.expand.bias))
     if state.dw is not None:
         b, n, e = hdn.shape
         img = T.depthwise_conv2d(T.reshape(hdn, (b, h, w, e)), state.dw.weight,
                                  state.dw.bias, padding=1)
         hdn = act(T.reshape(img, (b, n, e)))
-    return T.linear(hdn, state.project.weight, state.project.bias)
+    return T.matmul(hdn, state.project.weight, state.project.bias)
 
 
 @dataclass

@@ -389,7 +389,7 @@ def forward_classify(model: ModelState, x: Tensor) -> Tensor:
     tokens = forward_features(model, x).tokens[3]
     tokens = T.layer_norm(tokens, model.head_ln.gamma, model.head_ln.beta)
     pooled = T.mean(tokens, axis=1)
-    return T.linear(pooled, model.head_fc.weight, model.head_fc.bias)
+    return T.matmul(pooled, model.head_fc.weight, model.head_fc.bias)
 
 
 # ---------------------------------------------------------------------------

@@ -108,12 +108,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self, seed: Array | None = None) -> None:
         backward(self, seed)
 
@@ -165,7 +159,7 @@ def backward(loss: Tensor, seed: Array | None = None) -> None:
     """Reverse-mode sweep from a scalar loss.
 
     Every leaf with ``requires_grad`` receives its gradient; repeated calls
-    without ``zero_grad`` accumulate.  Interior gradients are reduced in the
+    without ``zero_grads`` accumulate.  Interior gradients are reduced in the
     reverse of the recorded (topological) order, so accumulation is
     deterministic and runs are reproducible bit for bit.
     """
@@ -418,27 +412,37 @@ def mean(x: Tensor, axis: int | tuple[int, ...] | None = None,
 # linear algebra
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """Batched matrix product ``[.., m, k] @ [.., k, n] -> [.., m, n]``.
 
     Gradients: ``d(a) = g @ b^T`` and ``d(b) = a^T @ g``, summed over any
-    broadcast batch axes.  A 2-d ``b`` against a batched ``a`` (every
-    ``linear``) flattens ``a``'s leading axes, so forward and both
-    gradients are single GEMMs and ``d(b)`` needs no batch sum.
+    broadcast batch axes.  A 2-d ``b`` (every affine map's ``[in, out]``
+    weight) flattens ``a``'s leading axes, so forward and both gradients
+    are single GEMMs and ``d(b)`` needs no batch sum.  Only such a ``b``
+    takes a ``bias`` ``[n]``: it is added in place, and its gradient is
+    ``g`` summed over the leading axes.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
-    if a.ndim > 2 and b.ndim == 2:
+    if bias is not None and (b.ndim != 2 or bias.shape != (b.shape[1],)):
+        raise ShapeError(f"matmul bias {bias.shape} must be [n] for a [k, n] weight {b.shape}")
+    if b.ndim == 2:
         k, n = b.shape
         out = (a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (n,))
+        if bias is not None:
+            out += bias.data
 
         def bw_flat(g: Array):
             g2 = g.reshape(-1, n)
-            return (g2 @ b.data.T).reshape(a.shape), a.data.reshape(-1, k).T @ g2
+            ga, gb = (g2 @ b.data.T).reshape(a.shape), a.data.reshape(-1, k).T @ g2
+            # summed from ``g`` as it arrives: a reshaped copy of a
+            # transposed ``g`` would sum in another order, with other bits
+            return (ga, gb) if bias is None else (ga, gb, _unbroadcast(g, bias.shape))
 
-        return _make("matmul", out, (a, b), bw_flat)
+        inputs = (a, b) if bias is None else (a, b, bias)
+        return _make("matmul", out, inputs, bw_flat)
     try:
         out = a.data @ b.data
     except ValueError as exc:
@@ -450,14 +454,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _make("matmul", out, (a, b), bw)
-
-
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """``x @ weight (+ bias)`` with weight stored ``[in, out]``."""
-    out = matmul(x, weight)
-    if bias is not None:
-        out = add(out, bias)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -598,42 +594,37 @@ def _depthwise_kernel(padded: Array, k: Array, stride: int, padding: int):
     return out, bw
 
 
-def _grouped_kernel(padded: Array, k: Array, stride: int, padding: int, groups: int):
-    """Dense or grouped conv as im2col plus one batched GEMM over the groups.
+def _dense_kernel(padded: Array, k: Array, stride: int, padding: int):
+    """Dense conv as im2col plus one GEMM.
 
-    ``cols[g, (b, i, j), (u, v, c)]`` copies each output's receptive field
-    once; a row of ``kw * cg`` values is contiguous in the channels-last
+    ``cols[(b, i, j), (u, v, c)]`` copies each output's receptive field
+    once; a row of ``kw * C_in`` values is contiguous in the channels-last
     input, so the copy moves runs rather than single values.  With the
-    kernel as ``kt[g, o, (u, v, c)]``, forward is ``cols @ kt^T``, the
-    kernel gradient ``g^T @ cols``, and the input gradient ``g @ kt``
-    scattered back by k^2 strided adds (col2im).
+    kernel as ``kt[o, (u, v, c)]``, forward is ``cols @ kt^T``, the kernel
+    gradient ``g^T @ cols``, and the input gradient ``g @ kt`` scattered
+    back by k^2 strided adds (col2im).
     """
-    b, hp, wp, _ = padded.shape
-    cout, cg, kh, kw = k.shape
-    n = cout // groups
+    b, hp, wp, cin = padded.shape
+    cout, _, kh, kw = k.shape
     windows = _windows(padded, kh, kw, stride)
     ho, wo = windows.shape[1:3]
-    cols = (windows.reshape(b, ho, wo, groups, cg, kh, kw)
-            .transpose(3, 0, 1, 2, 5, 6, 4).reshape(groups, b * ho * wo, kh * kw * cg))
-    # [G, n, (u, v, c)]: copying the kernel in this order is several times
-    # faster than into [G, (u, v, c), n], and matmul takes the transpose as is
-    kt = (k.reshape(groups, n, cg, kh, kw)
-          .transpose(0, 1, 3, 4, 2).reshape(groups, n, kh * kw * cg))
-    out = np.matmul(cols, kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(b, ho, wo, cout)
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo, kh * kw * cin)
+    # [o, (u, v, c)]: copying the kernel in this order is several times
+    # faster than into [(u, v, c), o], and the GEMM takes the transpose as is
+    kt = k.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
+    out = (cols @ kt.T).reshape(b, ho, wo, cout)
 
     def bw(g: Array, need_dx: bool):
-        gm = g.reshape(b * ho * wo, groups, n).transpose(1, 0, 2)
-        dk = (np.matmul(gm.transpose(0, 2, 1), cols).reshape(groups, n, kh, kw, cg)
-              .transpose(0, 1, 4, 2, 3).reshape(cout, cg, kh, kw))
+        gm = g.reshape(b * ho * wo, cout)
+        dk = (gm.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
         dx = None
         if need_dx:
-            dcols = np.matmul(gm, kt).reshape(groups, b, ho, wo, kh, kw, cg)
+            dcols = (gm @ kt).reshape(b, ho, wo, kh, kw, cin)
             dpad = np.zeros_like(padded)
             for u in range(kh):
                 for v in range(kw):
-                    # splitting the unit-stride channel axis keeps this a view
-                    dtap = _tap(dpad, u, v, ho, wo, stride).reshape(b, ho, wo, groups, cg)
-                    dtap += np.moveaxis(dcols[:, :, :, :, u, v], 0, 3)
+                    dtap = _tap(dpad, u, v, ho, wo, stride)
+                    dtap += dcols[:, :, :, u, v]
             dx = dpad[:, padding:hp - padding, padding:wp - padding]
         return dx, dk
 
@@ -646,14 +637,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     ``weight`` is ``[C_out, C_in/groups, kh, kw]``; the output is
     ``[B, Ho, Wo, C_out]`` with ``Ho = floor((H + 2*padding - kh)/stride) + 1``
-    (same for width).  The weight's shape picks the kernel.  One input
-    channel per group with ``C_out == C_in`` (depthwise, any
-    kh/kw/stride/padding) runs with no window tensor: one einsum over a
+    (same for width).  Two groupings exist, one kernel each; any other is
+    refused.  Depthwise, ``groups == C_in == C_out`` (any
+    kh/kw/stride/padding), runs with no window tensor: one einsum over a
     sliding-window view forward, and two backward (the kernel gradient over
     the forward's windows, the input gradient as the flipped kernel over
-    the dilated, padded output gradient).  Every other shape (dense, and
-    grouped with several channels per group) runs as im2col plus one
-    batched GEMM over the groups, forward and for each gradient.  The input
+    the dilated, padded output gradient).  Dense, ``groups == 1``, runs as
+    im2col plus one GEMM, forward and for each gradient.  The input
     gradient is skipped (``None``) when ``x`` needs none, as for the image
     at the stem.  Both kernels are checked, forward and backward, against
     the loop oracles in ``tests/oracles.py``.
@@ -662,11 +652,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d needs 4-d input/weight, got {x.shape} and {weight.shape}")
     _, h, w, cin = x.shape
     cout, cg, kh, kw = weight.shape
-    if cin % groups or cout % groups:
-        raise ShapeError(f"channels {cin}->{cout} not divisible by groups={groups}")
-    if cg * groups != cin:
-        raise ShapeError(
-            f"weight expects {cg * groups} input channels (groups={groups}), input has {cin}")
+    if not (groups == 1 and cg == cin or groups == cin == cout and cg == 1):
+        raise ShapeError(f"conv2d takes groups=1 (dense) or groups=C_in=C_out (depthwise); "
+                         f"got groups={groups}, weight {weight.shape}, input {x.shape}")
     hp, wp = h + 2 * padding, w + 2 * padding
     if kh > hp or kw > wp:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
@@ -678,7 +666,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if cg == 1 and cout == cin:
         out, kernel_bw = _depthwise_kernel(padded, weight.data, stride, padding)
     else:
-        out, kernel_bw = _grouped_kernel(padded, weight.data, stride, padding, groups)
+        out, kernel_bw = _dense_kernel(padded, weight.data, stride, padding)
     if bias is not None:
         out += bias.data
 

@@ -206,8 +206,8 @@ class TestForward:
         state = make_state(cfg)
         x = Tensor(rng.normal(size=(2, 16, 8)), dtype=np.float64)
         kv = build_kv_sequence(x, 4, 4, state)
-        q = T.linear(x, state.q.weight, state.q.bias)
-        k = T.linear(kv, state.k.weight, state.k.bias)
+        q = T.matmul(x, state.q.weight, state.q.bias)
+        k = T.matmul(kv, state.k.weight, state.k.bias)
         b, n, c = q.shape
         d = c // cfg.heads
         qh = q.data.reshape(b, n, cfg.heads, d).transpose(0, 2, 1, 3)

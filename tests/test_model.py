@@ -176,6 +176,31 @@ class TestHead:
         assert logits.shape == (1, 7)
 
 
+class TestGraph:
+    def test_every_affine_map_is_one_matmul_node(self, rng):
+        # each linear's bias enters the graph as the third input of its
+        # matmul, never through a separate broadcast add
+        net = micro_model()
+        params = dict(net.named_params())
+        names = {id(p): n for n, p in params.items()}
+        nodes, stack, seen = [], [forward_classify(net, rand_images(rng, b=2))], set()
+        while stack:
+            t = stack.pop()
+            if t.creator is not None and id(t) not in seen:
+                seen.add(id(t))
+                nodes.append(t.creator)
+                stack.extend(t.creator.inputs)
+
+        def bias_inputs(op):
+            return [names[id(i)] for n in nodes if n.op == op for i in n.inputs
+                    if names.get(id(i), "").endswith(".bias")]
+
+        assert bias_inputs("add") == []
+        linear_biases = [n for n in params if n.endswith(".bias")
+                         and params[n.removesuffix("bias") + "weight"].ndim == 2]
+        assert sorted(bias_inputs("matmul")) == sorted(linear_biases)
+
+
 class TestDtypeParity:
     def test_tiny224_float32_matches_float64(self):
         # the error budget of the float32 kernels: logits and every

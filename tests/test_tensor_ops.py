@@ -36,6 +36,29 @@ class TestMatmul:
         with pytest.raises(ShapeError):
             T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
 
+    def test_fused_bias_matches_add_bit_for_bit(self):
+        # the output gradient reaches matmul as a transposed, non-contiguous
+        # view, as the k projection's does inside attention; a bias gradient
+        # summed over a reshaped copy of it would differ in its last bits
+        def run(fused):
+            draw = np.random.default_rng(3)
+            x, w, b = (Tensor(draw.normal(size=s), requires_grad=True)
+                       for s in [(2, 7, 6), (6, 5), (5,)])
+            y = T.matmul(x, w, b) if fused else T.add(T.matmul(x, w), b)
+            proj = Tensor(np.random.default_rng(4).normal(size=(5, 7, 2)))
+            T.sum(T.mul(T.transpose(y, (2, 1, 0)), proj)).backward()
+            return y.data, x.grad, w.grad, b.grad
+
+        for fused, unfused in zip(run(True), run(False)):
+            npt.assert_array_equal(fused, unfused)
+
+    @pytest.mark.parametrize("w_shape,b_shape", [((4, 5), (4,)), ((4, 5), (1, 5)),
+                                                 ((2, 4, 5), (5,))])
+    def test_bias_needs_2d_weight_and_n_entries(self, w_shape, b_shape):
+        with pytest.raises(ShapeError, match="bias"):
+            T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros(w_shape)),
+                     Tensor(np.zeros(b_shape)))
+
 
 class TestConv2d:
     # maps are channels-last [B, H, W, C]; the loop oracles are NCHW
@@ -51,25 +74,22 @@ class TestConv2d:
         assert out.shape == (1, 2, 2, 1)
         npt.assert_array_equal(out.data, np.full((1, 2, 2, 1), 4.0))
 
-    # the first three keep their original ids; the last two are the stem's
+    # the first two keep their original ids; the last two are the stem's
     # 7x7/4/pad-3 geometry on an RGB input and a stage embed's 3x3/2/pad-1
-    @pytest.mark.parametrize("stride,padding,groups,cin,k,hw", [
-        pytest.param(1, 0, 1, 4, 3, (6, 5), id="1-0-1"),
-        pytest.param(2, 1, 1, 4, 3, (6, 5), id="2-1-1"),
-        pytest.param(1, 1, 2, 4, 3, (6, 5), id="1-1-2"),
-        pytest.param(4, 3, 1, 3, 7, (16, 12), id="stem-7x7-4-3"),
-        pytest.param(2, 1, 1, 5, 3, (8, 7), id="embed-3x3-2-1"),
+    @pytest.mark.parametrize("stride,padding,cin,k,hw", [
+        pytest.param(1, 0, 4, 3, (6, 5), id="1-0-1"),
+        pytest.param(2, 1, 4, 3, (6, 5), id="2-1-1"),
+        pytest.param(4, 3, 3, 7, (16, 12), id="stem-7x7-4-3"),
+        pytest.param(2, 1, 5, 3, (8, 7), id="embed-3x3-2-1"),
     ])
-    def test_against_loops(self, rng, stride, padding, groups, cin, k, hw):
+    def test_against_loops(self, rng, stride, padding, cin, k, hw):
         x = rng.normal(size=(2, cin) + hw)
-        w = rng.normal(size=(6, cin // groups, k, k))
+        w = rng.normal(size=(6, cin, k, k))
         b = rng.normal(size=6)
         out = T.conv2d(Tensor(oracles.to_nhwc(x), dtype=np.float64),
                        Tensor(w, dtype=np.float64),
-                       Tensor(b, dtype=np.float64), stride=stride, padding=padding,
-                       groups=groups)
-        ref = oracles.conv2d_loops(x, w, b, stride=stride, padding=padding,
-                                   groups=groups)
+                       Tensor(b, dtype=np.float64), stride=stride, padding=padding)
+        ref = oracles.conv2d_loops(x, w, b, stride=stride, padding=padding)
         npt.assert_allclose(oracles.to_nchw(out.data), ref, rtol=1e-5)
 
     def test_output_size_formula(self, rng):
@@ -86,6 +106,10 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             T.conv2d(Tensor(np.zeros((1, 4, 4, 3))), Tensor(np.zeros((2, 3, 3, 3))),
                      groups=2)
+        # grouped convs with several channels per group are not supported
+        with pytest.raises(ShapeError, match="groups=2"):
+            T.conv2d(Tensor(np.zeros((1, 5, 5, 4))), Tensor(np.zeros((4, 2, 3, 3))),
+                     padding=1, groups=2)
 
 
 class TestDepthwiseConv2d:

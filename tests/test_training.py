@@ -257,6 +257,12 @@ class TestTrainLoop:
         net_b, _, _ = nano_setup()
         assert train(net_a, ds, tc) == train(net_b, ds, tc)
 
+    def test_no_leaf_gradient_after_train(self):
+        net = build_model(preset("micro", num_classes=4), seed=0)
+        ds = SyntheticDataset("blobs", 8, 32, 4, seed=7)
+        train(net, ds, TrainConfig(total_steps=2, batch_size=4))
+        assert [n for n, p in net.named_params() if p.grad is not None] == []
+
     def test_one_record_per_step(self):
         net, ds, tc = nano_setup(steps=4)
         records = train(net, ds, tc)
@@ -418,7 +424,8 @@ class TestGradcheckPlumbing:
     def test_ops_scope_reports_cases(self):
         report = gradcheck_suite("ops")
         assert report.scope == "ops"
-        assert len(report.cases) > 20
+        assert len(report.cases) == 26
+        assert "matmul_bias" in {case.name for case in report.cases}
         assert report.all_passed
         for case in report.cases:
             assert case.max_rel_err < case.tolerance
