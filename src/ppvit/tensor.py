@@ -507,27 +507,31 @@ def softmax_rows(x: Tensor) -> Tensor:
     """Softmax along the last axis, computed with max-subtraction."""
     if x.shape[-1] < 1:
         raise ShapeError(f"softmax needs a nonempty last axis, got {x.shape}")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    out = e / np.einsum("...c->...", e)[..., None]
 
     def bw(g: Array):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
+        return (out * (g - np.einsum("...c,...c->...", g, out)[..., None]),)
 
     return _make("softmax_rows", out, (x,), bw)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize the last (channel) axis, then apply the affine pair."""
+    """Normalize the last (channel) axis, then apply the affine pair.
+
+    Rows are shifted by their first value before the mean is removed, so a
+    large common offset costs no precision.  Row sums and dot products are
+    einsums, as in softmax_rows, several times faster than mean/var on short
+    rows; a ones GEMV is faster still but makes a row's bits batch-dependent.
+    """
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match C={c}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = x.data - x.data[..., :1]
+    xhat -= np.einsum("...c->...", xhat)[..., None] / c
+    inv = 1.0 / np.sqrt(np.einsum("...c,...c->...", xhat, xhat)[..., None] / c + eps)
+    xhat *= inv
     out = xhat * gamma.data + beta.data
 
     def bw(g: Array):
@@ -535,8 +539,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
         dgamma = (g * xhat).sum(axis=lead)
         dbeta = g.sum(axis=lead)
         dxhat = g * gamma.data
-        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        dx = inv * (dxhat - np.einsum("...c->...", dxhat)[..., None] / c
+                    - xhat * (np.einsum("...c,...c->...", dxhat, xhat)[..., None] / c))
         return dx, dgamma, dbeta
 
     return _make("layer_norm", out, (x, gamma, beta), bw)
@@ -550,10 +554,27 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 # reshapes to one for free, so these ops run on token maps without a
 # layout round trip; the channel axis is the contiguous inner loop.
 
-def _windows(padded: Array, kh: int, kw: int, stride: int) -> Array:
-    """Strided sliding-window view ``[B, Ho, Wo, C, kh, kw]`` of a padded map."""
-    win = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
-    return win[:, ::stride, ::stride]
+# values a depthwise window row reaches by merging output columns (``_correlate``)
+_DEPTHWISE_ROW = 128
+
+
+def _pad(a: Array, ph: int, pw: int) -> Array:
+    """``a`` inside ``ph`` zero rows and ``pw`` zero columns on each side."""
+    b, h, w, c = a.shape
+    out = np.empty((b, h + 2 * ph, w + 2 * pw, c), dtype=a.dtype)
+    out[:, :ph] = out[:, ph + h:] = 0.0
+    out[:, :, :pw] = out[:, :, pw + w:] = 0.0
+    out[:, ph:ph + h, pw:pw + w] = a
+    return out
+
+
+def _windows(src: Array, kh: int, kw: int, ho: int, wo: int, stride: int, m: int) -> Array:
+    """View ``[B, ho, wo/m, kh, kw, m*C]`` of a map: output column
+    ``J*m + t`` reads its window at ``[:, :, J, :, :, t*C:(t+1)*C]``.
+    ``m > 1`` needs stride 1 and map rows contiguous over width and C."""
+    (b, _, _, c), (sb, sh, sw, sc) = src.shape, src.strides
+    return np.lib.stride_tricks.as_strided(src, (b, ho, wo // m, kh, kw, m * c),
+                                           (sb, sh * stride, sw * stride * m, sh, sw, sc))
 
 
 def _tap(a: Array, u: int, v: int, ho: int, wo: int, stride: int) -> Array:
@@ -561,40 +582,50 @@ def _tap(a: Array, u: int, v: int, ho: int, wo: int, stride: int) -> Array:
     return a[:, u:u + (ho - 1) * stride + 1:stride, v:v + (wo - 1) * stride + 1:stride]
 
 
-def _depthwise_kernel(padded: Array, k: Array, stride: int, padding: int):
+def _correlate(src: Array, kt: Array, ho: int, wo: int, stride: int):
+    """Depthwise correlation ``[B, ho, wo, C]`` of a map with ``kt`` ``[kh, kw, C]``,
+    and ``m``: the output columns merged into each window row (at stride 1 the
+    least divisor of ``wo`` with ``m * C >= _DEPTHWISE_ROW``, else ``wo``; else 1).
+    The kernel is ``kt`` tiled ``m`` times, contiguous, which fixes einsum's order."""
+    kh, kw, c = kt.shape
+    m = 1 if stride > 1 else next(d for d in range(1, wo + 1)
+                                  if wo % d == 0 and (d * c >= _DEPTHWISE_ROW or d == wo))
+    out = np.einsum("bijuvc,uvc->bijc", _windows(src, kh, kw, ho, wo, stride, m),
+                    np.ascontiguousarray(np.tile(kt, m)))
+    return out.reshape(src.shape[0], ho, wo, c), m
+
+
+def _depthwise_kernel(x: Array, k: Array, stride: int, padding: int):
     """One input channel per group, ``C_out == C_in``: no window tensor.
 
-    Forward is one einsum over the sliding-window view of the padded input.
-    Backward is two more einsums over window views.  The kernel gradient
-    contracts the forward's windows with ``g``.  The input gradient is the
-    forward applied with the flipped kernel to ``g`` written, dilated by
-    the stride, into a zero map padded by ``k - 1`` on every side; its
-    window view is sliced to the unpadded rows and columns, so ``dx`` comes
-    out without a padded border.  Nothing of shape ``[B, Ho, Wo, C, kh, kw]``
-    is ever allocated.
+    Forward is one einsum (``_correlate``) over windows of the padded
+    input; backward two more.  The kernel gradient contracts ``g`` with the
+    windows of the input padded again (no padded copy outlives the forward).
+    The input gradient correlates the flipped kernel with ``g``, dilated by
+    the stride into a zero map padded by ``k - 1`` on every side, from the
+    unpadded rows and columns on, so ``dx`` has no padded border.
     """
-    kh, kw = k.shape[2:]
+    padded = _pad(x, padding, padding)
     b, hp, wp, c = padded.shape
-    windows = _windows(padded, kh, kw, stride)
-    ho, wo = windows.shape[1:3]
-    kt = np.ascontiguousarray(k[:, 0].transpose(1, 2, 0))  # [kh, kw, C]
-    out = np.einsum("bijcuv,uvc->bijc", windows, kt)
+    kh, kw = k.shape[2:]
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    kt = k[:, 0].transpose(1, 2, 0)  # [kh, kw, C]
+    out, m = _correlate(padded, kt, ho, wo, stride)
 
     def bw(g: Array, need_dx: bool):
-        dkt = np.einsum("bijcuv,bijc->uvc", windows, g)
+        win = _windows(_pad(x, padding, padding), kh, kw, ho, wo, stride, m)
+        dkt = np.einsum("bijuvc,bijc->uvc", win, g.reshape(b, ho, wo // m, m * c))
         dx = None
         if need_dx:
-            gd = np.zeros((b, hp + kh - 1, wp + kw - 1, c), dtype=padded.dtype)
+            gd = np.zeros((b, hp + kh - 1, wp + kw - 1, c), dtype=x.dtype)
             _tap(gd, kh - 1, kw - 1, ho, wo, stride)[...] = g
-            flipped = np.ascontiguousarray(kt[::-1, ::-1])
-            dwin = _windows(gd, kh, kw, 1)[:, padding:hp - padding, padding:wp - padding]
-            dx = np.einsum("bijcuv,uvc->bijc", dwin, flipped)
-        return dx, dkt.transpose(2, 0, 1)[:, None]
+            dx, _ = _correlate(gd[:, padding:, padding:], kt[::-1, ::-1], *x.shape[1:3], 1)
+        return dx, dkt.reshape(kh, kw, m, c).sum(axis=2).transpose(2, 0, 1)[:, None]
 
     return out, bw
 
 
-def _dense_kernel(padded: Array, k: Array, stride: int, padding: int):
+def _dense_kernel(x: Array, k: Array, stride: int, padding: int):
     """Dense conv as im2col plus one GEMM.
 
     ``cols[(b, i, j), (u, v, c)]`` copies each output's receptive field
@@ -604,11 +635,11 @@ def _dense_kernel(padded: Array, k: Array, stride: int, padding: int):
     gradient ``g^T @ cols``, and the input gradient ``g @ kt`` scattered
     back by k^2 strided adds (col2im).
     """
+    padded = _pad(x, padding, padding)
     b, hp, wp, cin = padded.shape
     cout, _, kh, kw = k.shape
-    windows = _windows(padded, kh, kw, stride)
-    ho, wo = windows.shape[1:3]
-    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo, kh * kw * cin)
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    cols = _windows(padded, kh, kw, ho, wo, stride, 1).reshape(b * ho * wo, kh * kw * cin)
     # [o, (u, v, c)]: copying the kernel in this order is several times
     # faster than into [(u, v, c), o], and the GEMM takes the transpose as is
     kt = k.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
@@ -620,7 +651,7 @@ def _dense_kernel(padded: Array, k: Array, stride: int, padding: int):
         dx = None
         if need_dx:
             dcols = (gm @ kt).reshape(b, ho, wo, kh, kw, cin)
-            dpad = np.zeros_like(padded)
+            dpad = np.zeros((b, hp, wp, cin), dtype=x.dtype)
             for u in range(kh):
                 for v in range(kw):
                     dtap = _tap(dpad, u, v, ho, wo, stride)
@@ -639,11 +670,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     ``[B, Ho, Wo, C_out]`` with ``Ho = floor((H + 2*padding - kh)/stride) + 1``
     (same for width).  Two groupings exist, one kernel each; any other is
     refused.  Depthwise, ``groups == C_in == C_out`` (any
-    kh/kw/stride/padding), runs with no window tensor: one einsum over a
-    sliding-window view forward, and two backward (the kernel gradient over
-    the forward's windows, the input gradient as the flipped kernel over
-    the dilated, padded output gradient).  Dense, ``groups == 1``, runs as
-    im2col plus one GEMM, forward and for each gradient.  The input
+    kh/kw/stride/padding), runs with no window tensor or kept padded copy:
+    one einsum over a window view forward, and two backward (the kernel
+    gradient over the input's windows, the input gradient as the flipped
+    kernel over the dilated, padded output gradient).  Dense, ``groups == 1``,
+    runs as im2col plus one GEMM, forward and for each gradient.  The input
     gradient is skipped (``None``) when ``x`` needs none, as for the image
     at the stem.  Both kernels are checked, forward and backward, against
     the loop oracles in ``tests/oracles.py``.
@@ -661,12 +692,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"bias shape {bias.shape} does not match C_out={cout}")
 
-    padded = np.zeros((x.shape[0], hp, wp, cin), dtype=x.dtype)
-    padded[:, padding:padding + h, padding:padding + w] = x.data
-    if cg == 1 and cout == cin:
-        out, kernel_bw = _depthwise_kernel(padded, weight.data, stride, padding)
-    else:
-        out, kernel_bw = _dense_kernel(padded, weight.data, stride, padding)
+    kernel = _depthwise_kernel if cg == 1 and cout == cin else _dense_kernel
+    out, kernel_bw = kernel(x.data, weight.data, stride, padding)
     if bias is not None:
         out += bias.data
 

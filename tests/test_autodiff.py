@@ -105,7 +105,10 @@ class TestFiniteDifferenceOracle:
 # every differentiable op, three distinct shapes each; maps are
 # channels-last [B, H, W, C]
 SHAPES3 = [(3,), (2, 4), (2, 3, 2)]
-SHAPES4D = [(1, 4, 4, 2), (2, 5, 4, 3), (1, 6, 7, 1), (2, 1, 1, 3), (1, 2, 2, 2)]
+# the last merges 4 (padding 1) or 5 (padding 2) of its 8 or 10 output
+# columns per depthwise window row
+SHAPES4D = [(1, 4, 4, 2), (2, 5, 4, 3), (1, 6, 7, 1), (2, 1, 1, 3), (1, 2, 2, 2),
+            (1, 2, 8, 48)]
 
 
 class TestEveryOpThreeShapes:

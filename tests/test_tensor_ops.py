@@ -180,6 +180,46 @@ class TestDepthwiseConv2d:
             tracemalloc.stop()
         assert peak < 6 * x.data.nbytes, f"peak {peak / x.data.nbytes:.1f} input sizes"
 
+    def test_node_keeps_no_padded_copy(self, rng):
+        # the backward pads x again: only the output may outlive the
+        # forward, not a [2, 18, 18, 64] padded map
+        x = Tensor(rng.normal(size=(2, 16, 16, 64)).astype(np.float32),
+                   requires_grad=True)
+        w = Tensor(rng.normal(size=(64, 1, 3, 3)).astype(np.float32),
+                   requires_grad=True)
+        b = Tensor(np.zeros(64, dtype=np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            out = T.depthwise_conv2d(x, w, b)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.creator is not None
+        assert held <= out.data.nbytes + 16 * 1024, f"{held} bytes held after forward"
+
+    # (C, W, m): m output columns merged per window row, the smallest
+    # divisor of W with m * C >= 128, else W
+    @pytest.mark.parametrize("c,w,m", [
+        (4, 64, 32), (4, 8, 8), (4, 1, 1), (16, 12, 12), (16, 16, 8),
+        (48, 8, 4), (48, 5, 5), (384, 7, 1), (384, 1, 1)])
+    def test_merged_columns_match_the_window_einsum(self, rng, c, w, m):
+        x = rng.normal(size=(2, 3, w, c)).astype(np.float32)
+        k = rng.normal(size=(c, 1, 3, 3)).astype(np.float32)
+        padded = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        kt = np.ascontiguousarray(k[:, 0].transpose(1, 2, 0))
+        assert T._correlate(padded, kt, 3, w, 1)[1] == m
+        windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
+        npt.assert_array_equal(T.conv2d(Tensor(x), Tensor(k), padding=1, groups=c).data,
+                               np.einsum("bijcuv,uvc->bijc", windows, kt))
+        # a stride of 2 merges no columns
+        assert T._correlate(padded, kt, 2, (w - 1) // 2 + 1, 2)[1] == 1
+        strided = T.conv2d(Tensor(x, dtype=np.float64), Tensor(k, dtype=np.float64),
+                           stride=2, padding=1, groups=c)
+        ref = oracles.conv2d_loops(oracles.to_nchw(x).astype(np.float64),
+                                   k.astype(np.float64), stride=2, padding=1, groups=c)
+        npt.assert_allclose(oracles.to_nchw(strided.data), ref, rtol=1e-5)
+
     def test_frozen_input_gets_no_gradient(self, rng):
         x = rng.normal(size=(2, 5, 4, 3))
         w = Tensor(rng.normal(size=(3, 1, 3, 3)), requires_grad=True)
@@ -303,10 +343,48 @@ class TestLayerNorm:
         ref = oracles.layer_norm_loops(x, gamma, beta)
         npt.assert_allclose(out.data, ref, rtol=1e-6, atol=1e-9)
 
+    def test_large_offset_float32(self, rng):
+        # rows of 1e4 + N(0, 1): a float32 mean is off by up to half a
+        # spacing of 1e4 (~5e-4), which shifting each row first avoids
+        x = (1e4 + rng.normal(size=(64, 48))).astype(np.float32)
+        gamma = rng.normal(size=48).astype(np.float32)
+        beta = rng.normal(size=48).astype(np.float32)
+        out = T.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+        ref = T.layer_norm(*(Tensor(a, dtype=np.float64) for a in (x, gamma, beta))).data
+        assert out.dtype == np.float32
+        assert np.abs(out - ref).max() <= 1e-4 * np.abs(ref).max()
+
     def test_affine_shape_check(self):
         with pytest.raises(ShapeError):
             T.layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(3)),
                          Tensor(np.zeros(3)))
+
+
+class TestFloat32Kernels:
+    """A float32 input gives a float32 output and float32 gradients."""
+
+    def _check(self, out, inputs):
+        assert out.data.dtype == np.float32
+        grads = out.creator.backward_fn(np.ones(out.shape, dtype=np.float32))
+        assert len(grads) == len(inputs)
+        for t, g in zip(inputs, grads):
+            assert g.dtype == np.float32 and g.shape == t.shape
+
+    def _f32(self, rng, *shape):
+        return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+
+    def test_layer_norm(self, rng):
+        x, gamma, beta = self._f32(rng, 2, 5, 16), self._f32(rng, 16), self._f32(rng, 16)
+        self._check(T.layer_norm(x, gamma, beta), (x, gamma, beta))
+
+    def test_softmax_rows(self, rng):
+        x = self._f32(rng, 2, 3, 4, 5)
+        self._check(T.softmax_rows(x), (x,))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_depthwise_conv2d(self, rng, stride):
+        x, w, b = self._f32(rng, 2, 6, 8, 24), self._f32(rng, 24, 1, 3, 3), self._f32(rng, 24)
+        self._check(T.conv2d(x, w, b, stride=stride, padding=1, groups=24), (x, w, b))
 
 
 class TestHardswish:
