@@ -114,18 +114,6 @@ class PMHSAState:
     pool_ln: T.Norm
 
 
-def pyramid_pool(x_map: Tensor, targets: list[tuple[int, int]],
-                 mode: str = "avg") -> list[Tensor]:
-    """Pool a [B, H, W, C] map once per target grid; each level is [B, th, tw, C]."""
-    pool = T.adaptive_avg_pool2d if mode == "avg" else T.adaptive_max_pool2d
-    return [pool(x_map, th, tw) for th, tw in targets]
-
-
-def apply_rpe(pooled: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Residual depthwise 3x3 position encoding ``p + dwconv(p)`` of a [B, H, W, C] map."""
-    return T.add(pooled, T.depthwise_conv2d(pooled, weight, bias, padding=1))
-
-
 def build_kv_sequence(x: Tensor, h: int, w: int, state: PMHSAState) -> Tensor:
     """Pool, position-encode, flatten, concatenate, and normalize.
 
@@ -137,10 +125,14 @@ def build_kv_sequence(x: Tensor, h: int, w: int, state: PMHSAState) -> Tensor:
     b, n, c = x.shape
     if n != h * w:
         raise ShapeError(f"sequence length {n} does not match map {h}x{w}")
-    levels = pyramid_pool(T.reshape(x, (b, h, w, c)), cfg.level_targets(h, w),
-                          cfg.pool_mode)
+    x_map = T.reshape(x, (b, h, w, c))
+    pool = T.adaptive_avg_pool2d if cfg.pool_mode == "avg" else T.adaptive_max_pool2d
+    levels = [pool(x_map, th, tw) for th, tw in cfg.level_targets(h, w)]
     if state.rpe is not None:
-        levels = [apply_rpe(p, state.rpe.weight, state.rpe.bias) for p in levels]
+        # residual position encoding p + dwconv(p)
+        rpe = state.rpe
+        levels = [T.add(p, T.conv2d(p, rpe.weight, rpe.bias, padding=1, groups=c))
+                  for p in levels]
     flat = [T.reshape(p, (b, p.shape[1] * p.shape[2], c)) for p in levels]
     seq = flat[0] if len(flat) == 1 else T.concat(flat, axis=1)
     return T.layer_norm(seq, state.pool_ln.gamma, state.pool_ln.beta)
@@ -158,10 +150,9 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         raise ShapeError(f"k/v shapes {k.shape}/{v.shape} do not match q {q.shape}")
     d = c // heads
     qh = T.transpose(T.reshape(q, (b, n, heads, d)), (0, 2, 1, 3))
-    kh = T.transpose(T.reshape(k, (b, m, heads, d)), (0, 2, 1, 3))
+    kt = T.transpose(T.reshape(k, (b, m, heads, d)), (0, 2, 3, 1))  # [B, heads, d, M]
     vh = T.transpose(T.reshape(v, (b, m, heads, d)), (0, 2, 1, 3))
-    scores = T.scale(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(d))
-    attn = T.softmax_rows(scores)
+    attn = T.softmax_rows(T.matmul(qh, kt), 1.0 / np.sqrt(d))
     ctx = T.matmul(attn, vh)  # [B, heads, N, d]
     return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, n, c))
 

@@ -47,8 +47,8 @@ def irb_forward(x: Tensor, h: int, w: int, state: IRBState) -> Tensor:
     hdn = act(T.matmul(x, state.expand.weight, state.expand.bias))
     if state.dw is not None:
         b, n, e = hdn.shape
-        img = T.depthwise_conv2d(T.reshape(hdn, (b, h, w, e)), state.dw.weight,
-                                 state.dw.bias, padding=1)
+        img = T.conv2d(T.reshape(hdn, (b, h, w, e)), state.dw.weight, state.dw.bias,
+                       padding=1, groups=e)
         hdn = act(T.reshape(img, (b, n, e)))
     return T.matmul(hdn, state.project.weight, state.project.bias)
 

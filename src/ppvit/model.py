@@ -360,6 +360,8 @@ def _check_input(model: ModelState, x: Tensor) -> None:
     if x.ndim != 4 or x.shape[1] != model.cfg.in_channels:
         raise ShapeError(
             f"input must be [B, {model.cfg.in_channels}, H, W], got {x.shape}")
+    if x.shape[0] < 1:
+        raise ShapeError(f"input batch is empty: B=0 in {x.shape}")
     check_input_size(x.shape[2], x.shape[3])
 
 

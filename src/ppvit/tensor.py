@@ -111,35 +111,6 @@ class Tensor:
     def backward(self, seed: Array | None = None) -> None:
         backward(self, seed)
 
-    # Arithmetic sugar; scalars are folded into dedicated closures so the
-    # graph stays small.
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else shift(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other) if isinstance(other, Tensor) else shift(self, -other)
-
-    def __rsub__(self, other):
-        return shift(neg(self), other)
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else scale(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not part of the op set")
-        return scale(self, 1.0 / other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
@@ -320,30 +291,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-    return _make("sub", out, (a, b), lambda g: (
-        _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
     return _make("mul", out, (a, b), lambda g: (
         _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
-
-
-def neg(x: Tensor) -> Tensor:
-    return _make("neg", -x.data, (x,), lambda g: (-g,))
-
-
-def scale(x: Tensor, s: float) -> Tensor:
-    s = float(s)
-    return _make("scale", x.data * s, (x,), lambda g: (g * s,))
-
-
-def shift(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _make("shift", x.data + c, (x,), lambda g: (g,))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -381,9 +332,7 @@ def sum(x: Tensor, axis: int | tuple[int, ...] | None = None,
     out = x.data.sum(axis=axis, keepdims=keepdims)
 
     def bw(g: Array):
-        if axis is None:
-            return (np.broadcast_to(g, x.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.shape).copy(),)
 
@@ -399,9 +348,7 @@ def mean(x: Tensor, axis: int | tuple[int, ...] | None = None,
         math.prod(x.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))))
 
     def bw(g: Array):
-        if axis is None:
-            return (np.broadcast_to(g / count, x.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g / count, x.shape).copy(),)
 
@@ -503,15 +450,21 @@ def gelu(x: Tensor) -> Tensor:
     return _make("gelu", out, (x,), bw)
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax along the last axis, computed with max-subtraction."""
+def softmax_rows(x: Tensor, scale: float) -> Tensor:
+    """Softmax of ``x * scale`` along the last axis, with max-subtraction.
+
+    The scale (attention's ``1/sqrt(d)``) is taken inside, so scaled scores
+    cost one node; the gradient is the softmax's, times ``scale``.
+    """
     if x.shape[-1] < 1:
         raise ShapeError(f"softmax needs a nonempty last axis, got {x.shape}")
-    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    scale = float(scale)  # a Python float keeps float32 data float32
+    z = x.data * scale
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
     out = e / np.einsum("...c->...", e)[..., None]
 
     def bw(g: Array):
-        return (out * (g - np.einsum("...c,...c->...", g, out)[..., None]),)
+        return (out * (g - np.einsum("...c,...c->...", g, out)[..., None]) * scale,)
 
     return _make("softmax_rows", out, (x,), bw)
 
@@ -705,22 +658,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return _make("conv2d", out, inputs, bw)
 
 
-def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-                     padding: int = 1) -> Tensor:
-    """Per-channel 3x3 convolution; padding 1 keeps the spatial size.
-
-    ``x`` is a ``[B, H, W, C]`` map.  Channel ``c`` of the output depends
-    only on channel ``c`` of the input.
-    """
-    if x.ndim != 4:
-        raise ShapeError(f"depthwise_conv2d needs 4-d input, got {x.shape}")
-    c = x.shape[3]
-    if weight.shape != (c, 1, 3, 3):
-        raise ShapeError(
-            f"depthwise kernel must be [{c},1,3,3] to match input {x.shape}, got {weight.shape}")
-    return conv2d(x, weight, bias, stride=1, padding=padding, groups=c)
-
-
 def _pool_bins(extent: int, target: int) -> list[tuple[int, int]]:
     # Bin i covers [floor(i*extent/target), ceil((i+1)*extent/target)).
     return [(i * extent // target, -(-(i + 1) * extent // target))
@@ -812,6 +749,8 @@ def cross_entropy_logits(logits: Tensor, labels: Sequence[int] | Array) -> Tenso
             f"cross_entropy expects [B,K] logits with B labels, got {logits.shape} "
             f"and {labels.shape}")
     n, k = logits.shape
+    if n < 1:
+        raise ShapeError(f"cross_entropy needs a nonempty batch, got logits {logits.shape}")
     if labels.min() < 0 or labels.max() >= k:
         raise ShapeError(f"labels must lie in [0, {k})")
     z = logits.data

@@ -1,6 +1,8 @@
 """Pooled-key/value attention: pyramid geometry, position encoding, the
 vanilla-attention equivalence, and layer-level gradient checks."""
 
+import collections
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,7 +12,7 @@ from ppvit import ConfigError, PMHSAConfig, ShapeError, Tensor
 from ppvit import tensor as T
 from ppvit.attention import (build_kv_sequence, multi_head_attention,
                              pmhsa_forward, pool_targets, pooled_extent,
-                             pooled_len, pyramid_pool)
+                             pooled_len)
 from ppvit.model import _Init, _init_attn
 
 
@@ -51,30 +53,35 @@ class TestPyramidPool:
 
     def test_ratio_one_is_identity(self, rng):
         x = Tensor(rng.normal(size=(1, 5, 5, 2)), dtype=np.float64)
-        (level,) = pyramid_pool(x, pool_targets(5, 5, (1,)))
-        npt.assert_array_equal(level.data, x.data)
+        ((th, tw),) = pool_targets(5, 5, (1,))
+        npt.assert_array_equal(T.adaptive_avg_pool2d(x, th, tw).data, x.data)
 
     def test_constant_invariance(self):
         x = Tensor(np.full((1, 8, 8, 3), 1.25))
-        for level in pyramid_pool(x, pool_targets(8, 8, (2, 4))):
-            npt.assert_allclose(level.data, 1.25, rtol=1e-6)
+        for th, tw in pool_targets(8, 8, (2, 4)):
+            npt.assert_allclose(T.adaptive_avg_pool2d(x, th, tw).data, 1.25, rtol=1e-6)
 
     def test_levels_match_bin_enumerator(self, rng):
         x = rng.normal(size=(2, 3, 11, 9))
         targets = pool_targets(11, 9, (2, 3, 5))
-        levels = pyramid_pool(Tensor(oracles.to_nhwc(x), dtype=np.float64), targets)
-        for level, (th, tw) in zip(levels, targets):
-            npt.assert_allclose(oracles.to_nchw(level.data),
+        x_map = Tensor(oracles.to_nhwc(x), dtype=np.float64)
+        for th, tw in targets:
+            npt.assert_allclose(oracles.to_nchw(T.adaptive_avg_pool2d(x_map, th, tw).data),
                                 oracles.avg_pool_loops(x, th, tw), rtol=1e-6)
 
     def test_max_mode(self, rng):
-        x = rng.normal(size=(1, 2, 6, 6))
-        levels = pyramid_pool(Tensor(oracles.to_nhwc(x), dtype=np.float64),
-                              pool_targets(6, 6, (2, 3)), mode="max")
-        npt.assert_allclose(oracles.to_nchw(levels[0].data),
-                            oracles.max_pool_loops(x, 3, 3), rtol=1e-6)
-        npt.assert_allclose(oracles.to_nchw(levels[1].data),
-                            oracles.max_pool_loops(x, 2, 2), rtol=1e-6)
+        # pool_mode "max" max-pools every level of the key/value sequence
+        cfg = PMHSAConfig(dim=4, heads=1, pool_ratios=(2, 3), pool_mode="max",
+                          use_rpe=False)
+        state = make_state(cfg)
+        x = rng.normal(size=(1, 4, 6, 6))
+        kv = build_kv_sequence(Tensor(oracles.to_nhwc(x).reshape(1, 36, 4),
+                                      dtype=np.float64), 6, 6, state)
+        tokens = np.concatenate([oracles.to_nhwc(oracles.max_pool_loops(x, t, t)).reshape(
+            1, t * t, 4) for t in (3, 2)], axis=1)
+        ref = oracles.layer_norm_loops(tokens, state.pool_ln.gamma.data,
+                                       state.pool_ln.beta.data)
+        npt.assert_allclose(kv.data, ref, rtol=1e-6, atol=1e-9)
 
 
 class TestMonotoneSqueeze:
@@ -121,20 +128,32 @@ class TestConfigValidation:
 
 class TestKVSequence:
     def test_rpe_zero_kernel_is_identity(self, rng):
-        x = Tensor(rng.normal(size=(1, 4, 4, 3)), dtype=np.float64)
-        from ppvit.attention import apply_rpe
-        out = apply_rpe(x, Tensor(np.zeros((3, 1, 3, 3))), Tensor(np.zeros(3)))
-        npt.assert_array_equal(out.data, x.data)
+        x = Tensor(rng.normal(size=(1, 16, 3)), dtype=np.float64)
+        cfg = PMHSAConfig(dim=3, heads=1, pool_ratios=(1, 2))
+        state = make_state(cfg)
+        state.rpe.weight.data[...] = 0.0
+        state.rpe.bias.data[...] = 0.0
+        plain = make_state(PMHSAConfig(dim=3, heads=1, pool_ratios=(1, 2), use_rpe=False))
+        npt.assert_array_equal(build_kv_sequence(x, 4, 4, state).data,
+                               build_kv_sequence(x, 4, 4, plain).data)
 
     def test_rpe_matches_composed_oracle(self, rng):
+        # every level gets p + dwconv(p) with the one shared kernel
         x = rng.normal(size=(2, 3, 5, 5))
         k = rng.normal(size=(3, 1, 3, 3))
         b = rng.normal(size=3)
-        from ppvit.attention import apply_rpe
-        out = apply_rpe(Tensor(oracles.to_nhwc(x), dtype=np.float64),
-                        Tensor(k, dtype=np.float64), Tensor(b, dtype=np.float64))
-        ref = oracles.depthwise_loops(x, k, b) + x
-        npt.assert_allclose(oracles.to_nchw(out.data), ref, rtol=1e-6)
+        state = make_state(PMHSAConfig(dim=3, heads=1, pool_ratios=(1, 2)))
+        state.rpe.weight.data[...] = k
+        state.rpe.bias.data[...] = b
+        kv = build_kv_sequence(Tensor(oracles.to_nhwc(x).reshape(2, 25, 3),
+                                      dtype=np.float64), 5, 5, state)
+        levels = [x, oracles.avg_pool_loops(x, 3, 3)]  # ratios 1 and 2 of 5x5
+        tokens = np.concatenate([
+            oracles.to_nhwc(oracles.depthwise_loops(p, k, b) + p).reshape(2, -1, 3)
+            for p in levels], axis=1)
+        ref = oracles.layer_norm_loops(tokens, state.pool_ln.gamma.data,
+                                       state.pool_ln.beta.data)
+        npt.assert_allclose(kv.data, ref, rtol=1e-6, atol=1e-9)
 
     def test_token_count_arithmetic(self):
         # levels of 2x2 and 1x1 concatenate to 5 tokens
@@ -212,9 +231,22 @@ class TestForward:
         d = c // cfg.heads
         qh = q.data.reshape(b, n, cfg.heads, d).transpose(0, 2, 1, 3)
         kh = k.data.reshape(b, kv.shape[1], cfg.heads, d).transpose(0, 2, 1, 3)
-        scores = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(d)
-        probs = T.softmax_rows(Tensor(scores, dtype=np.float64)).data
+        scores = qh @ kh.transpose(0, 1, 3, 2)
+        probs = T.softmax_rows(Tensor(scores, dtype=np.float64), 1.0 / np.sqrt(d)).data
         npt.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
+
+    def test_one_softmax_node_takes_the_scale(self, rng):
+        # q and v go to [B, h, N, d], k straight to [B, h, d, M], and the
+        # context back: four transposes, and the score scale has no node
+        q, k, v = (Tensor(rng.normal(size=(2, n, 8)), requires_grad=True) for n in (5, 3, 3))
+        ops, stack = collections.Counter(), [multi_head_attention(q, k, v, 2)]
+        while stack:
+            t = stack.pop()
+            if t.creator is not None:
+                ops[t.creator.op] += 1
+                stack.extend(t.creator.inputs)
+        assert ops["transpose"] == 4 and ops["softmax_rows"] == 1, ops
+        assert "scale" not in ops, ops
 
     def test_batch_permutation_equivariance(self, rng):
         cfg = PMHSAConfig(dim=8, heads=2, pool_ratios=(1, 2))

@@ -113,18 +113,10 @@ SHAPES4D = [(1, 4, 4, 2), (2, 5, 4, 3), (1, 6, 7, 1), (2, 1, 1, 3), (1, 2, 2, 2)
 
 class TestEveryOpThreeShapes:
     @pytest.mark.parametrize("shape", SHAPES3)
-    def test_add_sub_mul(self, rng, shape):
+    def test_add_mul(self, rng, shape):
         a, b = randt(rng, *shape), randt(rng, *shape)
         check_grads(lambda: proj(T.add(a, b), 1), [a, b])
-        check_grads(lambda: proj(T.sub(a, b), 2), [a, b])
         check_grads(lambda: proj(T.mul(a, b), 3), [a, b])
-
-    @pytest.mark.parametrize("shape", SHAPES3)
-    def test_unary_scalar_ops(self, rng, shape):
-        x = randt(rng, *shape)
-        check_grads(lambda: proj(T.neg(x), 4), [x])
-        check_grads(lambda: proj(T.scale(x, 2.5), 5), [x])
-        check_grads(lambda: proj(T.shift(x, -1.2), 6), [x])
 
     @pytest.mark.parametrize("shape", [(12,), (2, 6), (3, 2, 2)])
     def test_reshape(self, rng, shape):
@@ -194,7 +186,8 @@ class TestEveryOpThreeShapes:
     @pytest.mark.parametrize("shape", [(1, 4), (3, 5), (2, 2, 6)])
     def test_softmax_rows(self, rng, shape):
         x = randt(rng, *shape, scale=2.0)
-        check_grads(lambda: proj(T.softmax_rows(x), 18), [x])
+        check_grads(lambda: proj(T.softmax_rows(x, 1.0), 18), [x])
+        check_grads(lambda: proj(T.softmax_rows(x, 2.5), 5), [x])
 
     @pytest.mark.parametrize("shape", [(2, 4), (3, 2, 6), (1, 5, 3)])
     def test_layer_norm(self, rng, shape):
@@ -226,8 +219,8 @@ class TestEveryOpThreeShapes:
         for padding in (0, 1, 2):
             if min(shape[1:3]) + 2 * padding < 3:
                 continue
-            check_grads(lambda: proj(T.depthwise_conv2d(x, w, b, padding=padding), 21),
-                        [x, w, b])
+            check_grads(lambda: proj(T.conv2d(x, w, b, padding=padding, groups=shape[3]),
+                                     21), [x, w, b])
         # groups == C with stride 2 runs the same kernel on strided taps
         check_grads(lambda: proj(T.conv2d(x, w, b, stride=2, padding=1,
                                           groups=shape[3]), 24), [x, w, b])

@@ -153,6 +153,15 @@ class TestGeometry:
         with pytest.raises(ShapeError):
             forward_features(micro_model(), Tensor(np.zeros((3, 32, 32))))
 
+    @pytest.mark.parametrize("call,match", [
+        (lambda: forward_features(micro_model(), Tensor(np.zeros((0, 3, 32, 32)))),
+         "batch is empty"),
+        (lambda: T.cross_entropy_logits(Tensor(np.zeros((0, 4))), []), "nonempty batch"),
+    ], ids=["forward_features", "cross_entropy_logits"])
+    def test_empty_batch_refused(self, call, match):
+        with pytest.raises(ShapeError, match=match):
+            call()
+
 
 class TestHead:
     def test_logits_match_hand_computed_head(self, rng):

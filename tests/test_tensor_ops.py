@@ -117,24 +117,24 @@ class TestDepthwiseConv2d:
         x = rng.normal(size=(1, 5, 5, 3))
         k = np.zeros((3, 1, 3, 3))
         k[:, 0, 1, 1] = 1.0
-        out = T.depthwise_conv2d(Tensor(x), Tensor(k))
+        out = T.conv2d(Tensor(x), Tensor(k), padding=1, groups=3)
         npt.assert_allclose(out.data, x, rtol=1e-6)
 
     def test_counting_case(self):
         v = 0.37
         x = Tensor(np.full((1, 5, 5, 2), v))
-        out = T.depthwise_conv2d(x, Tensor(np.ones((2, 1, 3, 3))))
+        out = T.conv2d(x, Tensor(np.ones((2, 1, 3, 3))), padding=1, groups=2)
         npt.assert_allclose(out.data[:, 1:-1, 1:-1, :], 9 * v, rtol=1e-6)
 
     def test_per_channel_independence(self, rng):
         x = rng.normal(size=(1, 4, 4, 3))
         w = rng.normal(size=(3, 1, 3, 3))
-        base = T.depthwise_conv2d(Tensor(x, dtype=np.float64),
-                                  Tensor(w, dtype=np.float64)).data
+        base = T.conv2d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64),
+                        padding=1, groups=3).data
         x2 = x.copy()
         x2[..., 1] += 100.0
-        bumped = T.depthwise_conv2d(Tensor(x2, dtype=np.float64),
-                                    Tensor(w, dtype=np.float64)).data
+        bumped = T.conv2d(Tensor(x2, dtype=np.float64), Tensor(w, dtype=np.float64),
+                          padding=1, groups=3).data
         npt.assert_array_equal(base[..., 0], bumped[..., 0])
         npt.assert_array_equal(base[..., 2], bumped[..., 2])
 
@@ -149,9 +149,9 @@ class TestDepthwiseConv2d:
             x = rng.normal(size=shape)
             w = rng.normal(size=(c, 1, 3, 3))
             b = rng.normal(size=c)
-            out = T.depthwise_conv2d(Tensor(oracles.to_nhwc(x), dtype=np.float64),
-                                     Tensor(w, dtype=np.float64),
-                                     Tensor(b, dtype=np.float64), padding=padding)
+            out = T.conv2d(Tensor(oracles.to_nhwc(x), dtype=np.float64),
+                           Tensor(w, dtype=np.float64), Tensor(b, dtype=np.float64),
+                           padding=padding, groups=c)
             ref = oracles.depthwise_loops(x, w, b, padding=padding)
             npt.assert_allclose(oracles.to_nchw(out.data), ref, rtol=1e-5,
                                 err_msg=f"{shape} p={padding}")
@@ -173,7 +173,7 @@ class TestDepthwiseConv2d:
         g = np.ones(x.shape, dtype=np.float32)
         tracemalloc.start()
         try:
-            out = T.depthwise_conv2d(x, w, b)
+            out = T.conv2d(x, w, b, padding=1, groups=64)
             out.creator.backward_fn(g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -191,7 +191,7 @@ class TestDepthwiseConv2d:
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            out = T.depthwise_conv2d(x, w, b)
+            out = T.conv2d(x, w, b, padding=1, groups=64)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -224,16 +224,16 @@ class TestDepthwiseConv2d:
         x = rng.normal(size=(2, 5, 4, 3))
         w = Tensor(rng.normal(size=(3, 1, 3, 3)), requires_grad=True)
         g = rng.normal(size=(2, 5, 4, 3))
-        dx, dw = T.depthwise_conv2d(Tensor(x), w).creator.backward_fn(g)
-        dx_live, dw_live = T.depthwise_conv2d(
-            Tensor(x, requires_grad=True), w).creator.backward_fn(g)
+        dx, dw = T.conv2d(Tensor(x), w, padding=1, groups=3).creator.backward_fn(g)
+        dx_live, dw_live = T.conv2d(Tensor(x, requires_grad=True), w, padding=1,
+                                    groups=3).creator.backward_fn(g)
         assert dx is None and dx_live.shape == x.shape
         npt.assert_array_equal(dw, dw_live)
 
     def test_channel_mismatch(self):
-        with pytest.raises(ShapeError):
-            T.depthwise_conv2d(Tensor(np.zeros((1, 4, 4, 3))),
-                               Tensor(np.zeros((2, 1, 3, 3))))
+        with pytest.raises(ShapeError, match="groups=3"):
+            T.conv2d(Tensor(np.zeros((1, 4, 4, 3))), Tensor(np.zeros((2, 1, 3, 3))),
+                     padding=1, groups=3)
 
 
 class TestAdaptiveAvgPool:
@@ -289,30 +289,47 @@ class TestAdaptiveMaxPool:
 
 class TestSoftmaxRows:
     def test_single_element_row(self):
-        out = T.softmax_rows(Tensor([[4.2]]))
+        out = T.softmax_rows(Tensor([[4.2]]), 1.0)
         npt.assert_allclose(out.data, [[1.0]], rtol=1e-6)
 
     def test_uniform(self):
-        out = T.softmax_rows(Tensor([0.0, 0.0, 0.0, 0.0]))
+        out = T.softmax_rows(Tensor([0.0, 0.0, 0.0, 0.0]), 1.0)
         npt.assert_allclose(out.data, 0.25, atol=1e-7)
 
     def test_extreme_values_no_overflow(self):
-        out = T.softmax_rows(Tensor([1000.0, 0.0]))
+        out = T.softmax_rows(Tensor([1000.0, 0.0]), 1.0)
         ref = oracles.softmax_longdouble(np.array([1000.0, 0.0]))
         npt.assert_allclose(out.data, ref, atol=1e-6)
         npt.assert_allclose(out.data, [1.0, 0.0], atol=1e-6)
 
     def test_rows_sum_to_one(self, rng):
         x = rng.normal(scale=5.0, size=(4, 7))
-        out = T.softmax_rows(Tensor(x, dtype=np.float64))
+        out = T.softmax_rows(Tensor(x, dtype=np.float64), 1.0)
         npt.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
         assert (out.data >= 0).all()
 
     def test_shift_invariance(self, rng):
         x = rng.normal(size=(3, 5))
-        a = T.softmax_rows(Tensor(x, dtype=np.float64)).data
-        b = T.softmax_rows(Tensor(x + 13.7, dtype=np.float64)).data
+        a = T.softmax_rows(Tensor(x, dtype=np.float64), 1.0).data
+        b = T.softmax_rows(Tensor(x + 13.7, dtype=np.float64), 1.0).data
         npt.assert_allclose(a, b, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scale_inside_matches_scaling_first(self, rng, dtype):
+        # bit for bit the two steps it replaces: x * s, then the softmax;
+        # the softmax gradient, then g * s on the way back
+        s = 1.0 / np.sqrt(48)  # a NumPy float64, as attention passes it
+        x = Tensor(rng.normal(scale=4.0, size=(2, 3, 5, 7)).astype(dtype), requires_grad=True)
+        g = rng.normal(size=x.shape).astype(dtype)
+        out = T.softmax_rows(x, s)
+        (dx,) = out.creator.backward_fn(g)
+        z = x.data * float(s)
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        ref = e / np.einsum("...c->...", e)[..., None]
+        dz = ref * (g - np.einsum("...c,...c->...", g, ref)[..., None])
+        assert out.data.dtype == dx.dtype == dtype
+        npt.assert_array_equal(out.data, ref)
+        npt.assert_array_equal(dx, dz * float(s))
 
 
 class TestLayerNorm:
@@ -379,7 +396,7 @@ class TestFloat32Kernels:
 
     def test_softmax_rows(self, rng):
         x = self._f32(rng, 2, 3, 4, 5)
-        self._check(T.softmax_rows(x), (x,))
+        self._check(T.softmax_rows(x, 0.125), (x,))
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_depthwise_conv2d(self, rng, stride):
