@@ -14,7 +14,7 @@ from .complexity import (ComplexityReport, SqueezeReport, attention_core_flops,
                          squeeze_ratio)
 from .data import SyntheticDataset, generate_sample, load_batch
 from .errors import (CheckpointError, ConfigError, DivergenceError,
-                     NonFiniteError, PPVitError, ShapeError)
+                     GraphFreedError, NonFiniteError, PPVitError, ShapeError)
 from .layers import block_forward, irb_forward, patch_embed
 from .model import (FeaturePyramid, ModelConfig, ModelState, StageConfig,
                     build_model, config_from_dict, config_to_dict,
@@ -40,6 +40,6 @@ __all__ = [
     "TrainConfig", "TrainRecord", "AdamWState", "adamw_step", "lr_at",
     "train", "evaluate", "gradcheck_suite", "GradcheckReport",
     "PPVitError", "ShapeError", "ConfigError", "NonFiniteError",
-    "CheckpointError", "DivergenceError",
+    "CheckpointError", "DivergenceError", "GraphFreedError",
     "__version__",
 ]

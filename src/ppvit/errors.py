@@ -21,6 +21,10 @@ class CheckpointError(PPVitError, ValueError):
     """A checkpoint file is malformed or inconsistent with its manifest."""
 
 
+class GraphFreedError(PPVitError, RuntimeError):
+    """``backward`` reached a node an earlier ``backward`` already freed."""
+
+
 class DivergenceError(PPVitError, RuntimeError):
     """Training produced a non-finite loss; ``step`` holds the offending step."""
 

@@ -16,9 +16,6 @@ from .attention import PMHSAState, pmhsa_forward
 from .tensor import Tensor
 
 
-_ACTS = {"hardswish": T.hardswish, "gelu": T.gelu}
-
-
 @dataclass
 class IRBState:
     """Inverted-bottleneck FFN parameters.
@@ -39,18 +36,18 @@ def irb_forward(x: Tensor, h: int, w: int, state: IRBState) -> Tensor:
     """Expand, (depthwise filter,) activate, project.  [B, N, C] -> same.
 
     With ``dw`` it activates after both the expansion and the depthwise
-    conv; without it, once between the two linears.  The depthwise conv
-    runs on the hidden tokens reshaped to a [B, h, w, E*C] map, so ``N``
-    must equal ``h*w``.
+    conv; without it, once between the two linears.  Each activation runs
+    inside the op that reads it (``act=``), so the graph keeps only the
+    pre-activation maps.  The depthwise conv runs on the hidden tokens
+    reshaped to a [B, h, w, E*C] map, so ``N`` must equal ``h*w``.
     """
-    act = _ACTS[state.act]
-    hdn = act(T.matmul(x, state.expand.weight, state.expand.bias))
+    hdn = T.matmul(x, state.expand.weight, state.expand.bias)
     if state.dw is not None:
         b, n, e = hdn.shape
         img = T.conv2d(T.reshape(hdn, (b, h, w, e)), state.dw.weight, state.dw.bias,
-                       padding=1, groups=e)
-        hdn = act(T.reshape(img, (b, n, e)))
-    return T.matmul(hdn, state.project.weight, state.project.bias)
+                       padding=1, groups=e, act=state.act)
+        hdn = T.reshape(img, (b, n, e))
+    return T.matmul(hdn, state.project.weight, state.project.bias, act=state.act)
 
 
 @dataclass

@@ -22,8 +22,7 @@ import numpy as np
 from . import tensor as T
 from .attention import PMHSAConfig, PMHSAState
 from .errors import CheckpointError, ConfigError, PPVitError, ShapeError
-from .layers import (_ACTS, BlockState, IRBState, PatchEmbedState, block_forward,
-                     patch_embed)
+from .layers import BlockState, IRBState, PatchEmbedState, block_forward, patch_embed
 from .tensor import Tensor
 
 
@@ -72,8 +71,8 @@ class ModelConfig:
             raise ConfigError(f"head_width must be positive, got {self.head_width}")
         if self.ffn_kind not in ("irb", "mlp"):
             raise ConfigError(f"ffn_kind must be 'irb' or 'mlp', got {self.ffn_kind!r}")
-        if self.act not in _ACTS:
-            raise ConfigError(f"act must be one of {sorted(_ACTS)}, got {self.act!r}")
+        if self.act not in T.ACTS:
+            raise ConfigError(f"act must be one of {sorted(T.ACTS)}, got {self.act!r}")
         for i, st in enumerate(self.stages, start=1):
             if st.channels % self.head_width:
                 raise ConfigError(

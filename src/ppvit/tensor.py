@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError
+from .errors import GraphFreedError, NonFiniteError, ShapeError
 
 Array = np.ndarray
 
@@ -132,12 +132,17 @@ def backward(loss: Tensor, seed: Array | None = None) -> None:
     Every leaf with ``requires_grad`` receives its gradient; repeated calls
     without ``zero_grads`` accumulate.  Interior gradients are reduced in the
     reverse of the recorded (topological) order, so accumulation is
-    deterministic and runs are reproducible bit for bit.
+    deterministic and runs are reproducible bit for bit.  Each node drops its
+    inputs and closure once it has propagated, so activations are freed as the
+    sweep goes and a second sweep of the graph raises ``GraphFreedError``.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if seed is None:
-        seed = np.ones_like(loss.data)
+    seed = np.ones_like(loss.data) if seed is None else np.asarray(seed)
+    if seed.shape != loss.shape or seed.dtype != loss.dtype:
+        raise ShapeError(f"seed must be {loss.dtype} {loss.shape}, got {seed.dtype} {seed.shape}")
+    if not np.isfinite(seed).all():
+        raise NonFiniteError("backward seed is not finite")
 
     # Iterative post-order DFS: inputs land before consumers.
     topo: list[Tensor] = []
@@ -152,13 +157,19 @@ def backward(loss: Tensor, seed: Array | None = None) -> None:
             continue
         visited.add(id(tensor))
         stack.append((tensor, True))
-        if tensor.creator is not None:
-            for inp in tensor.creator.inputs:
+        node = tensor.creator
+        if node is not None:
+            if node.backward_fn is None:
+                raise GraphFreedError(f"the graph at '{node.op}' was freed by an earlier backward")
+            for inp in node.inputs:
                 if inp.requires_grad and id(inp) not in visited:
                     stack.append((inp, False))
 
+    # ``id`` keys stay sound: a tensor with a pending key is still in
+    # ``topo``, and the sweep creates no ``Tensor`` that could reuse its id.
     grads: dict[int, Array] = {id(loss): seed}
-    for tensor in reversed(topo):
+    while topo:
+        tensor = topo.pop()
         grad = grads.pop(id(tensor), None)
         if grad is None:
             continue
@@ -166,12 +177,12 @@ def backward(loss: Tensor, seed: Array | None = None) -> None:
         if node is None:
             tensor.grad = grad.copy() if tensor.grad is None else tensor.grad + grad
             continue
-        input_grads = node.backward_fn(grad)
-        for inp, g in zip(node.inputs, input_grads):
+        for inp, g in zip(node.inputs, node.backward_fn(grad)):
             if g is None or not inp.requires_grad:
                 continue
             key = id(inp)
             grads[key] = g if key not in grads else grads[key] + g
+        node.backward_fn, node.inputs = None, ()
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:
@@ -359,7 +370,8 @@ def mean(x: Tensor, axis: int | tuple[int, ...] | None = None,
 # linear algebra
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
+           act: str | None = None) -> Tensor:
     """Batched matrix product ``[.., m, k] @ [.., k, n] -> [.., m, n]``.
 
     Gradients: ``d(a) = g @ b^T`` and ``d(b) = a^T @ g``, summed over any
@@ -367,7 +379,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     weight) flattens ``a``'s leading axes, so forward and both gradients
     are single GEMMs and ``d(b)`` needs no batch sum.  Only such a ``b``
     takes a ``bias`` ``[n]``: it is added in place, and its gradient is
-    ``g`` summed over the leading axes.
+    ``g`` summed over the leading axes.  So does an ``act`` (a name in
+    ``ACTS``): ``act(a) @ b``, with ``act(a)`` recomputed for ``d(b)``.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
@@ -375,15 +388,21 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
     if bias is not None and (b.ndim != 2 or bias.shape != (b.shape[1],)):
         raise ShapeError(f"matmul bias {bias.shape} must be [n] for a [k, n] weight {b.shape}")
+    if act is not None and b.ndim != 2:
+        raise ShapeError(f"matmul act needs a [k, n] weight, got {b.shape}")
     if b.ndim == 2:
         k, n = b.shape
-        out = (a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (n,))
+        fwd, grad = ACTS[act] if act is not None else (None, None)
+        h = a.data if fwd is None else fwd(a.data)
+        out = (h.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (n,))
         if bias is not None:
             out += bias.data
 
         def bw_flat(g: Array):
             g2 = g.reshape(-1, n)
-            ga, gb = (g2 @ b.data.T).reshape(a.shape), a.data.reshape(-1, k).T @ g2
+            ga = (g2 @ b.data.T).reshape(a.shape)
+            ga, h = (ga, a.data) if fwd is None else (grad(a.data, ga), fwd(a.data))
+            gb = h.reshape(-1, k).T @ g2
             # summed from ``g`` as it arrives: a reshaped copy of a
             # transposed ``g`` would sum in another order, with other bits
             return (ga, gb) if bias is None else (ga, gb, _unbroadcast(g, bias.shape))
@@ -404,50 +423,47 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# activations and normalization
+# activations, softmax and normalization
 # ---------------------------------------------------------------------------
 
-def hardswish(x: Tensor) -> Tensor:
-    """Elementwise ``x * clamp(x + 3, 0, 6) / 6``.
-
-    The derivative uses the left limit at the two kinks (0 at -3, 1.5 at 3);
-    outside the clamp range the clamped branch contributes zero gradient.
-    """
-    data = x.data
-    out = data + 3.0
+def _hardswish(x: Array, out: Array | None = None) -> Array:
+    """``x * clamp(x + 3, 0, 6) / 6``, into ``out`` when given."""
+    out = np.add(x, 3.0, out=out)
     np.clip(out, 0.0, 6.0, out=out)
-    out *= data
+    out *= x
     out /= 6.0
+    return out
 
-    def bw(g: Array):
-        slope = 2.0 * data
-        slope += 3.0
-        slope /= 6.0
-        slope[data <= -3.0] = 0.0
-        slope[data > 3.0] = 1.0
-        slope *= g
-        return (slope,)
 
-    return _make("hardswish", out, (x,), bw)
+def _hardswish_grad(x: Array, g: Array) -> Array:
+    """``g`` times the slope at ``x``, the left limit at the kinks (0 at -3, 1.5 at 3)."""
+    slope = 2.0 * x
+    slope += 3.0
+    slope /= 6.0
+    slope[x <= -3.0] = 0.0
+    slope[x > 3.0] = 1.0
+    slope *= g
+    return slope
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def gelu(x: Tensor) -> Tensor:
+def _gelu(x: Array, out: Array | None = None) -> Array:
     """Tanh-form GELU (ablation alternative to hardswish)."""
-    data = x.data
-    inner = _GELU_C * (data + _GELU_A * data ** 3)
-    t = np.tanh(inner)
-    out = 0.5 * data * (1.0 + t)
+    t = np.tanh(_GELU_C * (x + _GELU_A * x ** 3))
+    return np.multiply(0.5 * x, 1.0 + t, out=out)
 
-    def bw(g: Array):
-        sech2 = 1.0 - t * t
-        slope = 0.5 * (1.0 + t) + 0.5 * data * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * data ** 2)
-        return (g * slope,)
 
-    return _make("gelu", out, (x,), bw)
+def _gelu_grad(x: Array, g: Array) -> Array:
+    t = np.tanh(_GELU_C * (x + _GELU_A * x ** 3))
+    return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C
+                * (1.0 + 3.0 * _GELU_A * x ** 2))
+
+
+# name -> (forward, backward) kernels of ``matmul``'s and ``conv2d``'s ``act``
+ACTS = {"hardswish": (_hardswish, _hardswish_grad), "gelu": (_gelu, _gelu_grad)}
 
 
 def softmax_rows(x: Tensor, scale: float) -> Tensor:
@@ -511,13 +527,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 _DEPTHWISE_ROW = 128
 
 
-def _pad(a: Array, ph: int, pw: int) -> Array:
-    """``a`` inside ``ph`` zero rows and ``pw`` zero columns on each side."""
+def _pad(a: Array, ph: int, pw: int, fwd: Callable | None = None) -> Array:
+    """``a``, or ``fwd(a)`` written in place by an ``ACTS`` forward kernel,
+    inside ``ph`` zero rows and ``pw`` zero columns on each side."""
     b, h, w, c = a.shape
     out = np.empty((b, h + 2 * ph, w + 2 * pw, c), dtype=a.dtype)
     out[:, :ph] = out[:, ph + h:] = 0.0
     out[:, :, :pw] = out[:, :, pw + w:] = 0.0
-    out[:, ph:ph + h, pw:pw + w] = a
+    if fwd is None:
+        out[:, ph:ph + h, pw:pw + w] = a
+    else:
+        fwd(a, out[:, ph:ph + h, pw:pw + w])
     return out
 
 
@@ -548,7 +568,7 @@ def _correlate(src: Array, kt: Array, ho: int, wo: int, stride: int):
     return out.reshape(src.shape[0], ho, wo, c), m
 
 
-def _depthwise_kernel(x: Array, k: Array, stride: int, padding: int):
+def _depthwise_kernel(x: Array, k: Array, stride: int, padding: int, fwd: Callable | None):
     """One input channel per group, ``C_out == C_in``: no window tensor.
 
     Forward is one einsum (``_correlate``) over windows of the padded
@@ -558,7 +578,7 @@ def _depthwise_kernel(x: Array, k: Array, stride: int, padding: int):
     the stride into a zero map padded by ``k - 1`` on every side, from the
     unpadded rows and columns on, so ``dx`` has no padded border.
     """
-    padded = _pad(x, padding, padding)
+    padded = _pad(x, padding, padding, fwd)
     b, hp, wp, c = padded.shape
     kh, kw = k.shape[2:]
     ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
@@ -566,7 +586,7 @@ def _depthwise_kernel(x: Array, k: Array, stride: int, padding: int):
     out, m = _correlate(padded, kt, ho, wo, stride)
 
     def bw(g: Array, need_dx: bool):
-        win = _windows(_pad(x, padding, padding), kh, kw, ho, wo, stride, m)
+        win = _windows(_pad(x, padding, padding, fwd), kh, kw, ho, wo, stride, m)
         dkt = np.einsum("bijuvc,bijc->uvc", win, g.reshape(b, ho, wo // m, m * c))
         dx = None
         if need_dx:
@@ -578,7 +598,7 @@ def _depthwise_kernel(x: Array, k: Array, stride: int, padding: int):
     return out, bw
 
 
-def _dense_kernel(x: Array, k: Array, stride: int, padding: int):
+def _dense_kernel(x: Array, k: Array, stride: int, padding: int, fwd: Callable | None):
     """Dense conv as im2col plus one GEMM.
 
     ``cols[(b, i, j), (u, v, c)]`` copies each output's receptive field
@@ -588,7 +608,7 @@ def _dense_kernel(x: Array, k: Array, stride: int, padding: int):
     gradient ``g^T @ cols``, and the input gradient ``g @ kt`` scattered
     back by k^2 strided adds (col2im).
     """
-    padded = _pad(x, padding, padding)
+    padded = _pad(x, padding, padding, fwd)
     b, hp, wp, cin = padded.shape
     cout, _, kh, kw = k.shape
     ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
@@ -616,7 +636,8 @@ def _dense_kernel(x: Array, k: Array, stride: int, padding: int):
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
+           stride: int = 1, padding: int = 0, groups: int = 1,
+           act: str | None = None) -> Tensor:
     """2-d cross-correlation with zero padding on a ``[B, H, W, C_in]`` map.
 
     ``weight`` is ``[C_out, C_in/groups, kh, kw]``; the output is
@@ -630,7 +651,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     runs as im2col plus one GEMM, forward and for each gradient.  The input
     gradient is skipped (``None``) when ``x`` needs none, as for the image
     at the stem.  Both kernels are checked, forward and backward, against
-    the loop oracles in ``tests/oracles.py``.
+    the loop oracles in ``tests/oracles.py``.  ``act(x)`` (``ACTS``) is
+    written into the padded map, and recomputed when the backward pads again.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d needs 4-d input/weight, got {x.shape} and {weight.shape}")
@@ -646,12 +668,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"bias shape {bias.shape} does not match C_out={cout}")
 
     kernel = _depthwise_kernel if cg == 1 and cout == cin else _dense_kernel
-    out, kernel_bw = kernel(x.data, weight.data, stride, padding)
+    fwd, grad = ACTS[act] if act is not None else (None, None)
+    out, kernel_bw = kernel(x.data, weight.data, stride, padding, fwd)
     if bias is not None:
         out += bias.data
 
     def bw(g: Array):
         dx, dw = kernel_bw(g, x.requires_grad)
+        dx = dx if dx is None or grad is None else grad(x.data, dx)
         return (dx, dw) if bias is None else (dx, dw, g.sum(axis=(0, 1, 2)))
 
     inputs = (x, weight) if bias is None else (x, weight, bias)

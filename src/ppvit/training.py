@@ -9,6 +9,7 @@ shuffle, so two runs from one config produce identical traces.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,11 +172,12 @@ class TrainRecord:
     lr: float
 
 
+def _csv_row(r: TrainRecord) -> str:
+    return f"{r.step},{r.loss:.8f},{r.train_accuracy:.6f},{r.lr:.10e}\n"
+
+
 def records_to_csv(records: list[TrainRecord]) -> str:
-    lines = ["step,loss,train_accuracy,lr"]
-    lines += [f"{r.step},{r.loss:.8f},{r.train_accuracy:.6f},{r.lr:.10e}"
-              for r in records]
-    return "\n".join(lines) + "\n"
+    return "step,loss,train_accuracy,lr\n" + "".join(map(_csv_row, records))
 
 
 class _BatchStream:
@@ -211,9 +213,10 @@ def train(model: ModelState, ds: SyntheticDataset, tc: TrainConfig,
     """Optimize the classifier on the dataset; one record per step.
 
     Raises ``DivergenceError`` carrying the step index if the loss (or any
-    intermediate value) stops being finite.  Artifacts are written only
-    after the loop finishes, so reruns produce byte-identical files; a model
-    the checkpoint cannot hold is refused before the first step.
+    intermediate value) stops being finite.  Each finished step appends a
+    flushed row to ``metrics_path`` (a run stopped at step k leaves k - 1);
+    the checkpoint is written after the loop.  Reruns produce byte-identical
+    files; a model the checkpoint cannot hold is refused before step 1.
     """
     _check_classes(model, ds)
     if checkpoint_path is not None:
@@ -223,29 +226,30 @@ def train(model: ModelState, ds: SyntheticDataset, tc: TrainConfig,
     state = AdamWState.for_params(named)
     stream = _BatchStream(ds.num_samples, tc.batch_size, tc.seed)
     records: list[TrainRecord] = []
-    for step in range(1, tc.total_steps + 1):
-        # no gradient of the last step lives on through this step's forward
-        T.zero_grads(params)
-        images, labels = load_batch(ds, stream.next())
-        try:
-            logits = forward_classify(model, images)
-            loss = T.cross_entropy_logits(logits, labels)
-            loss.backward()
-            loss_val = loss.item()
-            if not math.isfinite(loss_val):
-                raise DivergenceError(step)
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                     for _, p in named]
-            lr = adamw_step(named, grads, state, tc, step)
-        except NonFiniteError as exc:
-            raise DivergenceError(step) from exc
-        acc = float((logits.data.argmax(axis=1) == labels).mean())
-        records.append(TrainRecord(step, loss_val, acc, lr))
-        del logits, loss, grads  # so one step's graph is alive at a time
+    with open(metrics_path or os.devnull, "w") as fh:
+        fh.write(records_to_csv([]))
+        for step in range(1, tc.total_steps + 1):
+            # no gradient of the last step lives on through this step's forward
+            T.zero_grads(params)
+            images, labels = load_batch(ds, stream.next())
+            try:
+                logits = forward_classify(model, images)
+                loss = T.cross_entropy_logits(logits, labels)
+                loss.backward()
+                loss_val = loss.item()
+                if not math.isfinite(loss_val):
+                    raise DivergenceError(step)
+                grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
+                         for _, p in named]
+                lr = adamw_step(named, grads, state, tc, step)
+            except NonFiniteError as exc:
+                raise DivergenceError(step) from exc
+            acc = float((logits.data.argmax(axis=1) == labels).mean())
+            records.append(TrainRecord(step, loss_val, acc, lr))
+            fh.write(_csv_row(records[-1]))
+            fh.flush()
+            del logits, loss, grads  # so one step's graph is alive at a time
     T.zero_grads(params)  # no caller reads the last step's gradients
-    if metrics_path is not None:
-        with open(metrics_path, "w") as fh:
-            fh.write(records_to_csv(records))
     if checkpoint_path is not None:
         save_checkpoint(model, checkpoint_path,
                         extra={"steps": tc.total_steps,
@@ -372,11 +376,8 @@ def _ops_cases() -> list[GradcheckCase]:
     check("matmul_bias",
           lambda: _projection_loss(T.matmul(x, lw, lb), np.random.default_rng(15)),
           [x, lw, lb])
-    # keep activation inputs away from the hardswish kinks at +-3
+    # inputs of the activations (``act=``) stay away from the hardswish kinks at +-3
     hx = Tensor(rng.uniform(-2.5, 2.5, size=(3, 4)), requires_grad=True, dtype=np.float64)
-    check("hardswish",
-          lambda: _projection_loss(T.hardswish(hx), np.random.default_rng(16)), [hx])
-    check("gelu", lambda: _projection_loss(T.gelu(x), np.random.default_rng(17)), [x])
     check("softmax_rows",
           lambda: _projection_loss(T.softmax_rows(x, 1.0), np.random.default_rng(18)), [x])
     check("softmax_rows_scaled",
@@ -397,6 +398,14 @@ def _ops_cases() -> list[GradcheckCase]:
     check("conv2d_depthwise",
           lambda: _projection_loss(T.conv2d(di, dw, db, padding=1, groups=3),
                                    np.random.default_rng(23)), [di, dw, db])
+    hd = Tensor(np.random.default_rng(26).uniform(-2.5, 2.5, size=di.shape),
+                requires_grad=True, dtype=np.float64)
+    for act in T.ACTS:
+        check(f"matmul_{act}", lambda act=act: _projection_loss(
+            T.matmul(hx, lw, lb, act=act), np.random.default_rng(16)), [hx, lw, lb])
+        check(f"conv2d_depthwise_{act}", lambda act=act: _projection_loss(
+            T.conv2d(hd, dw, db, padding=1, groups=3, act=act), np.random.default_rng(27)),
+            [hd, dw, db])
     pi = t(2, 7, 5, 3)
     check("adaptive_avg_pool2d",
           lambda: _projection_loss(T.adaptive_avg_pool2d(pi, 3, 2),

@@ -1,12 +1,18 @@
 """Reverse-mode gradients against the finite-difference oracle, plus graph
 semantics (accumulation, single-visit traversal, no_grad, broadcasting)."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ppvit import Tensor, finite_difference_grad, no_grad
+from ppvit import (GraphFreedError, NonFiniteError, ShapeError, Tensor, build_model,
+                   finite_difference_grad, forward_classify, no_grad, preset)
 from ppvit import tensor as T
+from ppvit.layers import irb_forward
+from ppvit.model import _Init, _init_irb
 
 TOL = 1e-4
 
@@ -36,6 +42,15 @@ def proj(y, seed):
     return T.sum(T.mul(y, w))
 
 
+def act_loss(x, act, w, k):
+    """``act`` as the prologue of a matmul and of a depthwise conv, each
+    reading ``x``'s rows (``w`` [C, n], ``k`` [C, 1, 3, 3]), projected."""
+    c = x.shape[-1]
+    mm = T.matmul(T.reshape(x, (1, -1, c)), w, act=act)
+    cv = T.conv2d(T.reshape(x, (1, 1, -1, c)), k, padding=1, groups=c, act=act)
+    return T.add(proj(mm, 15), proj(cv, 16))
+
+
 class TestBasicsByHand:
     def test_sum_gradient_is_ones(self, rng):
         x = randt(rng, 2, 3, 4)
@@ -59,6 +74,19 @@ class TestBasicsByHand:
         y = T.add(x, x)
         T.sum(T.mul(y, y)).backward()
         npt.assert_allclose(x.grad, 8.0 * x.data, rtol=1e-12)
+
+    @pytest.mark.parametrize("seed,error", [
+        (np.array([1.0, 5.0], dtype=np.float32), ShapeError),
+        (np.array(1.0), ShapeError),  # float64 for a float32 loss
+        (np.array(np.nan, dtype=np.float32), NonFiniteError),
+        (np.array(-np.inf, dtype=np.float32), NonFiniteError)],
+        ids=["shape", "dtype", "nan", "inf"])
+    def test_seed_is_checked(self, seed, error):
+        # no seed is broadcast, promoted or propagated when not finite
+        x = Tensor(np.ones((3, 2), dtype=np.float32), requires_grad=True)
+        with pytest.raises(error, match="seed"):
+            T.sum(x).backward(seed)
+        assert x.grad is None
 
     def test_backward_requires_scalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -95,7 +123,7 @@ class TestFiniteDifferenceOracle:
         w2 = Tensor(rng.normal(size=(5, 1)))
 
         def f(t):
-            return T.sum(T.matmul(T.hardswish(T.matmul(T.reshape(t, (1, 4)), w1)), w2))
+            return T.sum(T.matmul(T.matmul(T.reshape(t, (1, 4)), w1), w2, act="hardswish"))
 
         f(x).backward()
         fd = finite_difference_grad(f, x)
@@ -165,23 +193,36 @@ class TestEveryOpThreeShapes:
         vals = rng.uniform(-2.8, 2.8, size=shape)
         vals[np.abs(np.abs(vals) - 3.0) < 0.01] = 0.5
         x = Tensor(vals, requires_grad=True, dtype=np.float64)
-        check_grads(lambda: proj(T.hardswish(x), 15), [x])
+        w, k = randt(rng, shape[-1], 3), randt(rng, shape[-1], 1, 3, 3)
+        check_grads(lambda: act_loss(x, "hardswish", w, k), [x, w, k])
 
     def test_hardswish_saturated_regions(self, rng):
         x = Tensor(np.array([-5.0, -3.5, 3.5, 6.0]), requires_grad=True,
                    dtype=np.float64)
-        check_grads(lambda: proj(T.hardswish(x), 16), [x])
-        # at the kinks the slope is the left limit: 0 at -3, 1.5 at 3
+        w, k = randt(rng, 4, 3), randt(rng, 4, 1, 3, 3)
+        check_grads(lambda: act_loss(x, "hardswish", w, k), [x, w, k])
+        # at the kinks the slope is the left limit: 0 at -3, 1.5 at 3; a
+        # ones weight and a centre-tap kernel pass it on unchanged
+        centre = np.zeros((2, 1, 3, 3))
+        centre[:, 0, 1, 1] = 1.0
         for dtype in (np.float32, np.float64):
-            kinks = Tensor(np.array([-3.0, 3.0]), requires_grad=True, dtype=dtype)
-            T.sum(T.hardswish(kinks)).backward()
-            assert kinks.grad.dtype == dtype
-            npt.assert_array_equal(kinks.grad, [0.0, 1.5])
+            for op in ("matmul", "conv2d"):
+                kinks = Tensor(np.array([-3.0, 3.0]), requires_grad=True, dtype=dtype)
+                if op == "matmul":
+                    y = T.matmul(T.reshape(kinks, (1, 2)), Tensor(np.ones((2, 1)), dtype=dtype),
+                                 act="hardswish")
+                else:
+                    y = T.conv2d(T.reshape(kinks, (1, 1, 1, 2)), Tensor(centre, dtype=dtype),
+                                 padding=1, groups=2, act="hardswish")
+                T.sum(y).backward()
+                assert kinks.grad.dtype == dtype
+                npt.assert_array_equal(kinks.grad, [0.0, 1.5])
 
     @pytest.mark.parametrize("shape", SHAPES3)
     def test_gelu(self, rng, shape):
         x = randt(rng, *shape)
-        check_grads(lambda: proj(T.gelu(x), 17), [x])
+        w, k = randt(rng, shape[-1], 3), randt(rng, shape[-1], 1, 3, 3)
+        check_grads(lambda: act_loss(x, "gelu", w, k), [x, w, k])
 
     @pytest.mark.parametrize("shape", [(1, 4), (3, 5), (2, 2, 6)])
     def test_softmax_rows(self, rng, shape):
@@ -283,3 +324,64 @@ class TestGradientMassAndStructure:
         T.sum(T.add(a, b)).backward()
         assert b.grad.shape == (4,)
         npt.assert_allclose(b.grad, 3.0, rtol=1e-12)
+
+
+def _expand_output_ref(loss, weight):
+    """A weak reference to the data of the graph tensor ``weight`` made."""
+    stack = [loss]
+    while stack:
+        t = stack.pop()
+        if t.creator is not None:
+            if any(inp is weight for inp in t.creator.inputs):
+                return weakref.ref(t.data)
+            stack.extend(t.creator.inputs)
+    raise AssertionError("weight not in the graph")
+
+
+class TestBackwardFreesTheGraph:
+    def test_interior_activation_dies_during_backward(self, rng):
+        state = _init_irb(_Init(0, np.float64), 4, 2, "irb", "hardswish")
+        x = randt(rng, 2, 12, 4)
+        loss = T.sum(irb_forward(x, 3, 4, state))
+        ref = _expand_output_ref(loss, state.expand.weight)
+        assert ref() is not None
+        loss.backward()
+        # ``loss`` is still referenced, but its graph no longer is
+        assert ref() is None
+        assert loss.creator.inputs == () and loss.creator.backward_fn is None
+
+    def test_second_backward_raises_and_keeps_grads(self, rng):
+        x, w = randt(rng, 2, 3), randt(rng, 3, 4)
+        y = T.matmul(x, w)
+        loss = T.sum(T.mul(y, y))
+        loss.backward()
+        first = x.grad.copy(), w.grad.copy()
+        # the same loss again, and a new loss over part of the freed graph
+        for again in (loss, T.sum(T.add(y, y))):
+            with pytest.raises(GraphFreedError, match="freed by an earlier backward"):
+                again.backward()
+            npt.assert_array_equal(x.grad, first[0])
+            npt.assert_array_equal(w.grad, first[1])
+
+    def test_backward_allocates_little_above_the_forward(self):
+        # one micro B=32 step of the overfit recipe: freed as it goes, the
+        # sweep's peak stays near the forward's end; kept to the end it
+        # stacked the gradients on every activation (0.95 MiB)
+        net = build_model(preset("micro", num_classes=4), seed=0)
+        x = Tensor(np.random.default_rng(0).uniform(size=(32, 3, 32, 32)).astype(np.float32))
+
+        def step_loss():
+            T.zero_grads(net.params())
+            return T.cross_entropy_logits(forward_classify(net, x), np.arange(32) % 4)
+
+        step_loss().backward()  # caches and first-call allocations
+        tracemalloc.start()
+        try:
+            loss = step_loss()
+            forward_end = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - forward_end <= 0.5 * 2 ** 20, f"{(peak - forward_end) / 2 ** 20:.2f} MiB"

@@ -113,7 +113,7 @@ class TestChannelsLastLayers:
             state = make_irb(4, 2)
             x = leaf(2, 12, 4)
             out = irb_forward(x, 3, 4, state)
-            expect = {"conv2d", "hardswish"}
+            expect = {"conv2d", "matmul"}
         else:
             state = _init_patch_embed(_Init(0, np.float64), 3, 4, k=3, stride=2,
                                       padding=1)
@@ -123,6 +123,16 @@ class TestChannelsLastLayers:
         ops = graph_ops(out, [x] + T.params(state))
         assert expect <= set(ops), ops
         assert "transpose" not in ops, ops
+
+    @pytest.mark.parametrize("kind", ["irb", "mlp"])
+    def test_activation_runs_inside_the_ops(self, rng, kind):
+        # each activation is a prologue of the op that reads it (``act=``):
+        # the graph holds the pre-activation maps only, no act node
+        state = make_irb(4, 2, kind=kind)
+        x = Tensor(rng.normal(size=(2, 12, 4)), requires_grad=True, dtype=np.float64)
+        ops = graph_ops(irb_forward(x, 3, 4, state), [x] + T.params(state))
+        expect = ["matmul", "reshape", "conv2d", "reshape", "matmul"]
+        assert ops == (expect if kind == "irb" else ["matmul", "matmul"])
 
     def test_irb_token_count_mismatch(self):
         with pytest.raises(ShapeError):

@@ -1,6 +1,7 @@
 """Forward semantics of the tensor op set, checked against hand values and
 the loop oracles."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -405,17 +406,88 @@ class TestFloat32Kernels:
 
 
 class TestHardswish:
+    """Through the prologue of a matmul with an identity weight."""
+
     @pytest.mark.parametrize("x,y", [(0.0, 0.0), (3.0, 3.0), (-3.0, 0.0),
                                      (1.0, 2.0 / 3.0), (5.0, 5.0), (-10.0, 0.0)])
     def test_pointwise(self, x, y):
-        out = T.hardswish(Tensor([x]))
-        npt.assert_allclose(out.data, [y], atol=1e-7)
+        out = T.matmul(Tensor([[x]]), Tensor([[1.0]]), act="hardswish")
+        npt.assert_allclose(out.data, [[y]], atol=1e-7)
 
     def test_formula(self, rng):
         x = rng.normal(scale=3.0, size=(4, 4))
-        out = T.hardswish(Tensor(x, dtype=np.float64))
+        out = T.matmul(Tensor(x, dtype=np.float64), Tensor(np.eye(4), dtype=np.float64),
+                       act="hardswish")
         ref = x * np.clip(x + 3.0, 0.0, 6.0) / 6.0
         npt.assert_allclose(out.data, ref, rtol=1e-7)
+
+
+def hardswish_then(x, g=None):
+    """The standalone hardswish op's forward, or its backward of ``g``,
+    step for step."""
+    if g is None:
+        out = x + 3.0
+        np.clip(out, 0.0, 6.0, out=out)
+        out *= x
+        out /= 6.0
+        return out
+    slope = 2.0 * x
+    slope += 3.0
+    slope /= 6.0
+    slope[x <= -3.0] = 0.0
+    slope[x > 3.0] = 1.0
+    slope *= g
+    return slope
+
+
+def gelu_then(x, g=None):
+    """The standalone tanh-form GELU op's forward, or its backward of ``g``."""
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (x + 0.044715 * x ** 3))
+    if g is None:
+        return 0.5 * x * (1.0 + t)
+    sech2 = 1.0 - t * t
+    return g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * c * (1.0 + 3.0 * 0.044715 * x ** 2))
+
+
+class TestActivationPrologue:
+    """``op(..., act=a)`` equals the activation as an op of its own, then
+    ``op``, bit for bit: the forward and every gradient."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("act", ["hardswish", "gelu"])
+    @pytest.mark.parametrize("op", ["matmul", "conv2d"])
+    def test_matches_act_then_op(self, rng, op, act, dtype):
+        ref_act = {"hardswish": hardswish_then, "gelu": gelu_then}[act]
+        vals = rng.normal(scale=3.0, size=(2, 4, 5, 6))
+        # the kinks, and both saturated regions
+        vals.flat[:8] = [-3.0, 3.0, -5.0, 6.0, -3.5, 3.5, -12.0, 9.0]
+        x = Tensor(vals.astype(dtype), requires_grad=True)
+        h = Tensor(ref_act(x.data), requires_grad=True)
+
+        def param(*shape):
+            return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+
+        if op == "matmul":
+            w, b = param(6, 3), param(3)
+
+            def run(inp, a):
+                return T.matmul(inp, w, b, act=a)
+        else:
+            w, b = param(6, 1, 3, 3), param(6)
+
+            def run(inp, a):
+                return T.conv2d(inp, w, b, padding=1, groups=6, act=a)
+
+        fused, plain = run(x, act), run(h, None)
+        g = rng.normal(size=fused.shape).astype(dtype)
+        dx, *dparams = fused.creator.backward_fn(g)
+        dh, *dparams_plain = plain.creator.backward_fn(g)
+        assert fused.data.dtype == dx.dtype == dtype
+        npt.assert_array_equal(fused.data, plain.data)
+        npt.assert_array_equal(dx, ref_act(x.data, dh))
+        for d, d_plain in zip(dparams, dparams_plain):
+            npt.assert_array_equal(d, d_plain)
 
 
 class TestStructuralOps:

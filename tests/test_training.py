@@ -309,6 +309,27 @@ class TestTrainLoop:
         assert exc.value.step == 1
         npt.assert_array_equal(net.arena.data.view(np.uint32), before.view(np.uint32))
 
+    def test_metrics_streamed_up_to_the_diverged_step(self, monkeypatch, tmp_path):
+        # one flushed row per finished step: a run that diverges at step 3
+        # leaves the header and the clean run's first two rows
+        net, ds, tc = nano_setup(steps=4)
+        clean = train(net, ds, tc)
+        net, ds, tc = nano_setup(steps=4)
+        real_backward, calls = T.backward, []
+
+        def poisoned(loss, seed=None):
+            real_backward(loss, seed)
+            calls.append(1)
+            if len(calls) == 3:
+                net.head_fc.weight.grad[0, 0] = np.nan
+
+        monkeypatch.setattr(T, "backward", poisoned)
+        metrics = tmp_path / "metrics.csv"
+        with pytest.raises(DivergenceError) as exc:
+            train(net, ds, tc, metrics_path=metrics)
+        assert exc.value.step == 3
+        assert metrics.read_text() == records_to_csv(clean[:2])
+
     def test_artifacts_written(self, tmp_path):
         from ppvit import load_checkpoint
 
@@ -440,9 +461,13 @@ class TestGradcheckPlumbing:
     def test_ops_scope_reports_cases(self):
         report = gradcheck_suite("ops")
         assert report.scope == "ops"
-        assert len(report.cases) == 23
+        assert len(report.cases) == 25
         names = {case.name for case in report.cases}
         assert {"matmul_bias", "softmax_rows_scaled", "conv2d_depthwise"} <= names
+        # the activations are checked as the prologue of the ops that run them
+        assert {"matmul_hardswish", "matmul_gelu", "conv2d_depthwise_hardswish",
+                "conv2d_depthwise_gelu"} <= names
+        assert not {"hardswish", "gelu"} & names
         assert report.all_passed
         for case in report.cases:
             assert case.max_rel_err < case.tolerance
