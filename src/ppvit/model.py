@@ -342,18 +342,6 @@ class FeaturePyramid:
         return tuple(T.transpose(T.reshape(seq, (seq.shape[0], h, w, -1)), (0, 3, 1, 2))
                      for seq, (h, w) in zip(self.tokens, self.sizes))
 
-    @property
-    def b1(self): return self.levels[0]
-
-    @property
-    def b2(self): return self.levels[1]
-
-    @property
-    def b3(self): return self.levels[2]
-
-    @property
-    def b4(self): return self.levels[3]
-
 
 def _check_input(model: ModelState, x: Tensor) -> None:
     if x.ndim != 4 or x.shape[1] != model.cfg.in_channels:

@@ -171,7 +171,7 @@ class TestHead:
         with no_grad():
             pyr = forward_features(net, x)
             logits = forward_classify(net, x)
-        b4 = pyr.b4.data
+        b4 = pyr.levels[3].data
         tokens = b4.transpose(0, 2, 3, 1).reshape(b4.shape[0], -1, b4.shape[1])
         normed = oracles.layer_norm_loops(
             tokens, net.head_ln.gamma.data, net.head_ln.beta.data)

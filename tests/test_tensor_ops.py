@@ -332,6 +332,15 @@ class TestSoftmaxRows:
         npt.assert_array_equal(out.data, ref)
         npt.assert_array_equal(dx, dz * float(s))
 
+    @pytest.mark.parametrize("shape", [(32, 1, 64, 20), (2, 1, 3136, 54)])
+    def test_row_max_matches_last_axis_max(self, rng, shape):
+        # micro's and tiny's stage-1 score shapes: short rows of pooled keys
+        x = rng.normal(scale=4.0, size=shape).astype(np.float32)
+        z = x * 0.25
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        npt.assert_array_equal(T.softmax_rows(Tensor(x), 0.25).data,
+                               e / np.einsum("...c->...", e)[..., None])
+
 
 class TestLayerNorm:
     def test_constant_vector_zeros(self):
@@ -516,7 +525,33 @@ class TestStructuralOps:
             T.cross_entropy_logits(Tensor(np.zeros((2, 3))), [0, 3])
 
 
+MOVES = {"reshape": lambda t: T.reshape(t, (3, 2)),
+         "transpose": lambda t: T.transpose(t, (1, 0)),
+         "concat": lambda t: T.concat([t, t], axis=0)}
+
+
 class TestFiniteGuard:
+    @pytest.mark.parametrize("op", MOVES)
+    def test_moved_op_outputs_are_not_scanned_again(self, monkeypatch, op):
+        scans = []
+        scan = T._ensure_finite
+        monkeypatch.setattr(T, "_ensure_finite",
+                            lambda arr, name: (scans.append(name), scan(arr, name)))
+        x = T.add(Tensor(np.ones((2, 3))), Tensor(np.arange(3.0)))
+        assert scans == ["add"]
+        out = MOVES[op](x)
+        assert scans == ["add"] and out.scanned
+        npt.assert_array_equal(MOVES[op](Tensor(x.data)).data, out.data)
+        assert scans == ["add", op]  # a leaf is scanned
+
+    @pytest.mark.parametrize("op", MOVES)
+    def test_nan_leaf_still_raises(self, op):
+        leaf = Tensor([[1.0, np.nan, 2.0], [3.0, 4.0, 5.0]])
+        with pytest.raises(NonFiniteError, match=op):
+            MOVES[op](leaf)
+        with pytest.raises(NonFiniteError, match="concat"):
+            T.concat([T.add(Tensor(np.ones((2, 3))), Tensor(np.ones(3))), leaf], axis=0)
+
     def test_overflow_raises(self):
         big = Tensor([1e308])
         with np.errstate(over="ignore"):
@@ -527,3 +562,28 @@ class TestFiniteGuard:
         x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         T.sum(T.mul(x, x)).backward()
         assert x.grad.shape == x.data.shape
+
+
+class TestShortRowKernels:
+    """The faster forms of sums, maxima and padding keep the old bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(32, 64, 8), (2, 3136, 48), (2, 56, 56, 384)])
+    def test_unbroadcast_matches_leading_axis_sum(self, rng, shape, dtype):
+        g = rng.normal(size=shape).astype(dtype)
+        out = T._unbroadcast(g, shape[-1:])
+        assert out.dtype == dtype
+        npt.assert_array_equal(out, g.sum(axis=tuple(range(g.ndim - 1))))
+
+    @pytest.mark.parametrize("act", [None, "hardswish", "gelu"])
+    @pytest.mark.parametrize("shape", [(32, 4, 4, 64), (2, 7, 7, 384), (2, 14, 14, 240)])
+    def test_pad_same_bits_on_both_sides_of_the_row_switch(self, rng, monkeypatch, act, shape):
+        a = rng.normal(scale=3.0, size=shape).astype(np.float32)
+        a[0, 0, :2, :2] = [[-3.0, 3.0], [0.0, -6.0]]
+        fwd = None if act is None else T.ACTS[act][0]
+        ref = np.pad(a if fwd is None else fwd(a), ((0, 0), (1, 1), (2, 2), (0, 0)))
+        for row in (1, 1 << 30):  # every row long, then every row short
+            monkeypatch.setattr(T, "_PAD_ROW", row)
+            out = T._pad(a, 1, 2, fwd)
+            assert out.dtype == np.float32
+            npt.assert_array_equal(out, ref)
