@@ -1,10 +1,13 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The engine is define-by-run: every operation on tensors that require
-gradients records a node holding the inputs and a closure that maps the
-output gradient to input gradients.  ``backward`` topologically sorts the
-recorded nodes from the loss and visits each exactly once, accumulating
-gradients into the ``grad`` buffer of every leaf that requires them.
+gradients records a node holding, per input, that input's node (or the input
+itself, if it is a leaf that requires a gradient) and a closure that maps the
+output gradient to input gradients.  No node holds an op output, so an op
+output lives only while a closure saved it or the caller holds it.
+``backward`` topologically sorts the recorded nodes from the loss and visits
+each exactly once, accumulating gradients into the ``grad`` buffer of every
+leaf that requires them.
 
 Arrays are float32 by default; gradient checking builds everything in
 float64.  Every operation validates that its result is finite and raises
@@ -43,13 +46,20 @@ def no_grad():
 
 
 def _ensure_finite(arr: Array, op: str) -> None:
-    if not np.isfinite(arr).all():
+    # Squares cannot cancel an inf, so a finite self dot proves every value
+    # finite with no full-size bool array; ``vdot`` (unlike ``dot``) raises no
+    # overflow warning.  An overflowing dot or a strided ``arr`` falls back to
+    # the exact scan.
+    if not (arr.flags.c_contiguous and math.isfinite(np.vdot(arr, arr))) \
+            and not np.isfinite(arr).all():
         raise NonFiniteError(f"operation '{op}' produced non-finite values")
 
 
 class Node:
     """One recorded operation: its kind, inputs, and backward closure.
 
+    ``inputs`` holds, per op input, its creator ``Node``, the input itself if
+    it is a leaf that requires a gradient, or ``None``: never an op output.
     ``backward_fn`` maps the gradient w.r.t. the node's output to a tuple of
     gradients aligned with ``inputs`` (``None`` for inputs that need none).
     """
@@ -59,7 +69,7 @@ class Node:
     def __init__(
         self,
         op: str,
-        inputs: tuple["Tensor", ...],
+        inputs: tuple["Node | Tensor | None", ...],
         backward_fn: Callable[[Array], tuple[Array | None, ...]],
     ):
         self.op = op
@@ -129,7 +139,8 @@ def _make(op: str, out_data: Array, inputs: tuple[Tensor, ...],
     out.scanned = True
     if _grad_enabled.get() and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.creator = Node(op, inputs, backward_fn)
+        out.creator = Node(op, tuple(t.creator or (t if t.requires_grad else None)
+                                     for t in inputs), backward_fn)
     return out
 
 
@@ -137,11 +148,13 @@ def backward(loss: Tensor, seed: Array | None = None) -> None:
     """Reverse-mode sweep from a scalar loss.
 
     Every leaf with ``requires_grad`` receives its gradient; repeated calls
-    without ``zero_grads`` accumulate.  Interior gradients are reduced in the
-    reverse of the recorded (topological) order, so accumulation is
-    deterministic and runs are reproducible bit for bit.  Each node drops its
-    inputs and closure once it has propagated, so activations are freed as the
-    sweep goes and a second sweep of the graph raises ``GraphFreedError``.
+    without ``zero_grads`` accumulate.  The sweep walks nodes, not tensors:
+    interior gradients are keyed by node and reduced in the reverse of the
+    recorded (topological) order, and a leaf's ``grad`` is set once all its
+    consumers have propagated, so accumulation is deterministic and runs are
+    reproducible bit for bit.  Each node drops its inputs and closure once it
+    has propagated, so saved activations are freed as the sweep goes and a
+    second sweep of the graph raises ``GraphFreedError``.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -151,45 +164,43 @@ def backward(loss: Tensor, seed: Array | None = None) -> None:
     if not np.isfinite(seed).all():
         raise NonFiniteError("backward seed is not finite")
 
-    # Iterative post-order DFS: inputs land before consumers.
-    topo: list[Tensor] = []
+    # Iterative post-order DFS over nodes and leaves: inputs land before consumers.
+    root = loss.creator or loss
+    topo: list[Node | Tensor] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[Node | Tensor, bool]] = [(root, False)]
     while stack:
-        tensor, expanded = stack.pop()
+        entry, expanded = stack.pop()
         if expanded:
-            topo.append(tensor)
+            topo.append(entry)
             continue
-        if id(tensor) in visited:
+        if id(entry) in visited:
             continue
-        visited.add(id(tensor))
-        stack.append((tensor, True))
-        node = tensor.creator
-        if node is not None:
-            if node.backward_fn is None:
-                raise GraphFreedError(f"the graph at '{node.op}' was freed by an earlier backward")
-            for inp in node.inputs:
-                if inp.requires_grad and id(inp) not in visited:
-                    stack.append((inp, False))
+        visited.add(id(entry))
+        stack.append((entry, True))
+        if isinstance(entry, Node):
+            if entry.backward_fn is None:
+                raise GraphFreedError(
+                    f"the graph at '{entry.op}' was freed by an earlier backward")
+            stack.extend((inp, False) for inp in entry.inputs
+                         if inp is not None and id(inp) not in visited)
 
-    # ``id`` keys stay sound: a tensor with a pending key is still in
-    # ``topo``, and the sweep creates no ``Tensor`` that could reuse its id.
-    grads: dict[int, Array] = {id(loss): seed}
+    # ``id`` keys stay sound: an entry with a pending key is still in ``topo``.
+    grads: dict[int, Array] = {id(root): seed}
     while topo:
-        tensor = topo.pop()
-        grad = grads.pop(id(tensor), None)
+        entry = topo.pop()
+        grad = grads.pop(id(entry), None)
         if grad is None:
             continue
-        node = tensor.creator
-        if node is None:
-            tensor.grad = grad.copy() if tensor.grad is None else tensor.grad + grad
+        if isinstance(entry, Tensor):
+            entry.grad = grad.copy() if entry.grad is None else entry.grad + grad
             continue
-        for inp, g in zip(node.inputs, node.backward_fn(grad)):
-            if g is None or not inp.requires_grad:
+        for inp, g in zip(entry.inputs, entry.backward_fn(grad)):
+            if g is None or inp is None:
                 continue
             key = id(inp)
             grads[key] = g if key not in grads else grads[key] + g
-        node.backward_fn, node.inputs = None, ()
+        entry.backward_fn, entry.inputs = None, ()
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:
@@ -306,9 +317,8 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data + b.data
-    return _make("add", out, (a, b), lambda g: (
-        _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    out, sa, sb = a.data + b.data, a.shape, b.shape
+    return _make("add", out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -349,19 +359,19 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 def sum(x: Tensor, axis: int | tuple[int, ...] | None = None,
         keepdims: bool = False) -> Tensor:  # noqa: A001 - numpy-style name
-    out = x.data.sum(axis=axis, keepdims=keepdims)
+    out, shape = x.data.sum(axis=axis, keepdims=keepdims), x.shape
 
     def bw(g: Array):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _make("sum", out, (x,), bw)
 
 
 def mean(x: Tensor, axis: int | tuple[int, ...] | None = None,
          keepdims: bool = False) -> Tensor:
-    out = x.data.mean(axis=axis, keepdims=keepdims)
+    out, shape = x.data.mean(axis=axis, keepdims=keepdims), x.shape
     # A Python int, so ``g / count`` keeps the gradient's dtype (an np.int64
     # count would promote float32 gradients to float64 under NumPy 2).
     count = x.data.size if axis is None else (
@@ -370,7 +380,7 @@ def mean(x: Tensor, axis: int | tuple[int, ...] | None = None,
     def bw(g: Array):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / count, x.shape).copy(),)
+        return (np.broadcast_to(g / count, shape).copy(),)
 
     return _make("mean", out, (x,), bw)
 
@@ -764,9 +774,10 @@ def adaptive_max_pool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
             argmax[:, i, j] = idx
 
     bi, ci = np.meshgrid(np.arange(b), np.arange(c), indexing="ij")
+    dtype = x.dtype
 
     def bw(g: Array):
-        dx = np.zeros_like(x.data)
+        dx = np.zeros((b, h, w, c), dtype=dtype)
         for i, (r0, r1) in enumerate(rows):
             for j, (c0, c1) in enumerate(cols):
                 width = c1 - c0
@@ -829,11 +840,13 @@ def finite_difference_grad(f: Callable[[Tensor], Tensor], x: Tensor,
     with no_grad():
         for j, idx in enumerate(points):
             orig = x.data[idx]
-            x.data[idx] = orig + h
-            fp = f(x).item()
-            x.data[idx] = orig - h
-            fm = f(x).item()
-            x.data[idx] = orig
+            try:
+                x.data[idx] = orig + h
+                fp = f(x).item()
+                x.data[idx] = orig - h
+                fm = f(x).item()
+            finally:
+                x.data[idx] = orig
             if not (math.isfinite(fp) and math.isfinite(fm)):
                 raise NonFiniteError("finite_difference_grad saw a non-finite value")
             grad[j] = (fp - fm) / (2.0 * h)

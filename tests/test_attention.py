@@ -239,12 +239,12 @@ class TestForward:
         # q and v go to [B, h, N, d], k straight to [B, h, d, M], and the
         # context back: four transposes, and the score scale has no node
         q, k, v = (Tensor(rng.normal(size=(2, n, 8)), requires_grad=True) for n in (5, 3, 3))
-        ops, stack = collections.Counter(), [multi_head_attention(q, k, v, 2)]
+        ops, stack = collections.Counter(), [multi_head_attention(q, k, v, 2).creator]
         while stack:
-            t = stack.pop()
-            if t.creator is not None:
-                ops[t.creator.op] += 1
-                stack.extend(t.creator.inputs)
+            node = stack.pop()
+            if isinstance(node, T.Node):  # not a leaf or a None entry
+                ops[node.op] += 1
+                stack.extend(node.inputs)
         assert ops["transpose"] == 4 and ops["softmax_rows"] == 1, ops
         assert "scale" not in ops, ops
 

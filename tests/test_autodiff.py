@@ -117,6 +117,20 @@ class TestFiniteDifferenceOracle:
         fd = finite_difference_grad(lambda t: T.sum(T.mul(t, t)), x)
         npt.assert_allclose(fd, [2.0, 4.0], atol=1e-7)
 
+    def test_input_restored_when_f_raises(self):
+        # ``f`` fails on the minus side of the second coordinate
+        x = Tensor([1.0, 2.0, 3.0], dtype=np.float64)
+        before = x.data.copy()
+
+        def f(t):
+            if t.data[1] < 2.0:
+                raise ShapeError("minus side")
+            return T.sum(t)
+
+        with pytest.raises(ShapeError, match="minus side"):
+            finite_difference_grad(f, x)
+        npt.assert_array_equal(x.data, before)
+
     def test_two_layer_composite_self_consistency(self, rng):
         x = randt(rng, 4)
         w1 = Tensor(rng.normal(size=(4, 5)))
@@ -326,29 +340,86 @@ class TestGradientMassAndStructure:
         npt.assert_allclose(b.grad, 3.0, rtol=1e-12)
 
 
-def _expand_output_ref(loss, weight):
-    """A weak reference to the data of the graph tensor ``weight`` made."""
-    stack = [loss]
-    while stack:
-        t = stack.pop()
-        if t.creator is not None:
-            if any(inp is weight for inp in t.creator.inputs):
-                return weakref.ref(t.data)
-            stack.extend(t.creator.inputs)
-    raise AssertionError("weight not in the graph")
+def _record_outputs_of(monkeypatch, weight):
+    """Weak references to the buffer of each op output made from ``weight``
+    (the array that owns ``data``, which a view of it keeps alive), taken as
+    ``_make`` returns it: no node reaches an op output."""
+    refs, make = [], T._make
+
+    def spy(op, out_data, inputs, *args, **kwargs):
+        out = make(op, out_data, inputs, *args, **kwargs)
+        if any(t is weight for t in inputs):
+            refs.append(weakref.ref(out.data if out.data.base is None else out.data.base))
+        return out
+
+    monkeypatch.setattr(T, "_make", spy)
+    return refs
+
+
+def _micro_step_memory():
+    """Traced bytes of one micro B=32 step of the overfit recipe: those
+    alive at the forward's end, and the backward's peak."""
+    net = build_model(preset("micro", num_classes=4), seed=0)
+    x = Tensor(np.random.default_rng(0).uniform(size=(32, 3, 32, 32)).astype(np.float32))
+
+    def step_loss():
+        T.zero_grads(net.params())
+        return T.cross_entropy_logits(forward_classify(net, x), np.arange(32) % 4)
+
+    step_loss().backward()  # caches and first-call allocations
+    tracemalloc.start()
+    try:
+        loss = step_loss()
+        forward_end = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return forward_end, peak
 
 
 class TestBackwardFreesTheGraph:
-    def test_interior_activation_dies_during_backward(self, rng):
+    def test_interior_activation_dies_during_backward(self, rng, monkeypatch):
         state = _init_irb(_Init(0, np.float64), 4, 2, "irb", "hardswish")
         x = randt(rng, 2, 12, 4)
+        refs = _record_outputs_of(monkeypatch, state.expand.weight)
         loss = T.sum(irb_forward(x, 3, 4, state))
-        ref = _expand_output_ref(loss, state.expand.weight)
+        (ref,) = refs
         assert ref() is not None
         loss.backward()
         # ``loss`` is still referenced, but its graph no longer is
         assert ref() is None
         assert loss.creator.inputs == () and loss.creator.backward_fn is None
+
+    def test_unread_op_output_dies_before_backward(self, rng):
+        # a residual sum feeding layer_norm and a score feeding softmax_rows:
+        # neither backward reads its input, so the graph must not hold it
+        x, y, k = randt(rng, 2, 5, 4), randt(rng, 2, 5, 4), randt(rng, 2, 4, 3)
+        gamma, beta, w = randt(rng, 4), randt(rng, 4), randt(rng, 4, 4)
+        total = T.add(x, y)
+        total_ref = weakref.ref(total.data)
+        h = T.matmul(T.layer_norm(total, gamma, beta), w)
+        h_ref = weakref.ref(h.data)
+        scores = T.matmul(h, k)
+        scores_ref = weakref.ref(scores.data)
+        probs = T.softmax_rows(scores, 0.5)
+        del total, h, scores
+        assert total_ref() is None
+        assert scores_ref() is None
+        # the score matmul's backward reads ``h``: it lives until that node ran
+        score_node = probs.creator.inputs[0]
+        softmax_bw, seen = probs.creator.backward_fn, []
+
+        def softmax_then_check(g):
+            seen.append(h_ref() is not None)
+            return softmax_bw(g)
+
+        probs.creator.backward_fn = softmax_then_check
+        T.sum(T.mul(probs, Tensor(rng.normal(size=probs.shape)))).backward()
+        assert score_node.op == "matmul" and score_node.backward_fn is None
+        assert seen == [True] and h_ref() is None
+        assert w.grad is not None and k.grad is not None
 
     def test_second_backward_raises_and_keeps_grads(self, rng):
         x, w = randt(rng, 2, 3), randt(rng, 3, 4)
@@ -367,21 +438,11 @@ class TestBackwardFreesTheGraph:
         # one micro B=32 step of the overfit recipe: freed as it goes, the
         # sweep's peak stays near the forward's end; kept to the end it
         # stacked the gradients on every activation (0.95 MiB)
-        net = build_model(preset("micro", num_classes=4), seed=0)
-        x = Tensor(np.random.default_rng(0).uniform(size=(32, 3, 32, 32)).astype(np.float32))
-
-        def step_loss():
-            T.zero_grads(net.params())
-            return T.cross_entropy_logits(forward_classify(net, x), np.arange(32) % 4)
-
-        step_loss().backward()  # caches and first-call allocations
-        tracemalloc.start()
-        try:
-            loss = step_loss()
-            forward_end = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            loss.backward()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        forward_end, peak = _micro_step_memory()
         assert peak - forward_end <= 0.5 * 2 ** 20, f"{(peak - forward_end) / 2 ** 20:.2f} MiB"
+
+    def test_forward_holds_only_what_backward_reads(self):
+        # the same step's graph at the forward's end: with every op output
+        # linked from its consumer's node, it held 4.25 MiB
+        forward_end, _ = _micro_step_memory()
+        assert forward_end <= 3.6 * 2 ** 20, f"{forward_end / 2 ** 20:.2f} MiB"

@@ -80,15 +80,15 @@ class TestIRB:
 
 def graph_ops(out, inputs):
     """Op names of every recorded node between ``out`` and ``inputs``."""
-    stop = {id(t) for t in inputs}
-    ops, seen, stack = [], set(), [out]
+    stop = {id(t.creator) for t in inputs if t.creator is not None}
+    ops, seen, stack = [], set(), [out.creator]
     while stack:
-        t = stack.pop()
-        if id(t) in seen or id(t) in stop or t.creator is None:
-            continue
-        seen.add(id(t))
-        ops.append(t.creator.op)
-        stack.extend(t.creator.inputs)
+        node = stack.pop()
+        if not isinstance(node, T.Node) or id(node) in seen or id(node) in stop:
+            continue  # a leaf, a None entry, or a node already walked
+        seen.add(id(node))
+        ops.append(node.op)
+        stack.extend(node.inputs)
     return ops
 
 
@@ -217,17 +217,18 @@ class TestPatchEmbed:
                                   padding=3)
         img = rng.normal(size=(2, 32, 32, 3)).astype(np.float32)
 
-        def conv_output(x):
-            t, _, _ = patch_embed(x, state)
-            while t.creator.op != "conv2d":
-                t = t.creator.inputs[0]
-            return t
+        def conv_node(x):
+            t, h, w = patch_embed(x, state)
+            node = t.creator
+            while node.op != "conv2d":
+                node = node.inputs[0]
+            return node, (x.shape[0], h, w, t.shape[-1])
 
-        frozen = conv_output(Tensor(img))
-        live = conv_output(Tensor(img, requires_grad=True))
-        g = rng.normal(size=frozen.shape).astype(np.float32)
-        dx, dw, db = frozen.creator.backward_fn(g)
-        dx_live, dw_live, db_live = live.creator.backward_fn(g)
+        frozen, shape = conv_node(Tensor(img))
+        live, _ = conv_node(Tensor(img, requires_grad=True))
+        g = rng.normal(size=shape).astype(np.float32)
+        dx, dw, db = frozen.backward_fn(g)
+        dx_live, dw_live, db_live = live.backward_fn(g)
         assert dx is None
         assert dx_live.shape == img.shape
         npt.assert_array_equal(dw, dw_live)

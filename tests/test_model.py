@@ -192,13 +192,13 @@ class TestGraph:
         net = micro_model()
         params = dict(net.named_params())
         names = {id(p): n for n, p in params.items()}
-        nodes, stack, seen = [], [forward_classify(net, rand_images(rng, b=2))], set()
+        nodes, stack, seen = [], [forward_classify(net, rand_images(rng, b=2)).creator], set()
         while stack:
-            t = stack.pop()
-            if t.creator is not None and id(t) not in seen:
-                seen.add(id(t))
-                nodes.append(t.creator)
-                stack.extend(t.creator.inputs)
+            node = stack.pop()
+            if isinstance(node, T.Node) and id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+                stack.extend(node.inputs)
 
         def bias_inputs(op):
             return [names[id(i)] for n in nodes if n.op == op for i in n.inputs

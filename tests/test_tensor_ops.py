@@ -558,6 +558,23 @@ class TestFiniteGuard:
             with pytest.raises(NonFiniteError, match="mul"):
                 T.mul(big, Tensor([1e308]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scan_finds_one_bad_value(self, bad, dtype):
+        # one bad value among large ones, contiguous and strided
+        arr = np.full((4, 6), 1e30, dtype=dtype)
+        arr[2, 3] = bad
+        for view in (arr, arr.T, arr[:, 1::2]):
+            with pytest.raises(NonFiniteError, match="probe"):
+                T._ensure_finite(view, "probe")
+
+    def test_scan_passes_values_whose_squares_overflow(self):
+        # float32 1e30 squared overflows the self dot; the values are finite
+        arr = np.full((3, 5), 1e30, dtype=np.float32)
+        arr[0, 0] = -3e38
+        for view in (arr, arr.T, arr[:, ::2], arr[:0]):
+            T._ensure_finite(view, "probe")
+
     def test_grad_shape_matches(self, rng):
         x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         T.sum(T.mul(x, x)).backward()
