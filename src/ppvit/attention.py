@@ -101,7 +101,7 @@ class PMHSAState:
     """Parameters of one attention layer (linear weights are [in, out]).
 
     ``rpe`` is the depthwise 3x3 position encoding [C, 1, 3, 3] shared
-    across pyramid levels, ``None`` when ``cfg.use_rpe`` is off;
+    by every pooled map, ``None`` when ``cfg.use_rpe`` is off;
     ``pool_ln`` normalizes the concatenated pooled sequence.
     """
 
@@ -127,13 +127,13 @@ def build_kv_sequence(x: Tensor, h: int, w: int, state: PMHSAState) -> Tensor:
         raise ShapeError(f"sequence length {n} does not match map {h}x{w}")
     x_map = T.reshape(x, (b, h, w, c))
     pool = T.adaptive_avg_pool2d if cfg.pool_mode == "avg" else T.adaptive_max_pool2d
-    levels = [pool(x_map, th, tw) for th, tw in cfg.level_targets(h, w)]
+    pooled = [pool(x_map, th, tw) for th, tw in cfg.level_targets(h, w)]
     if state.rpe is not None:
         # residual position encoding p + dwconv(p)
         rpe = state.rpe
-        levels = [T.add(p, T.conv2d(p, rpe.weight, rpe.bias, padding=1, groups=c))
-                  for p in levels]
-    flat = [T.reshape(p, (b, p.shape[1] * p.shape[2], c)) for p in levels]
+        pooled = [T.add(p, T.conv2d(p, rpe.weight, rpe.bias, padding=1, groups=c))
+                  for p in pooled]
+    flat = [T.reshape(p, (b, p.shape[1] * p.shape[2], c)) for p in pooled]
     seq = flat[0] if len(flat) == 1 else T.concat(flat, axis=1)
     return T.layer_norm(seq, state.pool_ln.gamma, state.pool_ln.beta)
 

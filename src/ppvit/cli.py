@@ -181,7 +181,7 @@ def cmd_gradcheck(args) -> int:
     for case in report.cases:
         tag = _paint("PASS", "32") if case.passed else _paint("FAIL", "31")
         print(f"{tag}  {case.name}: max_rel_err={case.max_rel_err:.3e} "
-              f"(tol {case.tolerance:.0e})")
+              f"(tol {training.GRADCHECK_TOL:.0e})")
     n_pass = sum(c.passed for c in report.cases)
     print(f"{report.scope}: {n_pass}/{len(report.cases)} cases passed")
     return 0 if report.all_passed else 1

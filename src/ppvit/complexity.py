@@ -37,8 +37,6 @@ class LayerCost:
 class ComplexityReport:
     """Per-layer cost rows for one config (batch size 1 for FLOPs)."""
 
-    config_name: str
-    input_hw: tuple[int, int] | None
     layers: list[LayerCost]
 
     @property
@@ -165,7 +163,7 @@ def _walk(cfg: ModelConfig, hw: tuple[int, int] | None) -> ComplexityReport:
         head_flops += n4 * c4  # global average pool
         head_flops += c4 * cfg.num_classes + cfg.num_classes  # affine
     layers.append(LayerCost("head", head_params, head_flops))
-    return ComplexityReport(cfg.name, None, layers)
+    return ComplexityReport(layers)
 
 
 def count_params(cfg: ModelConfig) -> ComplexityReport:
@@ -173,13 +171,10 @@ def count_params(cfg: ModelConfig) -> ComplexityReport:
     return _walk(cfg, None)
 
 
-def count_flops(cfg: ModelConfig, input_hw: tuple[int, int]) -> ComplexityReport:
-    """Joint report at the given input size (H and W multiples of 32)."""
-    h, w = input_hw
-    check_input_size(h, w, ConfigError)
-    report = _walk(cfg, (h, w))
-    report.input_hw = (h, w)
-    return report
+def count_flops(cfg: ModelConfig, hw: tuple[int, int]) -> ComplexityReport:
+    """Joint report at input size ``hw`` (H and W multiples of 32)."""
+    check_input_size(*hw, ConfigError)
+    return _walk(cfg, hw)
 
 
 # ---------------------------------------------------------------------------

@@ -136,13 +136,6 @@ def load_batch(ds: SyntheticDataset, indices) -> tuple[Tensor, np.ndarray]:
     return Tensor(images[idx]), labels
 
 
-def label_histogram(ds: SyntheticDataset) -> np.ndarray:
-    counts = np.zeros(ds.num_classes, dtype=np.int64)
-    for i in range(ds.num_samples):
-        counts[i % ds.num_classes] += 1
-    return counts
-
-
 def nearest_centroid_accuracy(ds: SyntheticDataset) -> float:
     """Assign each sample to the closest class-mean image (raw pixels).
 

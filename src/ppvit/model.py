@@ -9,7 +9,6 @@ one affine map to the class count.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import struct
@@ -74,14 +73,10 @@ class ModelConfig:
         if self.act not in T.ACTS:
             raise ConfigError(f"act must be one of {sorted(T.ACTS)}, got {self.act!r}")
         for i, st in enumerate(self.stages, start=1):
-            if st.channels % self.head_width:
-                raise ConfigError(
-                    f"stages[{i}].channels={st.channels} not divisible by "
-                    f"head_width={self.head_width}")
             if st.heads * self.head_width != st.channels:
                 raise ConfigError(
-                    f"stages[{i}].heads={st.heads} must equal channels/head_width="
-                    f"{st.channels // self.head_width}")
+                    f"stages[{i}].channels={st.channels} must equal stages[{i}].heads="
+                    f"{st.heads} times head_width={self.head_width}")
             # every block setting fails here, when the config loads, not at
             # build, naming the first stage it fails in
             try:
@@ -277,9 +272,6 @@ class ModelState:
     def params(self) -> list[Tensor]:
         return [p for _, p in self.named_params()]
 
-    def param_count(self) -> int:
-        return int(np.sum([p.size for p in self.params()]))
-
 
 def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelState:
     """Instantiate every parameter; bit-identical across builds for one seed.
@@ -329,18 +321,12 @@ class FeaturePyramid:
     """Stage outputs B1..B4 at strides 4/8/16/32.
 
     ``tokens`` holds each stage's output as its blocks leave it,
-    ``[B, H_i*W_i, C_i]``, and ``sizes`` its ``(H_i, W_i)`` grid.
-    ``levels`` gives them as ``[B, C_i, H_i, W_i]`` maps, laid out on first
-    access (and recorded for backward only if gradients are enabled then).
+    ``[B, H_i*W_i, C_i]``, and ``sizes`` its ``(H_i, W_i)`` grid: a
+    reshape to ``[B, H_i, W_i, C_i]`` makes it a channels-last map.
     """
 
     tokens: tuple[Tensor, Tensor, Tensor, Tensor]
     sizes: tuple[tuple[int, int], ...]
-
-    @functools.cached_property
-    def levels(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        return tuple(T.transpose(T.reshape(seq, (seq.shape[0], h, w, -1)), (0, 3, 1, 2))
-                     for seq, (h, w) in zip(self.tokens, self.sizes))
 
 
 def _check_input(model: ModelState, x: Tensor) -> None:
@@ -356,8 +342,7 @@ def forward_features(model: ModelState, x: Tensor) -> FeaturePyramid:
     """Run the stem and all four stages; collect each stage's output.
 
     ``x`` is an NCHW image batch.  Inside, maps are channels-last, so the
-    layout changes only at entry and where a caller reads
-    ``FeaturePyramid.levels``.
+    layout changes only at entry.
     """
     _check_input(model, x)
     b = x.shape[0]

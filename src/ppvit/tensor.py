@@ -321,12 +321,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make("add", out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
-    return _make("mul", out, (a, b), lambda g: (
-        _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
-
-
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     old = x.shape
@@ -355,18 +349,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         return tuple(np.split(g, offsets, axis=axis))
 
     return _make("concat", out, tuple(tensors), bw, moved=True)
-
-
-def sum(x: Tensor, axis: int | tuple[int, ...] | None = None,
-        keepdims: bool = False) -> Tensor:  # noqa: A001 - numpy-style name
-    out, shape = x.data.sum(axis=axis, keepdims=keepdims), x.shape
-
-    def bw(g: Array):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return _make("sum", out, (x,), bw)
 
 
 def mean(x: Tensor, axis: int | tuple[int, ...] | None = None,
@@ -650,7 +632,7 @@ def _dense_kernel(x: Array, k: Array, stride: int, padding: int, fwd: Callable |
         dx = None
         if need_dx:
             dcols = (gm @ kt).reshape(b, ho, wo, kh, kw, cin)
-            dpad = np.zeros((b, hp, wp, cin), dtype=x.dtype)
+            dpad = np.zeros((b, hp, wp, cin), dtype=cols.dtype)
             for u in range(kh):
                 for v in range(kw):
                     dtap = _tap(dpad, u, v, ho, wo, stride)
@@ -699,9 +681,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if bias is not None:
         out += bias.data
 
+    # ``x``'s data is kept only for ``act``'s slope, so a dense conv without
+    # one (each patch embed) does not pin its input map until ``backward``
+    need_dx, x_act = x.requires_grad, None if grad is None else x.data
+
     def bw(g: Array):
-        dx, dw = kernel_bw(g, x.requires_grad)
-        dx = dx if dx is None or grad is None else grad(x.data, dx)
+        dx, dw = kernel_bw(g, need_dx)
+        dx = dx if dx is None or x_act is None else grad(x_act, dx)
         return (dx, dw) if bias is None else (dx, dw, _unbroadcast(g, bias.shape))
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
@@ -833,7 +819,7 @@ def finite_difference_grad(f: Callable[[Tensor], Tensor], x: Tensor,
     Returns an array shaped like ``x``, or, given ``coords``, the
     differences at those coordinates only, in their order (for inputs too
     big to sweep).  ``f`` must be deterministic; call with float64 tensors
-    for the stated 1e-4 comparison tolerances.
+    for the stated 1e-4 comparison bounds.
     """
     points = list(np.ndindex(*x.shape)) if coords is None else coords
     grad = np.zeros(len(points), dtype=np.float64)

@@ -22,7 +22,7 @@ def test_criterion_1_parameter_counts(criterion):
     for name in REFERENCE_PRESETS:
         cfg = preset(name)
         analytic = count_params(cfg).total_params
-        built = build_model(cfg).param_count()
+        built = build_model(cfg).arena.data.size
         dev = 100.0 * (analytic - REFERENCE_PARAMS[name]) / REFERENCE_PARAMS[name]
         ok &= analytic == built and abs(dev) <= 5.0
         details.append(f"{name} {analytic:,} ({dev:+.2f}%, "
@@ -62,8 +62,9 @@ def test_criterion_4_feature_pyramid_geometry(criterion):
                .uniform(size=(1, 3, 224, 224)).astype(np.float32))
     with no_grad():
         pyr = forward_features(net, x)
-    measured = [lvl.shape[2:] for lvl in pyr.levels]
+    measured = list(pyr.sizes)
     ok = measured == [(56, 56), (28, 28), (14, 14), (7, 7)]
+    ok &= all(seq.shape[1] == h * w for seq, (h, w) in zip(pyr.tokens, pyr.sizes))
 
     # closed form: every preset shares the stem/transition geometry
     grids, extent = [], _conv_out(224, 7, 4, 3)

@@ -14,6 +14,7 @@ from ppvit.attention import (build_kv_sequence, multi_head_attention,
                              pmhsa_forward, pool_targets, pooled_extent,
                              pooled_len)
 from ppvit.model import _Init, _init_attn
+from ppvit.training import _projection_loss
 
 
 def make_state(cfg, seed=0, dtype=np.float64):
@@ -301,10 +302,9 @@ class TestLayerGradients:
         state = make_state(cfg, seed=5)
         x = Tensor(np.random.default_rng(6).normal(size=(1, 16, 8)),
                    requires_grad=True, dtype=np.float64)
-        proj = Tensor(np.random.default_rng(7).normal(size=(1, 16, 8)))
 
         def loss():
-            return T.sum(T.mul(pmhsa_forward(x, 4, 4, state), proj))
+            return _projection_loss(pmhsa_forward(x, 4, 4, state), np.random.default_rng(7))
 
         params = [x] + T.params(state)
         for p in params:

@@ -9,10 +9,12 @@ import numpy.testing as npt
 import pytest
 
 from ppvit import (GraphFreedError, NonFiniteError, ShapeError, Tensor, build_model,
-                   finite_difference_grad, forward_classify, no_grad, preset)
+                   finite_difference_grad, forward_classify, forward_features, no_grad,
+                   preset)
 from ppvit import tensor as T
 from ppvit.layers import irb_forward
 from ppvit.model import _Init, _init_irb
+from ppvit.training import _projection_loss
 
 TOL = 1e-4
 
@@ -38,8 +40,7 @@ def randt(rng, *shape, scale=1.0):
 
 
 def proj(y, seed):
-    w = Tensor(np.random.default_rng(seed).normal(size=y.shape))
-    return T.sum(T.mul(y, w))
+    return _projection_loss(y, np.random.default_rng(seed))
 
 
 def act_loss(x, act, w, k):
@@ -53,26 +54,28 @@ def act_loss(x, act, w, k):
 
 class TestBasicsByHand:
     def test_sum_gradient_is_ones(self, rng):
+        # the sum as x's row times a ones column
         x = randt(rng, 2, 3, 4)
-        T.sum(x).backward()
+        T.matmul(T.reshape(x, (1, -1)), Tensor(np.ones((24, 1)))).backward()
         npt.assert_array_equal(x.grad, np.ones((2, 3, 4)))
 
     def test_sum_of_squares(self):
+        # x's row times x's column: both operands of one node read x
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True, dtype=np.float64)
-        T.sum(T.mul(x, x)).backward()
+        T.matmul(T.reshape(x, (1, 3)), T.reshape(x, (3, 1))).backward()
         npt.assert_allclose(x.grad, [2.0, 4.0, 6.0], rtol=1e-12)
 
     def test_accumulation_without_reset(self):
         x = Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
-        T.sum(x).backward()
-        T.sum(x).backward()
-        npt.assert_array_equal(x.grad, [2.0, 2.0])
+        T.mean(x).backward()
+        T.mean(x).backward()
+        npt.assert_array_equal(x.grad, [1.0, 1.0])
 
     def test_shared_subexpression_visited_once(self):
         # d/dx sum((x+x)^2) = 8x; a double-visited node would double it
         x = Tensor([1.0, -2.0], requires_grad=True, dtype=np.float64)
         y = T.add(x, x)
-        T.sum(T.mul(y, y)).backward()
+        T.matmul(T.reshape(y, (1, 2)), T.reshape(y, (2, 1))).backward()
         npt.assert_allclose(x.grad, 8.0 * x.data, rtol=1e-12)
 
     @pytest.mark.parametrize("seed,error", [
@@ -85,36 +88,38 @@ class TestBasicsByHand:
         # no seed is broadcast, promoted or propagated when not finite
         x = Tensor(np.ones((3, 2), dtype=np.float32), requires_grad=True)
         with pytest.raises(error, match="seed"):
-            T.sum(x).backward(seed)
+            T.mean(x).backward(seed)
         assert x.grad is None
 
     def test_backward_requires_scalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        with pytest.raises(Exception):
-            T.mul(x, x).backward()
+        with pytest.raises(ShapeError, match="scalar"):
+            T.add(x, x).backward()
 
     def test_no_grad_suppresses_recording(self):
         x = Tensor([1.0], requires_grad=True)
         with no_grad():
-            y = T.mul(x, x)
+            y = T.add(x, x)
         assert not y.requires_grad and y.creator is None
 
     def test_detached_leaf_gets_no_grad(self, rng):
         x = randt(rng, 3)
-        frozen = Tensor(rng.normal(size=3))
-        T.sum(T.mul(x, frozen)).backward()
-        assert frozen.grad is None
+        frozen = Tensor(rng.normal(size=(3, 1)))
+        T.matmul(T.reshape(x, (1, 3)), frozen).backward()
+        assert frozen.grad is None and x.grad is not None
 
 
 class TestFiniteDifferenceOracle:
     def test_sum_is_ones(self, rng):
         x = Tensor(rng.normal(size=(2, 3)), dtype=np.float64)
-        fd = finite_difference_grad(lambda t: T.sum(t), x)
+        fd = finite_difference_grad(
+            lambda t: T.matmul(T.reshape(t, (1, 6)), Tensor(np.ones((6, 1)))), x)
         npt.assert_allclose(fd, 1.0, atol=1e-9)
 
     def test_sum_of_squares(self):
         x = Tensor([1.0, 2.0], dtype=np.float64)
-        fd = finite_difference_grad(lambda t: T.sum(T.mul(t, t)), x)
+        fd = finite_difference_grad(
+            lambda t: T.matmul(T.reshape(t, (1, 2)), T.reshape(t, (2, 1))), x)
         npt.assert_allclose(fd, [2.0, 4.0], atol=1e-7)
 
     def test_input_restored_when_f_raises(self):
@@ -125,7 +130,7 @@ class TestFiniteDifferenceOracle:
         def f(t):
             if t.data[1] < 2.0:
                 raise ShapeError("minus side")
-            return T.sum(t)
+            return T.mean(t)
 
         with pytest.raises(ShapeError, match="minus side"):
             finite_difference_grad(f, x)
@@ -137,7 +142,7 @@ class TestFiniteDifferenceOracle:
         w2 = Tensor(rng.normal(size=(5, 1)))
 
         def f(t):
-            return T.sum(T.matmul(T.matmul(T.reshape(t, (1, 4)), w1), w2, act="hardswish"))
+            return T.matmul(T.matmul(T.reshape(t, (1, 4)), w1), w2, act="hardswish")
 
         f(x).backward()
         fd = finite_difference_grad(f, x)
@@ -155,10 +160,9 @@ SHAPES4D = [(1, 4, 4, 2), (2, 5, 4, 3), (1, 6, 7, 1), (2, 1, 1, 3), (1, 2, 2, 2)
 
 class TestEveryOpThreeShapes:
     @pytest.mark.parametrize("shape", SHAPES3)
-    def test_add_mul(self, rng, shape):
+    def test_add(self, rng, shape):
         a, b = randt(rng, *shape), randt(rng, *shape)
         check_grads(lambda: proj(T.add(a, b), 1), [a, b])
-        check_grads(lambda: proj(T.mul(a, b), 3), [a, b])
 
     @pytest.mark.parametrize("shape", [(12,), (2, 6), (3, 2, 2)])
     def test_reshape(self, rng, shape):
@@ -180,9 +184,8 @@ class TestEveryOpThreeShapes:
 
     @pytest.mark.parametrize("shape,axis,keep", [((4,), None, False), ((2, 3), 0, True),
                                                  ((2, 3, 4), (0, 2), False)])
-    def test_sum_and_mean(self, rng, shape, axis, keep):
+    def test_mean(self, rng, shape, axis, keep):
         x = randt(rng, *shape)
-        check_grads(lambda: proj(T.sum(x, axis=axis, keepdims=keep), 10), [x])
         check_grads(lambda: proj(T.mean(x, axis=axis, keepdims=keep), 11), [x])
 
     @pytest.mark.parametrize("sa,sb", [((2, 3), (3, 4)), ((2, 3, 4), (2, 4, 2)),
@@ -220,15 +223,16 @@ class TestEveryOpThreeShapes:
         centre = np.zeros((2, 1, 3, 3))
         centre[:, 0, 1, 1] = 1.0
         for dtype in (np.float32, np.float64):
+            ones = Tensor(np.ones((2, 1)), dtype=dtype)
             for op in ("matmul", "conv2d"):
                 kinks = Tensor(np.array([-3.0, 3.0]), requires_grad=True, dtype=dtype)
                 if op == "matmul":
-                    y = T.matmul(T.reshape(kinks, (1, 2)), Tensor(np.ones((2, 1)), dtype=dtype),
-                                 act="hardswish")
+                    y = T.matmul(T.reshape(kinks, (1, 2)), ones, act="hardswish")
                 else:
                     y = T.conv2d(T.reshape(kinks, (1, 1, 1, 2)), Tensor(centre, dtype=dtype),
                                  padding=1, groups=2, act="hardswish")
-                T.sum(y).backward()
+                    y = T.matmul(T.reshape(y, (1, 2)), ones)
+                y.backward()
                 assert kinks.grad.dtype == dtype
                 npt.assert_array_equal(kinks.grad, [0.0, 1.5])
 
@@ -321,23 +325,23 @@ class TestGradientMassAndStructure:
     def test_avg_pool_backward_conserves_mass(self, rng):
         x = randt(rng, 1, 7, 5, 2)
         out = T.adaptive_avg_pool2d(x, 3, 2)
-        seed_grad = np.abs(np.random.default_rng(0).normal(size=out.shape))
-        T.sum(T.mul(out, Tensor(seed_grad))).backward()
-        npt.assert_allclose(x.grad.sum(), seed_grad.sum(), rtol=1e-10)
+        proj(out, 0).backward()
+        w = np.random.default_rng(0).normal(size=out.size)  # the weights ``proj`` drew
+        npt.assert_allclose(x.grad.sum(), w.sum(), rtol=1e-10)
 
     def test_max_pool_routes_to_argmax_only(self, rng):
         x = randt(rng, 1, 4, 4, 1)
-        T.sum(T.adaptive_max_pool2d(x, 2, 2)).backward()
+        T.mean(T.adaptive_max_pool2d(x, 2, 2)).backward()
         # disjoint 2x2 bins: exactly one winner per bin
         assert (x.grad != 0).sum() == 4
-        npt.assert_allclose(x.grad.sum(), 4.0, rtol=1e-12)
+        npt.assert_allclose(x.grad.sum(), 1.0, rtol=1e-12)
 
     def test_broadcast_unreduces_to_leaf_shape(self, rng):
         a = randt(rng, 3, 4)
         b = randt(rng, 4)
-        T.sum(T.add(a, b)).backward()
+        T.mean(T.add(a, b)).backward()
         assert b.grad.shape == (4,)
-        npt.assert_allclose(b.grad, 3.0, rtol=1e-12)
+        npt.assert_allclose(b.grad, 3.0 / 12.0, rtol=1e-12)
 
 
 def _record_outputs_of(monkeypatch, weight):
@@ -384,7 +388,7 @@ class TestBackwardFreesTheGraph:
         state = _init_irb(_Init(0, np.float64), 4, 2, "irb", "hardswish")
         x = randt(rng, 2, 12, 4)
         refs = _record_outputs_of(monkeypatch, state.expand.weight)
-        loss = T.sum(irb_forward(x, 3, 4, state))
+        loss = T.mean(irb_forward(x, 3, 4, state))
         (ref,) = refs
         assert ref() is not None
         loss.backward()
@@ -416,19 +420,33 @@ class TestBackwardFreesTheGraph:
             return softmax_bw(g)
 
         probs.creator.backward_fn = softmax_then_check
-        T.sum(T.mul(probs, Tensor(rng.normal(size=probs.shape)))).backward()
+        proj(probs, 0).backward()
         assert score_node.op == "matmul" and score_node.backward_fn is None
         assert seen == [True] and h_ref() is None
         assert w.grad is not None and k.grad is not None
 
+    def test_patch_embed_does_not_pin_its_input_map(self, rng):
+        # a loss on stage 4 alone: the dense conv opening each later stage
+        # reads its input map only to make ``cols``, so no backward closure
+        # may keep stages 1-3's outputs alive until ``backward``
+        net = build_model(preset("micro", num_classes=2), seed=0)
+        x = Tensor(rng.uniform(size=(1, 3, 32, 32)).astype(np.float32))
+        pyr = forward_features(net, x)
+        refs = [weakref.ref(seq.data) for seq in pyr.tokens[:3]]
+        loss = T.mean(pyr.tokens[3])
+        del pyr
+        assert [ref() is None for ref in refs] == [True, True, True]
+        loss.backward()
+        assert net.stem.conv.weight.grad is not None  # through every patch embed
+
     def test_second_backward_raises_and_keeps_grads(self, rng):
         x, w = randt(rng, 2, 3), randt(rng, 3, 4)
         y = T.matmul(x, w)
-        loss = T.sum(T.mul(y, y))
+        loss = proj(y, 0)
         loss.backward()
         first = x.grad.copy(), w.grad.copy()
         # the same loss again, and a new loss over part of the freed graph
-        for again in (loss, T.sum(T.add(y, y))):
+        for again in (loss, T.mean(T.add(y, y))):
             with pytest.raises(GraphFreedError, match="freed by an earlier backward"):
                 again.backward()
             npt.assert_array_equal(x.grad, first[0])

@@ -30,7 +30,7 @@ class TestParamAccounting:
                                       "large"])
     def test_analytic_count_matches_built_model(self, name):
         cfg = preset(name, num_classes=10)
-        assert count_params(cfg).total_params == build_model(cfg).param_count()
+        assert count_params(cfg).total_params == build_model(cfg).arena.data.size
 
     @pytest.mark.parametrize("overrides", [
         {"use_rpe": False},
@@ -41,7 +41,7 @@ class TestParamAccounting:
     ])
     def test_ablation_variants_stay_exact(self, overrides):
         cfg = preset("micro", num_classes=4, **overrides)
-        assert count_params(cfg).total_params == build_model(cfg).param_count()
+        assert count_params(cfg).total_params == build_model(cfg).arena.data.size
 
     def test_rpe_off_removes_parameters(self):
         on = count_params(preset("micro", num_classes=4)).total_params

@@ -10,6 +10,7 @@ from ppvit import tensor as T
 from ppvit.attention import build_kv_sequence
 from ppvit.layers import block_forward, irb_forward, patch_embed
 from ppvit.model import _Init, _init_attn, _init_block, _init_irb, _init_patch_embed
+from ppvit.training import _projection_loss
 
 
 def hswish(x):
@@ -166,7 +167,7 @@ class TestBlock:
                    requires_grad=True, dtype=np.float64)
 
         def loss():
-            return T.sum(block_forward(x, 4, 4, blk))
+            return _projection_loss(block_forward(x, 4, 4, blk), np.random.default_rng(9))
 
         x.grad = None
         loss().backward()

@@ -117,18 +117,19 @@ class TestGeometry:
         net = micro_model()
         with no_grad():
             pyr = forward_features(net, rand_images(rng, size=64))
-        sizes = [lvl.shape[2:] for lvl in pyr.levels]
-        assert sizes == [(16, 16), (8, 8), (4, 4), (2, 2)]
-        chans = [lvl.shape[1] for lvl in pyr.levels]
-        assert chans == [8, 16, 24, 32]
+        assert pyr.sizes == ((16, 16), (8, 8), (4, 4), (2, 2))
+        assert [t.shape for t in pyr.tokens] == [(1, h * w, c) for (h, w), c
+                                                 in zip(pyr.sizes, [8, 16, 24, 32])]
 
     def test_doubling_input_quadruples_tokens(self, rng):
         net = micro_model()
         with no_grad():
             small = forward_features(net, rand_images(rng, size=32))
             big = forward_features(net, rand_images(rng, size=64))
-        for s, b in zip(small.levels, big.levels):
-            assert b.shape[2] == 2 * s.shape[2] and b.shape[3] == 2 * s.shape[3]
+        for (sh, sw), (bh, bw) in zip(small.sizes, big.sizes):
+            assert bh == 2 * sh and bw == 2 * sw
+        for s, b in zip(small.tokens, big.tokens):
+            assert b.shape[1] == 4 * s.shape[1]
 
     def test_batch_permutation_equivariance(self, rng):
         net = micro_model()
@@ -137,8 +138,8 @@ class TestGeometry:
         with no_grad():
             base = forward_features(net, x)
             shuffled = forward_features(net, Tensor(x.data[perm]))
-        for lvl, lvl_p in zip(base.levels, shuffled.levels):
-            npt.assert_array_equal(lvl_p.data, lvl.data[perm])
+        for seq, seq_p in zip(base.tokens, shuffled.tokens):
+            npt.assert_array_equal(seq_p.data, seq.data[perm])
 
     def test_rejects_wrong_channel_count(self, rng):
         with pytest.raises(ShapeError):
@@ -171,10 +172,8 @@ class TestHead:
         with no_grad():
             pyr = forward_features(net, x)
             logits = forward_classify(net, x)
-        b4 = pyr.levels[3].data
-        tokens = b4.transpose(0, 2, 3, 1).reshape(b4.shape[0], -1, b4.shape[1])
         normed = oracles.layer_norm_loops(
-            tokens, net.head_ln.gamma.data, net.head_ln.beta.data)
+            pyr.tokens[3].data, net.head_ln.gamma.data, net.head_ln.beta.data)
         ref = normed.mean(axis=1) @ net.head_fc.weight.data + net.head_fc.bias.data
         npt.assert_allclose(logits.data, ref, rtol=1e-4, atol=1e-5)
 
@@ -333,7 +332,7 @@ class TestArena:
         named = net.named_params()
         assert net.arena.holds(named)
         assert net.arena.names == [n for n, _ in named]
-        assert net.arena.offsets[-1] == net.arena.data.size == net.param_count()
+        assert net.arena.offsets[-1] == net.arena.data.size == sum(p.size for _, p in named)
         assert all(p.data.base is net.arena.data for _, p in named)
 
     @pytest.mark.parametrize("overrides", [{}, {"use_rpe": False}, {"ffn_kind": "mlp"}])
