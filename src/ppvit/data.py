@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .tensor import Tensor
 
 GENERATOR_KINDS = ("blobs", "stripes", "checkers")
@@ -121,6 +121,8 @@ def load_batch(ds: SyntheticDataset, indices) -> tuple[Tensor, np.ndarray]:
     later batch.
     """
     idx = [int(i) for i in indices]
+    if not idx:
+        raise ShapeError("load_batch needs at least one sample in indices, got none")
     labels = np.asarray([i % ds.num_classes for i in idx], dtype=np.int64)
     n, s = ds.num_samples, ds.image_size
     if n * 3 * s * s * 4 > MEMO_BYTES:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields, is_dataclass
@@ -45,13 +46,17 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
+def all_finite(arr: Array) -> bool:
+    """Whether every value is finite.  Squares cannot cancel an inf, so a
+    finite self dot proves it with no full-size bool array (``vdot``, unlike
+    ``dot``, warns of no overflow); an overflowing dot or a strided ``arr``
+    falls back to the exact scan."""
+    return (arr.flags.c_contiguous and math.isfinite(np.vdot(arr, arr))) \
+        or bool(np.isfinite(arr).all())
+
+
 def _ensure_finite(arr: Array, op: str) -> None:
-    # Squares cannot cancel an inf, so a finite self dot proves every value
-    # finite with no full-size bool array; ``vdot`` (unlike ``dot``) raises no
-    # overflow warning.  An overflowing dot or a strided ``arr`` falls back to
-    # the exact scan.
-    if not (arr.flags.c_contiguous and math.isfinite(np.vdot(arr, arr))) \
-            and not np.isfinite(arr).all():
+    if not all_finite(arr):
         raise NonFiniteError(f"operation '{op}' produced non-finite values")
 
 
@@ -133,19 +138,23 @@ def _make(op: str, out_data: Array, inputs: tuple[Tensor, ...],
           moved: bool = False) -> Tensor:
     # ``moved``: ``out_data`` holds only input values (reshape, transpose, concat),
     # so it is finite if every input was checked when made
-    if not (moved and all(t.scanned for t in inputs)):
+    if not (moved and all([t.scanned for t in inputs])):
         _ensure_finite(out_data, op)
-    out = Tensor(out_data)
-    out.scanned = True
-    if _grad_enabled.get() and any(t.requires_grad for t in inputs):
+    # built without ``Tensor.__init__``'s conversion: an op's output is a float
+    # array already, or a NumPy scalar from a reduction to 0-d
+    out = Tensor.__new__(Tensor)
+    out.data = out_data if type(out_data) is np.ndarray else np.asarray(out_data)
+    out.grad = out.name = out.creator = None
+    out.scanned, out.requires_grad = True, False
+    if _grad_enabled.get() and any([t.requires_grad for t in inputs]):
         out.requires_grad = True
-        out.creator = Node(op, tuple(t.creator or (t if t.requires_grad else None)
-                                     for t in inputs), backward_fn)
+        out.creator = Node(op, tuple([t.creator or (t if t.requires_grad else None)
+                                      for t in inputs]), backward_fn)
     return out
 
 
 def backward(loss: Tensor, seed: Array | None = None) -> None:
-    """Reverse-mode sweep from a scalar loss.
+    """Reverse-mode sweep from a scalar loss that recorded a graph.
 
     Every leaf with ``requires_grad`` receives its gradient; repeated calls
     without ``zero_grads`` accumulate.  The sweep walks nodes, not tensors:
@@ -158,48 +167,50 @@ def backward(loss: Tensor, seed: Array | None = None) -> None:
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if loss.creator is None and not loss.requires_grad:
+        raise ShapeError("backward needs a loss that recorded a graph; this one was "
+                         "computed under no_grad or from tensors that need no gradient")
     seed = np.ones_like(loss.data) if seed is None else np.asarray(seed)
     if seed.shape != loss.shape or seed.dtype != loss.dtype:
         raise ShapeError(f"seed must be {loss.dtype} {loss.shape}, got {seed.dtype} {seed.shape}")
-    if not np.isfinite(seed).all():
+    if not all_finite(seed):
         raise NonFiniteError("backward seed is not finite")
 
-    # Iterative post-order DFS over nodes and leaves: inputs land before consumers.
+    # Iterative post-order DFS over nodes and leaves (hashed by identity):
+    # inputs land before consumers.
     root = loss.creator or loss
     topo: list[Node | Tensor] = []
-    visited: set[int] = set()
+    visited: set[Node | Tensor] = set()
     stack: list[tuple[Node | Tensor, bool]] = [(root, False)]
     while stack:
         entry, expanded = stack.pop()
         if expanded:
             topo.append(entry)
             continue
-        if id(entry) in visited:
+        if entry in visited:
             continue
-        visited.add(id(entry))
+        visited.add(entry)
         stack.append((entry, True))
-        if isinstance(entry, Node):
+        if type(entry) is Node:
             if entry.backward_fn is None:
                 raise GraphFreedError(
                     f"the graph at '{entry.op}' was freed by an earlier backward")
-            stack.extend((inp, False) for inp in entry.inputs
-                         if inp is not None and id(inp) not in visited)
+            stack.extend([(inp, False) for inp in entry.inputs
+                          if inp is not None and inp not in visited])
 
-    # ``id`` keys stay sound: an entry with a pending key is still in ``topo``.
-    grads: dict[int, Array] = {id(root): seed}
+    grads: dict[Node | Tensor, Array] = {root: seed}
     while topo:
         entry = topo.pop()
-        grad = grads.pop(id(entry), None)
+        grad = grads.pop(entry, None)
         if grad is None:
             continue
-        if isinstance(entry, Tensor):
+        if type(entry) is not Node:
             entry.grad = grad.copy() if entry.grad is None else entry.grad + grad
             continue
         for inp, g in zip(entry.inputs, entry.backward_fn(grad)):
             if g is None or inp is None:
                 continue
-            key = id(inp)
-            grads[key] = g if key not in grads else grads[key] + g
+            grads[inp] = g if inp not in grads else grads[inp] + g
         entry.backward_fn, entry.inputs = None, ()
 
 
@@ -333,9 +344,9 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    return _make("transpose", np.transpose(x.data, axes), (x,),
-                 lambda g: (np.transpose(g, inverse),), moved=True)
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+    return _make("transpose", x.data.transpose(axes), (x,),
+                 lambda g: (g.transpose(inverse),), moved=True)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -549,13 +560,16 @@ def _pad(a: Array, ph: int, pw: int, fwd: Callable | None = None) -> Array:
     return out
 
 
-def _windows(src: Array, kh: int, kw: int, ho: int, wo: int, stride: int, m: int) -> Array:
-    """View ``[B, ho, wo/m, kh, kw, m*C]`` of a map: output column
-    ``J*m + t`` reads its window at ``[:, :, J, :, :, t*C:(t+1)*C]``.
-    ``m > 1`` needs stride 1 and map rows contiguous over width and C."""
+def _windows(src: Array, kh: int, kw: int, ho: int, wo: int, stride: int, m: int,
+             origin: int = 0) -> Array:
+    """View ``[B, ho, wo/m, kh, kw, m*C]`` of a C-contiguous map whose first
+    ``origin`` rows and columns are skipped: output column ``J*m + t`` reads
+    its window at ``[:, :, J, :, :, t*C:(t+1)*C]``.  ``m > 1`` needs stride 1.
+    The ``ndarray`` constructor builds it a few times faster than ``as_strided``
+    and refuses a view that would leave ``src``."""
     (b, _, _, c), (sb, sh, sw, sc) = src.shape, src.strides
-    return np.lib.stride_tricks.as_strided(src, (b, ho, wo // m, kh, kw, m * c),
-                                           (sb, sh * stride, sw * stride * m, sh, sw, sc))
+    return np.ndarray((b, ho, wo // m, kh, kw, m * c), src.dtype, src, origin * (sh + sw),
+                      (sb, sh * stride, sw * stride * m, sh, sw, sc))
 
 
 def _tap(a: Array, u: int, v: int, ho: int, wo: int, stride: int) -> Array:
@@ -563,17 +577,23 @@ def _tap(a: Array, u: int, v: int, ho: int, wo: int, stride: int) -> Array:
     return a[:, u:u + (ho - 1) * stride + 1:stride, v:v + (wo - 1) * stride + 1:stride]
 
 
-def _correlate(src: Array, kt: Array, ho: int, wo: int, stride: int):
-    """Depthwise correlation ``[B, ho, wo, C]`` of a map with ``kt`` ``[kh, kw, C]``,
-    and ``m``: the output columns merged into each window row (at stride 1 the
-    least divisor of ``wo`` with ``m * C >= _DEPTHWISE_ROW``, else ``wo``; else 1).
-    The kernel is ``kt`` tiled ``m`` times, contiguous, which fixes einsum's order."""
+def _correlate(src: Array, kt: Array, ho: int, wo: int, stride: int, origin: int = 0):
+    """Depthwise correlation ``[B, ho, wo, C]`` of a map, from ``origin`` on
+    (``_windows``), with ``kt`` ``[kh, kw, C]``, and ``m``: the output columns
+    merged into each window row (at stride 1 the least divisor of ``wo`` with
+    ``m * C >= _DEPTHWISE_ROW``, else ``wo``; else 1).  The kernel is ``kt``
+    tiled ``m`` times, contiguous, which fixes einsum's order."""
     kh, kw, c = kt.shape
-    m = 1 if stride > 1 else next(d for d in range(1, wo + 1)
-                                  if wo % d == 0 and (d * c >= _DEPTHWISE_ROW or d == wo))
-    out = np.einsum("bijuvc,uvc->bijc", _windows(src, kh, kw, ho, wo, stride, m),
-                    np.ascontiguousarray(np.tile(kt, m)))
+    m = 1 if stride > 1 else _merged_columns(wo, c)
+    out = np.einsum("bijuvc,uvc->bijc", _windows(src, kh, kw, ho, wo, stride, m, origin),
+                    np.ascontiguousarray(kt if m == 1 else np.tile(kt, m)))
     return out.reshape(src.shape[0], ho, wo, c), m
+
+
+@functools.lru_cache(maxsize=None)
+def _merged_columns(wo: int, c: int) -> int:
+    return next(d for d in range(1, wo + 1)
+                if wo % d == 0 and (d * c >= _DEPTHWISE_ROW or d == wo))
 
 
 def _depthwise_kernel(x: Array, k: Array, stride: int, padding: int, fwd: Callable | None):
@@ -600,7 +620,7 @@ def _depthwise_kernel(x: Array, k: Array, stride: int, padding: int, fwd: Callab
         if need_dx:
             gd = np.zeros((b, hp + kh - 1, wp + kw - 1, c), dtype=x.dtype)
             _tap(gd, kh - 1, kw - 1, ho, wo, stride)[...] = g
-            dx, _ = _correlate(gd[:, padding:, padding:], kt[::-1, ::-1], *x.shape[1:3], 1)
+            dx, _ = _correlate(gd, kt[::-1, ::-1], *x.shape[1:3], 1, padding)
         return dx, dkt.reshape(kh, kw, m, c).sum(axis=2).transpose(2, 0, 1)[:, None]
 
     return out, bw
@@ -700,11 +720,13 @@ def _pool_bins(extent: int, target: int) -> list[tuple[int, int]]:
             for i in range(target)]
 
 
+@functools.lru_cache(maxsize=None)
 def _bin_matrix(extent: int, target: int, dtype) -> Array:
     """``[target, extent]``: row i holds ``1/len`` over the members of bin i."""
     m = np.zeros((target, extent), dtype=dtype)
     for i, (lo, hi) in enumerate(_pool_bins(extent, target)):
         m[i, lo:hi] = 1.0 / (hi - lo)
+    m.flags.writeable = False
     return m
 
 

@@ -134,7 +134,7 @@ def adamw_step(named_params: list[tuple[str, Tensor]], grads: list[np.ndarray],
             raise ConfigError(
                 f"gradient shape {g.shape} does not match parameter {name!r} "
                 f"{p.data.shape}")
-        if not np.isfinite(g).all():
+        if not T.all_finite(g):
             raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
     lr = lr_at(tc, min(step, tc.total_steps))
     c1 = 1.0 - ADAM_BETA1 ** step
@@ -339,80 +339,51 @@ def _ops_cases() -> list[GradcheckCase]:
 
     cases = []
 
-    def check(name, f, inputs):
-        cases.append(_check_full(name, f, inputs))
+    def check(name, f, inputs, seed=None):
+        # ``f()`` projected to a scalar by a column drawn from ``seed``, or as is
+        loss = f if seed is None else lambda: _projection_loss(f(), np.random.default_rng(seed))
+        cases.append(_check_full(name, loss, inputs))
 
-    a, b = t(3, 4), t(3, 4)
-    check("add", lambda: _projection_loss(T.add(a, b), np.random.default_rng(1)), [a, b])
-    br = t(4)
-    check("add_broadcast",
-          lambda: _projection_loss(T.add(a, br), np.random.default_rng(4)), [a, br])
-    x = t(3, 4)
-    check("reshape",
-          lambda: _projection_loss(T.reshape(x, (2, 6)), np.random.default_rng(8)), [x])
-    x3 = t(2, 3, 4)
-    check("transpose",
-          lambda: _projection_loss(T.transpose(x3, (2, 0, 1)), np.random.default_rng(9)),
-          [x3])
+    a, b, br = t(3, 4), t(3, 4), t(4)
+    check("add", lambda: T.add(a, b), [a, b], 1)
+    check("add_broadcast", lambda: T.add(a, br), [a, br], 4)
+    x, x3 = t(3, 4), t(2, 3, 4)
+    check("reshape", lambda: T.reshape(x, (2, 6)), [x], 8)
+    check("transpose", lambda: T.transpose(x3, (2, 0, 1)), [x3], 9)
     c1, c2 = t(2, 3), t(2, 5)
-    check("concat",
-          lambda: _projection_loss(T.concat([c1, c2], axis=1), np.random.default_rng(10)),
-          [c1, c2])
-    check("mean_axis",
-          lambda: _projection_loss(T.mean(x3, axis=(0, 2)), np.random.default_rng(12)),
-          [x3])
+    check("concat", lambda: T.concat([c1, c2], axis=1), [c1, c2], 10)
+    check("mean_axis", lambda: T.mean(x3, axis=(0, 2)), [x3], 12)
     m1, m2 = t(3, 4), t(4, 5)
-    check("matmul",
-          lambda: _projection_loss(T.matmul(m1, m2), np.random.default_rng(13)), [m1, m2])
+    check("matmul", lambda: T.matmul(m1, m2), [m1, m2], 13)
     bm1, bm2 = t(2, 3, 4), t(2, 4, 5)
-    check("matmul_batched",
-          lambda: _projection_loss(T.matmul(bm1, bm2), np.random.default_rng(14)),
-          [bm1, bm2])
+    check("matmul_batched", lambda: T.matmul(bm1, bm2), [bm1, bm2], 14)
     lw, lb = t(4, 5), t(5)
-    check("matmul_bias",
-          lambda: _projection_loss(T.matmul(x, lw, lb), np.random.default_rng(15)),
-          [x, lw, lb])
+    check("matmul_bias", lambda: T.matmul(x, lw, lb), [x, lw, lb], 15)
     # inputs of the activations (``act=``) stay away from the hardswish kinks at +-3
     hx = Tensor(rng.uniform(-2.5, 2.5, size=(3, 4)), requires_grad=True, dtype=np.float64)
-    check("softmax_rows",
-          lambda: _projection_loss(T.softmax_rows(x, 1.0), np.random.default_rng(18)), [x])
-    check("softmax_rows_scaled",
-          lambda: _projection_loss(T.softmax_rows(x, -1.7), np.random.default_rng(6)), [x])
+    check("softmax_rows", lambda: T.softmax_rows(x, 1.0), [x], 18)
+    check("softmax_rows_scaled", lambda: T.softmax_rows(x, -1.7), [x], 6)
     g, bta = t(4, scale=0.5), t(4, scale=0.5)
-    check("layer_norm",
-          lambda: _projection_loss(T.layer_norm(x, g, bta), np.random.default_rng(19)),
-          [x, g, bta])
+    check("layer_norm", lambda: T.layer_norm(x, g, bta), [x, g, bta], 19)
     # maps are channels-last: [B, H, W, C]
     ci, cw, cb = t(2, 5, 5, 3), t(4, 3, 3, 3), t(4)
-    check("conv2d",
-          lambda: _projection_loss(T.conv2d(ci, cw, cb, stride=1, padding=1),
-                                   np.random.default_rng(20)), [ci, cw, cb])
-    check("conv2d_strided",
-          lambda: _projection_loss(T.conv2d(ci, cw, cb, stride=2, padding=1),
-                                   np.random.default_rng(21)), [ci, cw, cb])
+    check("conv2d", lambda: T.conv2d(ci, cw, cb, stride=1, padding=1), [ci, cw, cb], 20)
+    check("conv2d_strided", lambda: T.conv2d(ci, cw, cb, stride=2, padding=1), [ci, cw, cb], 21)
     di, dw, db = t(2, 4, 4, 3), t(3, 1, 3, 3), t(3)
     check("conv2d_depthwise",
-          lambda: _projection_loss(T.conv2d(di, dw, db, padding=1, groups=3),
-                                   np.random.default_rng(23)), [di, dw, db])
+          lambda: T.conv2d(di, dw, db, padding=1, groups=3), [di, dw, db], 23)
     hd = Tensor(np.random.default_rng(26).uniform(-2.5, 2.5, size=di.shape),
                 requires_grad=True, dtype=np.float64)
     for act in T.ACTS:
-        check(f"matmul_{act}", lambda act=act: _projection_loss(
-            T.matmul(hx, lw, lb, act=act), np.random.default_rng(16)), [hx, lw, lb])
-        check(f"conv2d_depthwise_{act}", lambda act=act: _projection_loss(
-            T.conv2d(hd, dw, db, padding=1, groups=3, act=act), np.random.default_rng(27)),
-            [hd, dw, db])
+        check(f"matmul_{act}", lambda act=act: T.matmul(hx, lw, lb, act=act), [hx, lw, lb], 16)
+        check(f"conv2d_depthwise_{act}",
+              lambda act=act: T.conv2d(hd, dw, db, padding=1, groups=3, act=act),
+              [hd, dw, db], 27)
     pi = t(2, 7, 5, 3)
-    check("adaptive_avg_pool2d",
-          lambda: _projection_loss(T.adaptive_avg_pool2d(pi, 3, 2),
-                                   np.random.default_rng(24)), [pi])
-    check("adaptive_max_pool2d",
-          lambda: _projection_loss(T.adaptive_max_pool2d(pi, 3, 2),
-                                   np.random.default_rng(25)), [pi])
-    logits = t(4, 3)
-    labels = np.array([0, 2, 1, 2])
-    check("cross_entropy_logits",
-          lambda: T.cross_entropy_logits(logits, labels), [logits])
+    check("adaptive_avg_pool2d", lambda: T.adaptive_avg_pool2d(pi, 3, 2), [pi], 24)
+    check("adaptive_max_pool2d", lambda: T.adaptive_max_pool2d(pi, 3, 2), [pi], 25)
+    logits, labels = t(4, 3), np.array([0, 2, 1, 2])
+    check("cross_entropy_logits", lambda: T.cross_entropy_logits(logits, labels), [logits])
     return cases
 
 

@@ -194,3 +194,42 @@ def adamw_loop(params, grads, m, v, lr, weight_decay, step,
         update += weight_decay * p
         update *= lr
         p -= update
+
+
+def backward_sweep(loss, seed=None):
+    """The first reverse sweep of a ``ppvit.tensor`` graph, as it was written.
+
+    A post-order DFS from the loss keyed by ``id``, then interior gradients
+    summed per node in the reverse of that order: the order every fan-in sum
+    must keep for gradients to keep their bits.  It reads only the graph's
+    attributes (a node's ``inputs`` and ``backward_fn``; a leaf has no
+    ``backward_fn`` and receives ``grad``) and does not free the graph.
+    """
+    root = loss.creator or loss
+    topo, visited, stack = [], set(), [(root, False)]
+    while stack:
+        entry, expanded = stack.pop()
+        if expanded:
+            topo.append(entry)
+            continue
+        if id(entry) in visited:
+            continue
+        visited.add(id(entry))
+        stack.append((entry, True))
+        if hasattr(entry, "backward_fn"):
+            stack.extend((inp, False) for inp in entry.inputs
+                         if inp is not None and id(inp) not in visited)
+    grads = {id(root): np.ones_like(loss.data) if seed is None else seed}
+    while topo:
+        entry = topo.pop()
+        grad = grads.pop(id(entry), None)
+        if grad is None:
+            continue
+        if not hasattr(entry, "backward_fn"):
+            entry.grad = grad.copy() if entry.grad is None else entry.grad + grad
+            continue
+        for inp, g in zip(entry.inputs, entry.backward_fn(grad)):
+            if g is None or inp is None:
+                continue
+            key = id(inp)
+            grads[key] = g if key not in grads else grads[key] + g

@@ -11,6 +11,7 @@ import pytest
 from ppvit import (GraphFreedError, NonFiniteError, ShapeError, Tensor, build_model,
                    finite_difference_grad, forward_classify, forward_features, no_grad,
                    preset)
+import oracles
 from ppvit import tensor as T
 from ppvit.layers import irb_forward
 from ppvit.model import _Init, _init_irb
@@ -95,6 +96,19 @@ class TestBasicsByHand:
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeError, match="scalar"):
             T.add(x, x).backward()
+
+    def test_backward_refuses_a_loss_with_no_graph(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with no_grad():
+            z = T.mean(x)
+        for loss in (z, T.mean(Tensor([1.0, 2.0]))):
+            with pytest.raises(ShapeError, match="graph"):
+                loss.backward()
+            assert loss.grad is None
+        assert x.grad is None
+        leaf = Tensor([3.0], requires_grad=True)  # a leaf loss is its own graph
+        leaf.backward()
+        npt.assert_array_equal(leaf.grad, [1.0])
 
     def test_no_grad_suppresses_recording(self):
         x = Tensor([1.0], requires_grad=True)
@@ -319,6 +333,41 @@ class TestEveryOpThreeShapes:
         x = randt(rng, n, k)
         labels = rng.integers(0, k, size=n)
         check_grads(lambda: T.cross_entropy_logits(x, labels), [x])
+
+
+class TestSweepOrder:
+    """Every fan-in is summed in the order of the first sweep
+    (``oracles.backward_sweep``), so gradients keep their bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_micro_gradients_match_the_oracle_sweep(self, dtype):
+        net = build_model(preset("micro", num_classes=4), seed=0, dtype=dtype)
+        x = Tensor(np.random.default_rng(3).uniform(size=(4, 3, 32, 32)).astype(dtype))
+        named = net.named_params()
+        got = []
+        for sweep in (T.backward, oracles.backward_sweep):
+            T.zero_grads([p for _, p in named])
+            sweep(T.cross_entropy_logits(forward_classify(net, x), [0, 1, 2, 3]))
+            got.append([p.grad for _, p in named])
+        for (name, _), ours, ref in zip(named, *got):
+            assert ours.dtype == dtype and np.array_equal(ours, ref), name
+
+    def test_three_way_fan_in_sums_in_the_oracle_order(self):
+        # row r of ``h`` sums 1e8, 1 and -1e8 from three consumers, the 1 from
+        # another consumer in each row; in float32 a row reads 1 only if its 1
+        # is added last, so letting another consumer arrive last moves the 1
+        vals = np.array([[1e8, 1.0, -1e8], [1.0, -1e8, 1e8], [-1e8, 1e8, 1.0]],
+                        dtype=np.float32)  # [row, consumer]
+        grads = []
+        for sweep in (T.backward, oracles.backward_sweep):
+            leaf = Tensor(np.ones((3, 1), dtype=np.float32), requires_grad=True)
+            h = T.reshape(leaf, (3, 1))
+            outs = [T.matmul(Tensor(np.diag(vals[:, i])), h) for i in range(3)]
+            total = T.add(T.add(outs[0], outs[1]), outs[2])
+            sweep(T.matmul(Tensor(np.ones((1, 3), dtype=np.float32)), total))
+            grads.append(leaf.grad)
+        assert grads[0].dtype == np.float32 and sorted(grads[0].ravel()) == [0.0, 0.0, 1.0]
+        npt.assert_array_equal(grads[0], grads[1])
 
 
 class TestGradientMassAndStructure:

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ppvit import ConfigError, SyntheticDataset, generate_sample, load_batch
+from ppvit import ConfigError, ShapeError, SyntheticDataset, generate_sample, load_batch
 from ppvit.data import GENERATOR_KINDS, MEMO_BYTES, nearest_centroid_accuracy
 
 BLOBS = SyntheticDataset("blobs", 32, 32, 4, seed=7)
@@ -114,6 +114,13 @@ class TestRenderMemo:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("num_samples,size", [(4, 32), (64, 224)], ids=["memo", "rendered"])
+    def test_empty_indices(self, num_samples, size):
+        ds = SyntheticDataset("blobs", num_samples, size, 4, seed=0)
+        assert (num_samples * 3 * size * size * 4 > MEMO_BYTES) == (size == 224)
+        with pytest.raises(ShapeError, match="indices"):
+            load_batch(ds, [])
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             SyntheticDataset("plasma", 8, 16, 2, seed=0)

@@ -231,6 +231,15 @@ class TestDepthwiseConv2d:
         assert dx is None and dx_live.shape == x.shape
         npt.assert_array_equal(dw, dw_live)
 
+    def test_window_view_stays_inside_its_map(self):
+        # 2x2 windows of 3x3 over a 3x3 map would read past its last row
+        m = np.arange(18.0).reshape(1, 3, 3, 2)
+        npt.assert_array_equal(T._windows(m, 3, 3, 1, 1, 1, 1)[0, 0, 0], m[0])
+        npt.assert_array_equal(T._windows(np.pad(m, ((0, 0), (1, 1), (1, 1), (0, 0))),
+                                          3, 3, 1, 1, 1, 1, origin=1)[0, 0, 0], m[0])
+        with pytest.raises(ValueError):
+            T._windows(m, 3, 3, 2, 2, 1, 1)
+
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError, match="groups=3"):
             T.conv2d(Tensor(np.zeros((1, 4, 4, 3))), Tensor(np.zeros((2, 1, 3, 3))),
@@ -273,6 +282,12 @@ class TestAdaptiveAvgPool:
     def test_target_exceeds_input(self):
         with pytest.raises(ShapeError, match="exceeds"):
             T.adaptive_avg_pool2d(Tensor(np.zeros((1, 3, 3, 1))), 4, 2)
+
+    def test_bin_matrix_is_cached_read_only(self):
+        m = T._bin_matrix(7, 3, np.dtype(np.float32))
+        assert T._bin_matrix(7, 3, np.dtype(np.float32)) is m and not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
 
 
 class TestAdaptiveMaxPool:

@@ -251,6 +251,48 @@ class TestChunkedAdamW:
             npt.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
+class TestAdamWFiniteCheck:
+    """Gradients are checked with the engine's own finite test (``T.all_finite``)."""
+
+    @staticmethod
+    def _setup(rng):
+        named = [(f"p{i}", Tensor(rng.normal(size=shape).astype(np.float32),
+                                  requires_grad=True))
+                 for i, shape in enumerate([(6,), (4, 3), (5,)])]
+        return named, AdamWState.for_params(named), TrainConfig(total_steps=5)
+
+    def test_gradient_whose_squares_overflow_passes(self, rng):
+        named, state, tc = self._setup(rng)
+        grads = [np.full(p.shape, 1e30, dtype=np.float32) for _, p in named]
+        grads[1][0, 0] = -3e38
+        assert not math.isfinite(np.vdot(grads[0], grads[0]))
+        ref = [p.data.copy() for _, p in named]
+        ref_m, ref_v = [np.zeros_like(r) for r in ref], [np.zeros_like(r) for r in ref]
+        with np.errstate(over="ignore"):  # the second moment overflows, as in the formula
+            lr = adamw_step(named, grads, state, tc, 1)
+            oracles.adamw_loop(ref, grads, ref_m, ref_v, lr, tc.weight_decay, 1)
+        for (_, p), r in zip(named, ref):
+            npt.assert_array_equal(p.data, r)
+            assert np.isfinite(p.data).all()
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_later_parameter_is_named_and_nothing_written(self, rng, layout, bad):
+        named, state, tc = self._setup(rng)
+        adamw_step(named, [rng.normal(size=p.shape).astype(np.float32) for _, p in named],
+                   state, tc, 1)
+        before = [a.copy() for a in (state.arena.data, state.m, state.v)]
+        grads = [np.ones(p.shape, dtype=np.float32) for _, p in named]
+        if layout == "strided":
+            grads[1] = np.ones((4, 6), dtype=np.float32)[:, ::2]
+            assert not grads[1].flags.c_contiguous
+        grads[1][2, 1] = bad
+        with pytest.raises(NonFiniteError, match="'p1'"):
+            adamw_step(named, grads, state, tc, 2)
+        for a, b in zip((state.arena.data, state.m, state.v), before):
+            npt.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
 class TestTrainLoop:
     def test_two_runs_identical(self):
         net_a, ds, tc = nano_setup()
