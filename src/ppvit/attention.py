@@ -1,11 +1,11 @@
 """Multi-head self-attention with a pyramid-pooled key/value sequence.
 
-Queries come from the full token sequence; keys and values come from a much
-shorter sequence built by pooling the token map at several ratios, adding a
-shared depthwise-conv position encoding to each pooled map, flattening all
-of them, and concatenating.  With pooling ratios ``p_1..p_n`` the pooled
-length is roughly ``N * sum(1/p_i^2)``, which is what makes the attention
-affordable at high resolution.
+Queries come from every position of the token map; keys and values come
+from a much shorter sequence built by pooling that map at several ratios,
+adding a shared depthwise-conv position encoding to each pooled map,
+flattening all of them, and concatenating.  With pooling ratios
+``p_1..p_n`` the pooled length is roughly ``N * sum(1/p_i^2)``, which is
+what makes the attention affordable at high resolution.
 """
 
 from __future__ import annotations
@@ -114,20 +114,17 @@ class PMHSAState:
     pool_ln: T.Norm
 
 
-def build_kv_sequence(x: Tensor, h: int, w: int, state: PMHSAState) -> Tensor:
+def build_kv_sequence(x: Tensor, state: PMHSAState) -> Tensor:
     """Pool, position-encode, flatten, concatenate, and normalize.
 
-    ``x`` is the token sequence [B, N, C] with ``N == h*w``.  Returns the
-    pooled sequence [B, M, C].  One depthwise kernel is shared by every
-    pyramid level, and a single layer norm is applied after concatenation.
+    ``x`` is the channels-last token map [B, H, W, C].  Returns the pooled
+    sequence [B, M, C].  One depthwise kernel is shared by every pyramid
+    level, and a single layer norm is applied after concatenation.
     """
     cfg = state.cfg
-    b, n, c = x.shape
-    if n != h * w:
-        raise ShapeError(f"sequence length {n} does not match map {h}x{w}")
-    x_map = T.reshape(x, (b, h, w, c))
+    b, h, w, c = x.shape
     pool = T.adaptive_avg_pool2d if cfg.pool_mode == "avg" else T.adaptive_max_pool2d
-    pooled = [pool(x_map, th, tw) for th, tw in cfg.level_targets(h, w)]
+    pooled = [pool(x, th, tw) for th, tw in cfg.level_targets(h, w)]
     if state.rpe is not None:
         # residual position encoding p + dwconv(p)
         rpe = state.rpe
@@ -141,26 +138,27 @@ def build_kv_sequence(x: Tensor, h: int, w: int, state: PMHSAState) -> Tensor:
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Scaled dot-product attention over ``heads`` equal channel slices.
 
-    ``q`` is [B, N, C]; ``k``/``v`` are [B, M, C].  Scores are scaled by
-    ``1/sqrt(C/heads)`` and softmaxed over the key axis.
+    ``q`` is [B, ..., C], its middle axes the N queries (a token map's grid);
+    ``k``/``v`` are [B, M, C].  Scores are scaled by ``1/sqrt(C/heads)`` and
+    softmaxed over the key axis.  Returns ``q``'s shape.
     """
-    b, n, c = q.shape
-    m = k.shape[1]
+    b, c, m = q.shape[0], q.shape[-1], k.shape[1]
     if k.shape != (b, m, c) or v.shape != (b, m, c):
         raise ShapeError(f"k/v shapes {k.shape}/{v.shape} do not match q {q.shape}")
     d = c // heads
-    qh = T.transpose(T.reshape(q, (b, n, heads, d)), (0, 2, 1, 3))
+    qh = T.transpose(T.reshape(q, (b, -1, heads, d)), (0, 2, 1, 3))
     kt = T.transpose(T.reshape(k, (b, m, heads, d)), (0, 2, 3, 1))  # [B, heads, d, M]
     vh = T.transpose(T.reshape(v, (b, m, heads, d)), (0, 2, 1, 3))
     attn = T.softmax_rows(T.matmul(qh, kt), 1.0 / np.sqrt(d))
     ctx = T.matmul(attn, vh)  # [B, heads, N, d]
-    return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, n, c))
+    return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), q.shape)
 
 
-def pmhsa_forward(x: Tensor, h: int, w: int, state: PMHSAState) -> Tensor:
-    """Full layer: queries from ``x``, keys/values from the pooled sequence."""
+def pmhsa_forward(x: Tensor, state: PMHSAState) -> Tensor:
+    """Full layer on a [B, H, W, C] map: queries from every position of
+    ``x``, keys/values from the pooled sequence.  Returns ``x``'s shape."""
     cfg = state.cfg
-    kv = build_kv_sequence(x, h, w, state)
+    kv = build_kv_sequence(x, state)
     q = T.matmul(x, state.q.weight, state.q.bias)
     k = T.matmul(kv, state.k.weight, state.k.bias)
     v = T.matmul(kv, state.v.weight, state.v.bias)

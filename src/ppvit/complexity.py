@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .attention import pooled_len
 from .errors import ConfigError
 from .model import EMBED_GEOMETRY, ModelConfig, check_input_size
 
@@ -196,8 +197,6 @@ def squeeze_ratio(pool_ratios, hw: tuple[int, int] | None = None) -> SqueezeRepo
     The analytic figure treats every ratio as dividing exactly; with ``hw``
     given, the realized figure uses the same rounding rule as the layer.
     """
-    from .attention import pooled_len  # local import to keep module load light
-
     ratios = tuple(int(p) for p in pool_ratios)
     if not ratios or any(p < 1 for p in ratios):
         raise ConfigError(f"pool ratios must be positive, got {ratios}")
@@ -225,11 +224,10 @@ class CompareRow:
 def _variant_m(variant: str, n: int) -> int:
     """Pooled length for one variant at sequence length N.
 
-    Square N uses the real per-axis rounding; otherwise the analytic ratio
-    is applied directly (noted in the CLI output).
+    Square N uses the real per-axis rounding (``pooled_len``, which refuses a
+    ratio that collapses the grid); otherwise the analytic ratio is applied
+    directly (noted in the CLI output).
     """
-    from .attention import pooled_extent
-
     if variant == "vanilla":
         return n
     kind, _, arg = variant.partition(":")
@@ -248,7 +246,7 @@ def _variant_m(variant: str, n: int) -> int:
             f"'pyramid:p1,p2,...'")
     side = int(round(n ** 0.5))
     if side * side == n:
-        return sum(pooled_extent(side, p) ** 2 for p in ratios)
+        return pooled_len(side, side, ratios)
     return max(1, round(n * sum(p ** -2 for p in map(float, ratios))))
 
 

@@ -1,10 +1,10 @@
 """Block-level layers: inverted-bottleneck FFN, transformer block, patch embed.
 
-The FFN here is convolutional: tokens are expanded 1x1, reshaped to a
-channels-last map, filtered by a 3x3 depthwise conv (which is what injects
-spatial locality into the feed-forward path), and projected back.  A plain
-token-MLP variant is kept for ablation.  Blocks are post-norm: each
-residual sum is followed by a layer norm.
+Every layer maps a channels-last token map [B, H, W, C] to another.  The FFN
+is convolutional: tokens are expanded 1x1, filtered by a 3x3 depthwise conv
+(which injects spatial locality into the feed-forward path), and projected
+back.  A plain token-MLP variant is kept for ablation.  Blocks are post-norm:
+each residual sum is followed by a layer norm.
 """
 
 from __future__ import annotations
@@ -32,21 +32,18 @@ class IRBState:
     project: T.Affine
 
 
-def irb_forward(x: Tensor, h: int, w: int, state: IRBState) -> Tensor:
-    """Expand, (depthwise filter,) activate, project.  [B, N, C] -> same.
+def irb_forward(x: Tensor, state: IRBState) -> Tensor:
+    """Expand, (depthwise filter,) activate, project.  [B, H, W, C] -> same.
 
     With ``dw`` it activates after both the expansion and the depthwise
     conv; without it, once between the two linears.  Each activation runs
     inside the op that reads it (``act=``), so the graph keeps only the
-    pre-activation maps.  The depthwise conv runs on the hidden tokens
-    reshaped to a [B, h, w, E*C] map, so ``N`` must equal ``h*w``.
+    pre-activation maps.
     """
     hdn = T.matmul(x, state.expand.weight, state.expand.bias)
     if state.dw is not None:
-        b, n, e = hdn.shape
-        img = T.conv2d(T.reshape(hdn, (b, h, w, e)), state.dw.weight, state.dw.bias,
-                       padding=1, groups=e, act=state.act)
-        hdn = T.reshape(img, (b, n, e))
+        hdn = T.conv2d(hdn, state.dw.weight, state.dw.bias, padding=1,
+                       groups=hdn.shape[-1], act=state.act)
     return T.matmul(hdn, state.project.weight, state.project.bias, act=state.act)
 
 
@@ -61,17 +58,17 @@ class BlockState:
     ln2: T.Norm
 
 
-def block_forward(x: Tensor, h: int, w: int, state: BlockState) -> Tensor:
+def block_forward(x: Tensor, state: BlockState) -> Tensor:
     """Post-norm block: norm(x + attn(x)) then norm(. + ffn(.))."""
-    att = T.layer_norm(T.add(x, pmhsa_forward(x, h, w, state.attn)),
+    att = T.layer_norm(T.add(x, pmhsa_forward(x, state.attn)),
                        state.ln1.gamma, state.ln1.beta)
-    return T.layer_norm(T.add(att, irb_forward(att, h, w, state.ffn)),
+    return T.layer_norm(T.add(att, irb_forward(att, state.ffn)),
                         state.ln2.gamma, state.ln2.beta)
 
 
 @dataclass
 class PatchEmbedState:
-    """Overlapped patch embedding: strided conv then layer norm on tokens.
+    """Overlapped patch embedding: strided conv then layer norm per token.
 
     The stem uses a 7x7/4 kernel (pad 3); stage transitions use 3x3/2
     (pad 1).  Both halve-or-quarter the grid while letting neighboring
@@ -84,10 +81,8 @@ class PatchEmbedState:
     padding: int
 
 
-def patch_embed(x_img: Tensor, state: PatchEmbedState) -> tuple[Tensor, int, int]:
-    """[B, H, W, C_in] map -> ([B, H'*W', C_out], H', W')."""
+def patch_embed(x_img: Tensor, state: PatchEmbedState) -> Tensor:
+    """[B, H, W, C_in] map -> layer-normed [B, H', W', C_out] map."""
     y = T.conv2d(x_img, state.conv.weight, state.conv.bias,
                  stride=state.stride, padding=state.padding)
-    b, h, w, c = y.shape
-    seq = T.layer_norm(T.reshape(y, (b, h * w, c)), state.ln.gamma, state.ln.beta)
-    return seq, h, w
+    return T.layer_norm(y, state.ln.gamma, state.ln.beta)

@@ -320,13 +320,11 @@ def _build(cfg: ModelConfig, seed: int, dtype, draw: bool) -> ModelState:
 class FeaturePyramid:
     """Stage outputs B1..B4 at strides 4/8/16/32.
 
-    ``tokens`` holds each stage's output as its blocks leave it,
-    ``[B, H_i*W_i, C_i]``, and ``sizes`` its ``(H_i, W_i)`` grid: a
-    reshape to ``[B, H_i, W_i, C_i]`` makes it a channels-last map.
+    ``maps`` holds each stage's output as its blocks leave it, the
+    channels-last map ``[B, H_i, W_i, C_i]``; its grid is ``shape[1:3]``.
     """
 
-    tokens: tuple[Tensor, Tensor, Tensor, Tensor]
-    sizes: tuple[tuple[int, int], ...]
+    maps: tuple[Tensor, Tensor, Tensor, Tensor]
 
 
 def _check_input(model: ModelState, x: Tensor) -> None:
@@ -345,22 +343,22 @@ def forward_features(model: ModelState, x: Tensor) -> FeaturePyramid:
     layout changes only at entry.
     """
     _check_input(model, x)
-    b = x.shape[0]
-    tokens, sizes = [], []
-    seq, h, w = patch_embed(T.transpose(x, (0, 2, 3, 1)), model.stem)
+    maps = []
+    y = patch_embed(T.transpose(x, (0, 2, 3, 1)), model.stem)
     for stage in model.stages:
         if stage.embed is not None:
-            seq, h, w = patch_embed(T.reshape(seq, (b, h, w, -1)), stage.embed)
+            y = patch_embed(y, stage.embed)
         for blk in stage.blocks:
-            seq = block_forward(seq, h, w, blk)
-        tokens.append(seq)
-        sizes.append((h, w))
-    return FeaturePyramid(tokens=tuple(tokens), sizes=tuple(sizes))
+            # by keyword: perfbench/tracer.py reads a block's scope from `state`
+            y = block_forward(y, state=blk)
+        maps.append(y)
+    return FeaturePyramid(maps=tuple(maps))
 
 
 def forward_classify(model: ModelState, x: Tensor) -> Tensor:
     """Logits [B, num_classes]: norm B4's tokens, average them, project."""
-    tokens = forward_features(model, x).tokens[3]
+    b4 = forward_features(model, x).maps[3]
+    tokens = T.reshape(b4, (b4.shape[0], -1, b4.shape[3]))
     tokens = T.layer_norm(tokens, model.head_ln.gamma, model.head_ln.beta)
     pooled = T.mean(tokens, axis=1)
     return T.matmul(pooled, model.head_fc.weight, model.head_fc.bias)

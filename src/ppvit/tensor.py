@@ -532,9 +532,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 # convolutions and pooling on channels-last maps
 # ---------------------------------------------------------------------------
 #
-# Spatial maps are [B, H, W, C].  A [B, N, C] token sequence with N = H*W
-# reshapes to one for free, so these ops run on token maps without a
-# layout round trip; the channel axis is the contiguous inner loop.
+# Spatial maps are [B, H, W, C], the layout every layer of the model runs
+# on; the channel axis is the contiguous inner loop.
 
 # values a depthwise window row reaches by merging output columns (``_correlate``)
 _DEPTHWISE_ROW = 128
@@ -553,10 +552,15 @@ def _pad(a: Array, ph: int, pw: int, fwd: Callable | None = None) -> Array:
     if not short:
         out[:, :ph] = out[:, ph + h:] = 0.0
         out[:, :, :pw] = out[:, :, pw + w:] = 0.0
-    if fwd is None or short:
-        out[:, ph:ph + h, pw:pw + w] = a if fwd is None else fwd(a)
-    else:
-        fwd(a, out[:, ph:ph + h, pw:pw + w])
+    inner = out[:, ph:ph + h, pw:pw + w]
+    if fwd is not None and not short:
+        fwd(a, inner)
+    elif a.strides[-1] == a.itemsize:
+        inner[...] = a if fwd is None else fwd(a)
+    else:  # strided channels (the NCHW image seen channels-last): a plane at a time
+        src = a if fwd is None else fwd(a)
+        for ch in range(c):
+            inner[..., ch] = src[..., ch]
     return out
 
 
@@ -585,8 +589,9 @@ def _correlate(src: Array, kt: Array, ho: int, wo: int, stride: int, origin: int
     tiled ``m`` times, contiguous, which fixes einsum's order."""
     kh, kw, c = kt.shape
     m = 1 if stride > 1 else _merged_columns(wo, c)
+    tiled = kt[:, :, None].repeat(m, axis=2).reshape(kh, kw, m * c) if m > 1 else kt
     out = np.einsum("bijuvc,uvc->bijc", _windows(src, kh, kw, ho, wo, stride, m, origin),
-                    np.ascontiguousarray(kt if m == 1 else np.tile(kt, m)))
+                    np.ascontiguousarray(tiled))
     return out.reshape(src.shape[0], ho, wo, c), m
 
 

@@ -402,12 +402,12 @@ def _block_cases() -> list[GradcheckCase]:
         attn_cfg = PMHSAConfig(dim=8, heads=2, pool_ratios=(1, 2), **kwargs)
         init = _Init(seed=11, dtype=np.float64)
         blk = _init_block(init, attn_cfg, 2, ffn_kind, "hardswish")
-        x = Tensor(np.random.default_rng(5).normal(size=(1, 16, 8)),
+        x = Tensor(np.random.default_rng(5).normal(size=(1, 4, 4, 8)),
                    requires_grad=True, dtype=np.float64)
         inputs = [x] + T.params(blk)
         cases.append(_check_full(
             name,
-            lambda blk=blk, x=x: _projection_loss(block_forward(x, 4, 4, blk),
+            lambda blk=blk, x=x: _projection_loss(block_forward(x, blk),
                                                   np.random.default_rng(30)),
             inputs))
     return cases

@@ -62,9 +62,9 @@ def test_criterion_4_feature_pyramid_geometry(criterion):
                .uniform(size=(1, 3, 224, 224)).astype(np.float32))
     with no_grad():
         pyr = forward_features(net, x)
-    measured = list(pyr.sizes)
+    measured = [m.shape[1:3] for m in pyr.maps]
     ok = measured == [(56, 56), (28, 28), (14, 14), (7, 7)]
-    ok &= all(seq.shape[1] == h * w for seq, (h, w) in zip(pyr.tokens, pyr.sizes))
+    ok &= [(m.shape[0], m.shape[3]) for m in pyr.maps] == [(1, 8), (1, 16), (1, 24), (1, 32)]
 
     # closed form: every preset shares the stem/transition geometry
     grids, extent = [], _conv_out(224, 7, 4, 3)
@@ -100,14 +100,14 @@ def test_criterion_6_vanilla_equivalence(criterion):
         cfg = PMHSAConfig(dim=c, heads=heads, pool_ratios=(1,), use_rpe=False)
         state = _init_attn(_Init(trial, np.float64), cfg)
         x = rng.normal(size=(b, h * w, c))
-        out = pmhsa_forward(Tensor(x, dtype=np.float64), h, w, state)
+        out = pmhsa_forward(Tensor(x.reshape(b, h, w, c), dtype=np.float64), state)
         ref = oracles.vanilla_mhsa(
             x, state.q.weight.data, state.q.bias.data,
             state.k.weight.data, state.k.bias.data,
             state.v.weight.data, state.v.bias.data,
             state.o.weight.data, state.o.bias.data,
             state.pool_ln.gamma.data, state.pool_ln.beta.data, heads)
-        err = float(np.abs(out.data - ref).max())
+        err = float(np.abs(out.data.reshape(ref.shape) - ref).max())
         worst = max(worst, err)
         ok &= err < 1e-5
     criterion(6, ok, f"6 randomized shapes, max abs deviation {worst:.2e} "

@@ -76,8 +76,7 @@ class TestPyramidPool:
                           use_rpe=False)
         state = make_state(cfg)
         x = rng.normal(size=(1, 4, 6, 6))
-        kv = build_kv_sequence(Tensor(oracles.to_nhwc(x).reshape(1, 36, 4),
-                                      dtype=np.float64), 6, 6, state)
+        kv = build_kv_sequence(Tensor(oracles.to_nhwc(x), dtype=np.float64), state)
         tokens = np.concatenate([oracles.to_nhwc(oracles.max_pool_loops(x, t, t)).reshape(
             1, t * t, 4) for t in (3, 2)], axis=1)
         ref = oracles.layer_norm_loops(tokens, state.pool_ln.gamma.data,
@@ -129,14 +128,14 @@ class TestConfigValidation:
 
 class TestKVSequence:
     def test_rpe_zero_kernel_is_identity(self, rng):
-        x = Tensor(rng.normal(size=(1, 16, 3)), dtype=np.float64)
+        x = Tensor(rng.normal(size=(1, 4, 4, 3)), dtype=np.float64)
         cfg = PMHSAConfig(dim=3, heads=1, pool_ratios=(1, 2))
         state = make_state(cfg)
         state.rpe.weight.data[...] = 0.0
         state.rpe.bias.data[...] = 0.0
         plain = make_state(PMHSAConfig(dim=3, heads=1, pool_ratios=(1, 2), use_rpe=False))
-        npt.assert_array_equal(build_kv_sequence(x, 4, 4, state).data,
-                               build_kv_sequence(x, 4, 4, plain).data)
+        npt.assert_array_equal(build_kv_sequence(x, state).data,
+                               build_kv_sequence(x, plain).data)
 
     def test_rpe_matches_composed_oracle(self, rng):
         # every level gets p + dwconv(p) with the one shared kernel
@@ -146,8 +145,7 @@ class TestKVSequence:
         state = make_state(PMHSAConfig(dim=3, heads=1, pool_ratios=(1, 2)))
         state.rpe.weight.data[...] = k
         state.rpe.bias.data[...] = b
-        kv = build_kv_sequence(Tensor(oracles.to_nhwc(x).reshape(2, 25, 3),
-                                      dtype=np.float64), 5, 5, state)
+        kv = build_kv_sequence(Tensor(oracles.to_nhwc(x), dtype=np.float64), state)
         levels = [x, oracles.avg_pool_loops(x, 3, 3)]  # ratios 1 and 2 of 5x5
         tokens = np.concatenate([
             oracles.to_nhwc(oracles.depthwise_loops(p, k, b) + p).reshape(2, -1, 3)
@@ -160,9 +158,9 @@ class TestKVSequence:
         # levels of 2x2 and 1x1 concatenate to 5 tokens
         cfg = PMHSAConfig(dim=4, heads=1, pool_ratios=(1, 2))
         state = make_state(cfg)
-        x = Tensor(np.random.default_rng(0).normal(size=(1, 4, 4)),
+        x = Tensor(np.random.default_rng(0).normal(size=(1, 2, 2, 4)),
                    dtype=np.float64)
-        kv = build_kv_sequence(x, 2, 2, state)
+        kv = build_kv_sequence(x, state)
         assert kv.shape == (1, 5, 4)
 
     def test_level_order_and_per_token_norm(self, rng):
@@ -170,9 +168,9 @@ class TestKVSequence:
         cfg = PMHSAConfig(dim=4, heads=1, pool_ratios=(1, 2), use_rpe=False)
         state = make_state(cfg)
         gamma, beta = state.pool_ln.gamma.data, state.pool_ln.beta.data
-        x = rng.normal(size=(1, 16, 4))
-        kv = build_kv_sequence(Tensor(x, dtype=np.float64), 4, 4, state)
-        x_map = x.reshape(1, 4, 4, 4).transpose(0, 3, 1, 2)
+        x = rng.normal(size=(1, 4, 4, 4))
+        kv = build_kv_sequence(Tensor(x, dtype=np.float64), state)
+        x_map = x.transpose(0, 3, 1, 2)
         level1 = x_map  # ratio 1: identity
         level2 = oracles.avg_pool_loops(x_map, 2, 2)
         tokens = np.concatenate([
@@ -182,55 +180,49 @@ class TestKVSequence:
         ref = oracles.layer_norm_loops(tokens, gamma, beta)
         npt.assert_allclose(kv.data, ref, rtol=1e-6, atol=1e-9)
 
-    def test_sequence_length_mismatch(self):
-        cfg = PMHSAConfig(dim=4, heads=1, pool_ratios=(1,))
-        state = make_state(cfg)
-        with pytest.raises(ShapeError):
-            build_kv_sequence(Tensor(np.zeros((1, 15, 4))), 4, 4, state)
-
 
 class TestForward:
     def test_shape_contract(self, rng):
         cfg = PMHSAConfig(dim=64, heads=1, pool_ratios=(2, 4))
         state = make_state(cfg)
-        x = Tensor(rng.normal(size=(2, 64, 64)), dtype=np.float64)
-        kv = build_kv_sequence(x, 8, 8, state)
+        x = Tensor(rng.normal(size=(2, 8, 8, 64)), dtype=np.float64)
+        kv = build_kv_sequence(x, state)
         assert kv.shape == (2, 20, 64)  # M = 4*4 + 2*2
-        out = pmhsa_forward(x, 8, 8, state)
-        assert out.shape == (2, 64, 64)
+        out = pmhsa_forward(x, state)
+        assert out.shape == (2, 8, 8, 64)
 
     def test_output_length_independent_of_ratios(self, rng):
-        x = Tensor(rng.normal(size=(1, 36, 8)), dtype=np.float64)
+        x = Tensor(rng.normal(size=(1, 6, 6, 8)), dtype=np.float64)
         for ratios in [(1,), (2,), (1, 2), (2, 3, 6)]:
             cfg = PMHSAConfig(dim=8, heads=2, pool_ratios=ratios)
-            out = pmhsa_forward(x, 6, 6, make_state(cfg))
-            assert out.shape == (1, 36, 8)
+            out = pmhsa_forward(x, make_state(cfg))
+            assert out.shape == (1, 6, 6, 8)
 
     def test_single_pooled_token_uniform_attention(self, rng):
         # M=1 forces every softmax row to [1]; all positions then share the
         # single value vector pushed through the v and o projections
         cfg = PMHSAConfig(dim=4, heads=2, pool_ratios=(2,), use_rpe=False)
         state = make_state(cfg)
-        x = rng.normal(size=(1, 4, 4))
-        out = pmhsa_forward(Tensor(x, dtype=np.float64), 2, 2, state)
-        npt.assert_allclose(out.data - out.data[:, :1, :], 0.0, atol=1e-12)
+        x = rng.normal(size=(1, 2, 2, 4))
+        out = pmhsa_forward(Tensor(x, dtype=np.float64), state)
+        npt.assert_allclose(out.data - out.data[:, :1, :1], 0.0, atol=1e-12)
         pooled = x.reshape(2, 2, 4).mean(axis=(0, 1))
         token = oracles.layer_norm_loops(pooled, state.pool_ln.gamma.data,
                                          state.pool_ln.beta.data)
         value = token @ state.v.weight.data + state.v.bias.data
         expect = value @ state.o.weight.data + state.o.bias.data
-        npt.assert_allclose(out.data[0, 0], expect, rtol=1e-8)
+        npt.assert_allclose(out.data[0, 0, 0], expect, rtol=1e-8)
 
     def test_attention_rows_sum_to_one(self, rng):
         cfg = PMHSAConfig(dim=8, heads=2, pool_ratios=(1, 2))
         state = make_state(cfg)
-        x = Tensor(rng.normal(size=(2, 16, 8)), dtype=np.float64)
-        kv = build_kv_sequence(x, 4, 4, state)
+        x = Tensor(rng.normal(size=(2, 4, 4, 8)), dtype=np.float64)
+        kv = build_kv_sequence(x, state)
         q = T.matmul(x, state.q.weight, state.q.bias)
         k = T.matmul(kv, state.k.weight, state.k.bias)
-        b, n, c = q.shape
+        b, c = q.shape[0], q.shape[-1]
         d = c // cfg.heads
-        qh = q.data.reshape(b, n, cfg.heads, d).transpose(0, 2, 1, 3)
+        qh = q.data.reshape(b, -1, cfg.heads, d).transpose(0, 2, 1, 3)
         kh = k.data.reshape(b, kv.shape[1], cfg.heads, d).transpose(0, 2, 1, 3)
         scores = qh @ kh.transpose(0, 1, 3, 2)
         probs = T.softmax_rows(Tensor(scores, dtype=np.float64), 1.0 / np.sqrt(d)).data
@@ -252,10 +244,10 @@ class TestForward:
     def test_batch_permutation_equivariance(self, rng):
         cfg = PMHSAConfig(dim=8, heads=2, pool_ratios=(1, 2))
         state = make_state(cfg)
-        x = rng.normal(size=(3, 16, 8))
-        out = pmhsa_forward(Tensor(x, dtype=np.float64), 4, 4, state).data
+        x = rng.normal(size=(3, 4, 4, 8))
+        out = pmhsa_forward(Tensor(x, dtype=np.float64), state).data
         perm = [2, 0, 1]
-        out_p = pmhsa_forward(Tensor(x[perm], dtype=np.float64), 4, 4, state).data
+        out_p = pmhsa_forward(Tensor(x[perm], dtype=np.float64), state).data
         npt.assert_array_equal(out_p, out[perm])
 
 
@@ -268,14 +260,14 @@ class TestVanillaEquivalence:
         cfg = PMHSAConfig(dim=c, heads=heads, pool_ratios=(1,), use_rpe=False)
         state = make_state(cfg, seed=seed)
         x = np.random.default_rng(seed + 100).normal(size=(b, h * w, c))
-        out = pmhsa_forward(Tensor(x, dtype=np.float64), h, w, state)
+        out = pmhsa_forward(Tensor(x.reshape(b, h, w, c), dtype=np.float64), state)
         ref = oracles.vanilla_mhsa(
             x, state.q.weight.data, state.q.bias.data,
             state.k.weight.data, state.k.bias.data,
             state.v.weight.data, state.v.bias.data,
             state.o.weight.data, state.o.bias.data,
             state.pool_ln.gamma.data, state.pool_ln.beta.data, heads)
-        npt.assert_allclose(out.data, ref, atol=1e-5, rtol=1e-7)
+        npt.assert_allclose(out.data.reshape(ref.shape), ref, atol=1e-5, rtol=1e-7)
 
     def test_multi_head_attention_head_partition(self, rng):
         # contiguous channel split: head h sees channels [h*d, (h+1)*d)
@@ -293,6 +285,17 @@ class TestVanillaEquivalence:
             probs = np.stack([oracles.softmax_longdouble(r) for r in scores])
             npt.assert_allclose(out.data[0][:, sl], probs @ v[0][:, sl], rtol=1e-8)
 
+    def test_multi_head_attention_keeps_the_query_map_shape(self, rng):
+        # a [B, H, W, C] query map attends as its H*W tokens, and comes back a map
+        q, k, v = (Tensor(rng.normal(size=shape))
+                   for shape in ((2, 3, 4, 6), (2, 5, 6), (2, 5, 6)))
+        out = multi_head_attention(q, k, v, 3)
+        flat = multi_head_attention(Tensor(q.data.reshape(2, 12, 6)), k, v, 3)
+        assert out.shape == (2, 3, 4, 6)
+        npt.assert_array_equal(out.data.reshape(2, 12, 6), flat.data)
+        with pytest.raises(ShapeError):
+            multi_head_attention(q, k, Tensor(np.zeros((2, 4, 6))), 3)
+
 
 class TestLayerGradients:
     def test_micro_config_finite_differences(self):
@@ -300,11 +303,11 @@ class TestLayerGradients:
 
         cfg = PMHSAConfig(dim=8, heads=2, pool_ratios=(1, 2))
         state = make_state(cfg, seed=5)
-        x = Tensor(np.random.default_rng(6).normal(size=(1, 16, 8)),
+        x = Tensor(np.random.default_rng(6).normal(size=(1, 4, 4, 8)),
                    requires_grad=True, dtype=np.float64)
 
         def loss():
-            return _projection_loss(pmhsa_forward(x, 4, 4, state), np.random.default_rng(7))
+            return _projection_loss(pmhsa_forward(x, state), np.random.default_rng(7))
 
         params = [x] + T.params(state)
         for p in params:

@@ -435,9 +435,9 @@ def _micro_step_memory():
 class TestBackwardFreesTheGraph:
     def test_interior_activation_dies_during_backward(self, rng, monkeypatch):
         state = _init_irb(_Init(0, np.float64), 4, 2, "irb", "hardswish")
-        x = randt(rng, 2, 12, 4)
+        x = randt(rng, 2, 3, 4, 4)
         refs = _record_outputs_of(monkeypatch, state.expand.weight)
-        loss = T.mean(irb_forward(x, 3, 4, state))
+        loss = T.mean(irb_forward(x, state))
         (ref,) = refs
         assert ref() is not None
         loss.backward()
@@ -481,8 +481,8 @@ class TestBackwardFreesTheGraph:
         net = build_model(preset("micro", num_classes=2), seed=0)
         x = Tensor(rng.uniform(size=(1, 3, 32, 32)).astype(np.float32))
         pyr = forward_features(net, x)
-        refs = [weakref.ref(seq.data) for seq in pyr.tokens[:3]]
-        loss = T.mean(pyr.tokens[3])
+        refs = [weakref.ref(m.data) for m in pyr.maps[:3]]
+        loss = T.mean(pyr.maps[3])
         del pyr
         assert [ref() is None for ref in refs] == [True, True, True]
         loss.backward()

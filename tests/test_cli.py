@@ -252,3 +252,13 @@ class TestCompare:
                                "pool:zero")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("variant", ["pool:100", "pyramid:1,100"])
+    def test_ratio_that_collapses_the_grid_exits_2(self, capsys, variant):
+        # a square N pools with the layer's own rounding, which refuses an
+        # empty level, as ``squeeze --hw`` does
+        code, out, err = run_cli(capsys, "compare", "--n", "9", "--c", "4",
+                                 "vanilla", variant)
+        assert code == 2
+        assert "pooling ratio 100 collapses a 3x3 map to 0x0" in err
+        assert out == ""

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import oracles
-from ppvit import PMHSAConfig, ShapeError, Tensor
+from ppvit import PMHSAConfig, Tensor
 from ppvit import tensor as T
 from ppvit.attention import build_kv_sequence
 from ppvit.layers import block_forward, irb_forward, patch_embed
@@ -31,8 +31,8 @@ class TestIRB:
         state = make_irb(4, 2)
         for p in T.params(state):
             p.data = np.zeros_like(p.data)
-        x = Tensor(rng.normal(size=(1, 9, 4)), dtype=np.float64)
-        out = irb_forward(x, 3, 3, state)
+        x = Tensor(rng.normal(size=(1, 3, 3, 4)), dtype=np.float64)
+        out = irb_forward(x, state)
         npt.assert_array_equal(out.data, np.zeros_like(out.data))
 
     def test_identity_composition_double_activation(self, rng):
@@ -47,8 +47,8 @@ class TestIRB:
         dw[:, 0, 1, 1] = 1.0
         state.dw.weight.data = dw
         state.dw.bias.data = np.zeros(3)
-        x = rng.normal(size=(1, 16, 3))
-        out = irb_forward(Tensor(x, dtype=np.float64), 4, 4, state)
+        x = rng.normal(size=(1, 4, 4, 3))
+        out = irb_forward(Tensor(x, dtype=np.float64), state)
         npt.assert_allclose(out.data, hswish(hswish(x)), rtol=1e-8)
 
     def test_identity_depthwise_equals_mlp_with_double_activation(self, rng):
@@ -58,16 +58,16 @@ class TestIRB:
         dw[:, 0, 1, 1] = 1.0
         state.dw.weight.data = dw
         state.dw.bias.data = np.zeros(8)
-        x = rng.normal(size=(2, 9, 4))
-        out = irb_forward(Tensor(x, dtype=np.float64), 3, 3, state)
+        x = rng.normal(size=(2, 3, 3, 4))
+        out = irb_forward(Tensor(x, dtype=np.float64), state)
         hidden = hswish(hswish(x @ state.expand.weight.data + state.expand.bias.data))
         ref = hidden @ state.project.weight.data + state.project.bias.data
         npt.assert_allclose(out.data, ref, rtol=1e-7)
 
     def test_mlp_kind_single_activation(self, rng):
         state = make_irb(4, 2, kind="mlp")
-        x = rng.normal(size=(1, 6, 4))
-        out = irb_forward(Tensor(x, dtype=np.float64), 2, 3, state)
+        x = rng.normal(size=(1, 2, 3, 4))
+        out = irb_forward(Tensor(x, dtype=np.float64), state)
         ref = (hswish(x @ state.expand.weight.data + state.expand.bias.data)
                @ state.project.weight.data + state.project.bias.data)
         npt.assert_allclose(out.data, ref, rtol=1e-7)
@@ -94,8 +94,9 @@ def graph_ops(out, inputs):
 
 
 class TestChannelsLastLayers:
-    """Token sequences and maps share the channels-last layout, so the
-    layers that run convs and pools on token maps only reshape."""
+    """Every layer takes and returns a channels-last [B, H, W, C] map, so
+    the only layout ops left flatten the pooled levels and split and merge
+    the attention heads."""
 
     @pytest.mark.parametrize("layer", ["build_kv_sequence", "irb_forward",
                                        "patch_embed"])
@@ -107,45 +108,50 @@ class TestChannelsLastLayers:
         if layer == "build_kv_sequence":
             state = _init_attn(_Init(0, np.float64),
                                PMHSAConfig(dim=4, heads=1, pool_ratios=(1, 2)))
-            x = leaf(2, 16, 4)
-            out = build_kv_sequence(x, 4, 4, state)
-            expect = {"adaptive_avg_pool2d", "conv2d"}
+            x = leaf(2, 4, 4, 4)
+            out = build_kv_sequence(x, state)
+            expect, reshapes = {"adaptive_avg_pool2d", "conv2d"}, 2  # a flatten per level
         elif layer == "irb_forward":
             state = make_irb(4, 2)
-            x = leaf(2, 12, 4)
-            out = irb_forward(x, 3, 4, state)
-            expect = {"conv2d", "matmul"}
+            x = leaf(2, 3, 4, 4)
+            out = irb_forward(x, state)
+            expect, reshapes = {"conv2d", "matmul"}, 0
         else:
             state = _init_patch_embed(_Init(0, np.float64), 3, 4, k=3, stride=2,
                                       padding=1)
             x = leaf(2, 8, 6, 3)
-            out, _, _ = patch_embed(x, state)
-            expect = {"conv2d", "layer_norm"}
+            out = patch_embed(x, state)
+            expect, reshapes = {"conv2d", "layer_norm"}, 0
         ops = graph_ops(out, [x] + T.params(state))
         assert expect <= set(ops), ops
         assert "transpose" not in ops, ops
+        assert ops.count("reshape") == reshapes, ops
+
+    @pytest.mark.parametrize("ratios", [(1,), (1, 2), (1, 2, 4)])
+    def test_block_reshapes_only_heads_and_levels(self, rng, ratios):
+        # q, k and v split into heads and the context merged back (4), plus
+        # one flatten per pyramid level; the map itself is never reshaped
+        blk = make_block(8, 2, ratios, seed=1)
+        x = Tensor(rng.normal(size=(2, 4, 4, 8)), requires_grad=True, dtype=np.float64)
+        ops = graph_ops(block_forward(x, blk), [x] + T.params(blk))
+        assert ops.count("reshape") == 4 + len(ratios), ops
 
     @pytest.mark.parametrize("kind", ["irb", "mlp"])
     def test_activation_runs_inside_the_ops(self, rng, kind):
         # each activation is a prologue of the op that reads it (``act=``):
         # the graph holds the pre-activation maps only, no act node
         state = make_irb(4, 2, kind=kind)
-        x = Tensor(rng.normal(size=(2, 12, 4)), requires_grad=True, dtype=np.float64)
-        ops = graph_ops(irb_forward(x, 3, 4, state), [x] + T.params(state))
-        expect = ["matmul", "reshape", "conv2d", "reshape", "matmul"]
-        assert ops == (expect if kind == "irb" else ["matmul", "matmul"])
-
-    def test_irb_token_count_mismatch(self):
-        with pytest.raises(ShapeError):
-            irb_forward(Tensor(np.zeros((1, 5, 4))), 2, 3, make_irb(4, 2))
+        x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True, dtype=np.float64)
+        ops = graph_ops(irb_forward(x, state), [x] + T.params(state))
+        assert ops == (["matmul", "conv2d", "matmul"] if kind == "irb" else ["matmul", "matmul"])
 
 
 class TestBlock:
     def test_shape_preserved(self, rng):
         blk = make_block(8, 2, (1, 2), seed=3)
-        x = Tensor(rng.normal(size=(2, 16, 8)), dtype=np.float64)
-        out = block_forward(x, 4, 4, blk)
-        assert out.shape == (2, 16, 8)
+        x = Tensor(rng.normal(size=(2, 4, 4, 8)), dtype=np.float64)
+        out = block_forward(x, blk)
+        assert out.shape == (2, 4, 4, 8)
 
     def test_zeroed_block_reduces_to_stacked_norms(self, rng):
         """With all attention/FFN weights and biases zero, both residual
@@ -153,8 +159,8 @@ class TestBlock:
         blk = make_block(6, 2, (1,), seed=4)
         for p in T.params(blk.attn) + T.params(blk.ffn):
             p.data = np.zeros_like(p.data)
-        x = rng.normal(size=(1, 4, 6))
-        out = block_forward(Tensor(x, dtype=np.float64), 2, 2, blk)
+        x = rng.normal(size=(1, 2, 2, 6))
+        out = block_forward(Tensor(x, dtype=np.float64), blk)
         inner = oracles.layer_norm_loops(x, blk.ln1.gamma.data, blk.ln1.beta.data)
         ref = oracles.layer_norm_loops(inner, blk.ln2.gamma.data, blk.ln2.beta.data)
         npt.assert_allclose(out.data, ref, rtol=1e-7, atol=1e-10)
@@ -163,11 +169,11 @@ class TestBlock:
         from ppvit.tensor import finite_difference_grad
 
         blk = make_block(8, 2, (1, 2), seed=5)
-        x = Tensor(np.random.default_rng(8).normal(size=(1, 16, 8)),
+        x = Tensor(np.random.default_rng(8).normal(size=(1, 4, 4, 8)),
                    requires_grad=True, dtype=np.float64)
 
         def loss():
-            return _projection_loss(block_forward(x, 4, 4, blk), np.random.default_rng(9))
+            return _projection_loss(block_forward(x, blk), np.random.default_rng(9))
 
         x.grad = None
         loss().backward()
@@ -182,24 +188,20 @@ class TestPatchEmbed:
         state = _init_patch_embed(_Init(0, np.float32), 3, 8, k=7, stride=4,
                                   padding=3)
         x = Tensor(rng.normal(size=(1, 224, 224, 3)).astype(np.float32))
-        seq, h, w = patch_embed(x, state)
-        assert (h, w) == (56, 56)
-        assert seq.shape == (1, 56 * 56, 8)
+        assert patch_embed(x, state).shape == (1, 56, 56, 8)
 
     def test_transition_geometry_56_to_28(self, rng):
         state = _init_patch_embed(_Init(0, np.float32), 4, 8, k=3, stride=2,
                                   padding=1)
         x = Tensor(rng.normal(size=(1, 56, 56, 4)).astype(np.float32))
-        _, h, w = patch_embed(x, state)
-        assert (h, w) == (28, 28)
+        assert patch_embed(x, state).shape[1:3] == (28, 28)
 
     @pytest.mark.parametrize("size,expect", [(224, 56), (64, 16), (32, 8)])
     def test_stem_is_ceil_div_4(self, size, expect, rng):
         state = _init_patch_embed(_Init(1, np.float32), 3, 4, k=7, stride=4,
                                   padding=3)
         x = Tensor(rng.normal(size=(1, size, size, 3)).astype(np.float32))
-        _, h, w = patch_embed(x, state)
-        assert (h, w) == (expect, expect)
+        assert patch_embed(x, state).shape[1:3] == (expect, expect)
 
     def test_constant_image_interior_tokens_identical(self):
         state = _init_patch_embed(_Init(2, np.float64), 3, 4, k=3, stride=2,
@@ -219,11 +221,11 @@ class TestPatchEmbed:
         img = rng.normal(size=(2, 32, 32, 3)).astype(np.float32)
 
         def conv_node(x):
-            t, h, w = patch_embed(x, state)
+            t = patch_embed(x, state)
             node = t.creator
             while node.op != "conv2d":
                 node = node.inputs[0]
-            return node, (x.shape[0], h, w, t.shape[-1])
+            return node, t.shape
 
         frozen, shape = conv_node(Tensor(img))
         live, _ = conv_node(Tensor(img, requires_grad=True))

@@ -117,19 +117,18 @@ class TestGeometry:
         net = micro_model()
         with no_grad():
             pyr = forward_features(net, rand_images(rng, size=64))
-        assert pyr.sizes == ((16, 16), (8, 8), (4, 4), (2, 2))
-        assert [t.shape for t in pyr.tokens] == [(1, h * w, c) for (h, w), c
-                                                 in zip(pyr.sizes, [8, 16, 24, 32])]
+        assert [m.shape for m in pyr.maps] == [(1, 16, 16, 8), (1, 8, 8, 16),
+                                               (1, 4, 4, 24), (1, 2, 2, 32)]
 
     def test_doubling_input_quadruples_tokens(self, rng):
         net = micro_model()
         with no_grad():
             small = forward_features(net, rand_images(rng, size=32))
             big = forward_features(net, rand_images(rng, size=64))
-        for (sh, sw), (bh, bw) in zip(small.sizes, big.sizes):
+        for s, b in zip(small.maps, big.maps):
+            (sh, sw), (bh, bw) = s.shape[1:3], b.shape[1:3]
             assert bh == 2 * sh and bw == 2 * sw
-        for s, b in zip(small.tokens, big.tokens):
-            assert b.shape[1] == 4 * s.shape[1]
+            assert bh * bw == 4 * sh * sw and b.shape[3] == s.shape[3]
 
     def test_batch_permutation_equivariance(self, rng):
         net = micro_model()
@@ -138,8 +137,8 @@ class TestGeometry:
         with no_grad():
             base = forward_features(net, x)
             shuffled = forward_features(net, Tensor(x.data[perm]))
-        for seq, seq_p in zip(base.tokens, shuffled.tokens):
-            npt.assert_array_equal(seq_p.data, seq.data[perm])
+        for m, m_p in zip(base.maps, shuffled.maps):
+            npt.assert_array_equal(m_p.data, m.data[perm])
 
     def test_rejects_wrong_channel_count(self, rng):
         with pytest.raises(ShapeError):
@@ -172,8 +171,9 @@ class TestHead:
         with no_grad():
             pyr = forward_features(net, x)
             logits = forward_classify(net, x)
+        b4 = pyr.maps[3].data
         normed = oracles.layer_norm_loops(
-            pyr.tokens[3].data, net.head_ln.gamma.data, net.head_ln.beta.data)
+            b4.reshape(2, -1, b4.shape[3]), net.head_ln.gamma.data, net.head_ln.beta.data)
         ref = normed.mean(axis=1) @ net.head_fc.weight.data + net.head_fc.bias.data
         npt.assert_allclose(logits.data, ref, rtol=1e-4, atol=1e-5)
 

@@ -619,3 +619,16 @@ class TestShortRowKernels:
             out = T._pad(a, 1, 2, fwd)
             assert out.dtype == np.float32
             npt.assert_array_equal(out, ref)
+
+    @pytest.mark.parametrize("act", [None, "hardswish"])
+    def test_pad_of_a_channel_strided_map_matches_its_contiguous_copy(self, rng,
+                                                                       monkeypatch, act):
+        # the stem's input: an NCHW image seen channels-last, channels strided
+        img = rng.normal(scale=3.0, size=(2, 3, 9, 8)).astype(np.float32)
+        a = img.transpose(0, 2, 3, 1)
+        assert a.strides[-1] != a.itemsize
+        fwd = None if act is None else T.ACTS[act][0]
+        for row in (1, 1 << 30):  # every row long, then every row short
+            monkeypatch.setattr(T, "_PAD_ROW", row)
+            npt.assert_array_equal(T._pad(a, 3, 2, fwd),
+                                   T._pad(np.ascontiguousarray(a), 3, 2, fwd))
