@@ -16,13 +16,12 @@ from .data import SyntheticDataset, generate_sample, load_batch
 from .errors import (CheckpointError, ConfigError, DivergenceError,
                      GraphFreedError, NonFiniteError, PPVitError, ShapeError)
 from .layers import block_forward, irb_forward, patch_embed
-from .model import (FeaturePyramid, ModelConfig, ModelState, StageConfig,
-                    build_model, config_from_dict, config_to_dict,
-                    forward_classify, forward_features, load_checkpoint,
-                    preset, save_checkpoint)
+from .model import (ModelConfig, ModelState, StageConfig, build_model,
+                    config_from_dict, config_to_dict, forward_classify,
+                    forward_features, load_checkpoint, preset, save_checkpoint)
 from .tensor import Tensor, backward, finite_difference_grad, no_grad
-from .training import (AdamWState, GradcheckReport, TrainConfig, TrainRecord,
-                       adamw_step, evaluate, gradcheck_suite, lr_at, train)
+from .training import (AdamWState, TrainConfig, TrainRecord, adamw_step,
+                       evaluate, gradcheck_suite, lr_at, train)
 
 __version__ = "0.1.0"
 
@@ -31,14 +30,14 @@ __all__ = [
     "PMHSAConfig", "PMHSAState", "pmhsa_forward", "pooled_extent",
     "pool_targets", "pooled_len",
     "block_forward", "irb_forward", "patch_embed",
-    "ModelConfig", "StageConfig", "ModelState", "FeaturePyramid",
+    "ModelConfig", "StageConfig", "ModelState",
     "build_model", "forward_features", "forward_classify", "preset",
     "save_checkpoint", "load_checkpoint", "config_to_dict", "config_from_dict",
     "ComplexityReport", "SqueezeReport", "attention_core_flops",
     "count_params", "count_flops", "squeeze_ratio", "compare_attention",
     "SyntheticDataset", "generate_sample", "load_batch",
     "TrainConfig", "TrainRecord", "AdamWState", "adamw_step", "lr_at",
-    "train", "evaluate", "gradcheck_suite", "GradcheckReport",
+    "train", "evaluate", "gradcheck_suite",
     "PPVitError", "ShapeError", "ConfigError", "NonFiniteError",
     "CheckpointError", "DivergenceError", "GraphFreedError",
     "__version__",

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import complexity, model as M, training
@@ -44,8 +44,6 @@ def _fmt_table(rows: list[list[str]], header: list[str]) -> str:
 
 # a preset fixes its name, stage shapes and head width; the rest may be overridden
 _MODEL_OVERRIDE_KEYS = {f.name for f in fields(ModelConfig)} - {"name", "stages", "head_width"}
-_DATA_DEFAULTS = {"kind": "blobs", "num_samples": 32, "image_size": 32,
-                  "num_classes": 4, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,7 @@ class RunConfig:
     """One ``ppvit train`` run, as its run-config JSON states it."""
 
     model: ModelConfig
-    data: SyntheticDataset
+    data: SyntheticDataset = field(default_factory=SyntheticDataset)
     train: TrainConfig = TrainConfig()
     model_seed: int = 0
     out_dir: str = "runs/latest"
@@ -84,8 +82,6 @@ def load_run_config(path) -> RunConfig:
             raise ConfigError(f"config field 'model.preset' must be one of "
                               f"{', '.join(M.PRESET_NAMES)}, got {name!r}")
         raw["model"] = dict(config_to_dict(preset(name)), **overrides)
-    if isinstance(raw.get("data", {}), dict):
-        raw["data"] = dict(_DATA_DEFAULTS, **raw.get("data", {}))
     return config_from_dict(raw, RunConfig)
 
 
@@ -124,12 +120,8 @@ def cmd_summary(args) -> int:
     print(_paint(f"{cfg.name} @ {args.input}x{args.input}", "1"))
     print(_fmt_table(rows, ["scope", "grid", "C", "E", "depth", "pooling"]))
     print()
-    if args.per_layer:
-        lrows = [[l.scope, f"{l.params:,}", f"{l.flops * factor:,}"]
-                 for l in report.layers]
-    else:
-        lrows = [[l.scope, f"{l.params:,}", f"{l.flops * factor:,}"]
-                 for l in report.per_stage()]
+    lrows = [[l.scope, f"{l.params:,}", f"{l.flops * factor:,}"]
+             for l in (report.layers if args.per_layer else report.per_stage())]
     print(_fmt_table(lrows, ["scope", "params", unit]))
     print()
     print(f"total params: {report.total_params:,}")
@@ -177,14 +169,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    report = training.gradcheck_suite(args.scope)
-    for case in report.cases:
+    cases = training.gradcheck_suite(args.scope)
+    for case in cases:
         tag = _paint("PASS", "32") if case.passed else _paint("FAIL", "31")
         print(f"{tag}  {case.name}: max_rel_err={case.max_rel_err:.3e} "
               f"(tol {training.GRADCHECK_TOL:.0e})")
-    n_pass = sum(c.passed for c in report.cases)
-    print(f"{report.scope}: {n_pass}/{len(report.cases)} cases passed")
-    return 0 if report.all_passed else 1
+    n_pass = sum(c.passed for c in cases)
+    print(f"{args.scope}: {n_pass}/{len(cases)} cases passed")
+    return 0 if n_pass == len(cases) else 1
 
 
 def cmd_compare(args) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .attention import pooled_len
+from .attention import _check_increasing, pooled_len
 from .errors import ConfigError
 from .model import EMBED_GEOMETRY, ModelConfig, check_input_size
 
@@ -198,8 +198,7 @@ def squeeze_ratio(pool_ratios, hw: tuple[int, int] | None = None) -> SqueezeRepo
     given, the realized figure uses the same rounding rule as the layer.
     """
     ratios = tuple(int(p) for p in pool_ratios)
-    if not ratios or any(p < 1 for p in ratios):
-        raise ConfigError(f"pool ratios must be positive, got {ratios}")
+    _check_increasing(ratios, "pool ratios")
     analytic = 1.0 / sum(p ** -2 for p in map(float, ratios))
     report = SqueezeReport(ratios, analytic)
     if hw is not None:
@@ -231,19 +230,15 @@ def _variant_m(variant: str, n: int) -> int:
     if variant == "vanilla":
         return n
     kind, _, arg = variant.partition(":")
-    try:
+    try:  # a ConfigError is a ValueError too
         ratios = tuple(int(p) for p in arg.split(","))
+        _check_increasing(ratios, "pool ratios")
+        if kind not in ("pool", "pyramid") or (kind == "pool" and len(ratios) > 1):
+            raise ValueError
     except ValueError:
-        ratios = ()
-    if kind == "pool" and len(ratios) == 1 and ratios[0] >= 1:
-        pass
-    elif kind == "pyramid" and ratios and all(p >= 1 for p in ratios) \
-            and all(b > a for a, b in zip(ratios, ratios[1:])):
-        pass
-    else:
         raise ConfigError(
             f"unknown variant {variant!r}; expected 'vanilla', 'pool:p', or "
-            f"'pyramid:p1,p2,...'")
+            f"'pyramid:p1,p2,...'") from None
     side = int(round(n ** 0.5))
     if side * side == n:
         return pooled_len(side, side, ratios)

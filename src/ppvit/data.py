@@ -30,11 +30,11 @@ MEMO_BYTES = 8 * 2 ** 20
 
 @dataclass(frozen=True)
 class SyntheticDataset:
-    kind: str
-    num_samples: int
-    image_size: int
-    num_classes: int
-    seed: int
+    kind: str = "blobs"
+    num_samples: int = 32
+    image_size: int = 32
+    num_classes: int = 4
+    seed: int = 0
     # rendered images, filled by ``load_batch``; not part of the identity
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         hash=False, repr=False)

@@ -127,7 +127,6 @@ _PRESET_TABLE = {
 }
 
 PRESET_NAMES = tuple(_PRESET_TABLE)
-REFERENCE_PRESETS = ("tiny", "small", "base", "large")
 
 
 def preset(name: str, num_classes: int = 1000, **overrides) -> ModelConfig:
@@ -316,17 +315,6 @@ def _build(cfg: ModelConfig, seed: int, dtype, draw: bool) -> ModelState:
 # forward passes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FeaturePyramid:
-    """Stage outputs B1..B4 at strides 4/8/16/32.
-
-    ``maps`` holds each stage's output as its blocks leave it, the
-    channels-last map ``[B, H_i, W_i, C_i]``; its grid is ``shape[1:3]``.
-    """
-
-    maps: tuple[Tensor, Tensor, Tensor, Tensor]
-
-
 def _check_input(model: ModelState, x: Tensor) -> None:
     if x.ndim != 4 or x.shape[1] != model.cfg.in_channels:
         raise ShapeError(
@@ -336,11 +324,12 @@ def _check_input(model: ModelState, x: Tensor) -> None:
     check_input_size(x.shape[2], x.shape[3])
 
 
-def forward_features(model: ModelState, x: Tensor) -> FeaturePyramid:
-    """Run the stem and all four stages; collect each stage's output.
+def forward_features(model: ModelState, x: Tensor) -> tuple[Tensor, ...]:
+    """Run the stem and all four stages; return their outputs B1..B4.
 
     ``x`` is an NCHW image batch.  Inside, maps are channels-last, so the
-    layout changes only at entry.
+    layout changes only at entry: stage i's output is the map
+    ``[B, H_i, W_i, C_i]`` at stride 4/8/16/32, with its grid at ``shape[1:3]``.
     """
     _check_input(model, x)
     maps = []
@@ -352,12 +341,12 @@ def forward_features(model: ModelState, x: Tensor) -> FeaturePyramid:
             # by keyword: perfbench/tracer.py reads a block's scope from `state`
             y = block_forward(y, state=blk)
         maps.append(y)
-    return FeaturePyramid(maps=tuple(maps))
+    return tuple(maps)
 
 
 def forward_classify(model: ModelState, x: Tensor) -> Tensor:
     """Logits [B, num_classes]: norm B4's tokens, average them, project."""
-    b4 = forward_features(model, x).maps[3]
+    b4 = forward_features(model, x)[3]
     tokens = T.reshape(b4, (b4.shape[0], -1, b4.shape[3]))
     tokens = T.layer_norm(tokens, model.head_ln.gamma, model.head_ln.beta)
     pooled = T.mean(tokens, axis=1)

@@ -86,21 +86,18 @@ class Tensor:
     """An N-dimensional float array with optional gradient tracking.
 
     ``data`` is a row-major numpy array; ``grad`` (populated by ``backward``)
-    always matches its shape.  Parameters are leaves with ``requires_grad``
-    set and a stable ``name`` used by serialization and the accountant.
+    always matches its shape.  Parameters are leaves with ``requires_grad`` set.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "creator", "scanned")
+    __slots__ = ("data", "grad", "requires_grad", "creator", "scanned")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None,
-                 dtype=None):
+    def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
         self.grad: Array | None = None
         self.requires_grad = requires_grad
-        self.name = name
         self.creator: Node | None = None
         self.scanned = False  # set by ``_make``: ``data`` was checked finite
 
@@ -125,12 +122,11 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def backward(self, seed: Array | None = None) -> None:
-        backward(self, seed)
+    def backward(self) -> None:
+        backward(self)
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
 
 def _make(op: str, out_data: Array, inputs: tuple[Tensor, ...],
@@ -144,7 +140,7 @@ def _make(op: str, out_data: Array, inputs: tuple[Tensor, ...],
     # array already, or a NumPy scalar from a reduction to 0-d
     out = Tensor.__new__(Tensor)
     out.data = out_data if type(out_data) is np.ndarray else np.asarray(out_data)
-    out.grad = out.name = out.creator = None
+    out.grad = out.creator = None
     out.scanned, out.requires_grad = True, False
     if _grad_enabled.get() and any([t.requires_grad for t in inputs]):
         out.requires_grad = True
@@ -153,7 +149,7 @@ def _make(op: str, out_data: Array, inputs: tuple[Tensor, ...],
     return out
 
 
-def backward(loss: Tensor, seed: Array | None = None) -> None:
+def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss that recorded a graph.
 
     Every leaf with ``requires_grad`` receives its gradient; repeated calls
@@ -170,11 +166,6 @@ def backward(loss: Tensor, seed: Array | None = None) -> None:
     if loss.creator is None and not loss.requires_grad:
         raise ShapeError("backward needs a loss that recorded a graph; this one was "
                          "computed under no_grad or from tensors that need no gradient")
-    seed = np.ones_like(loss.data) if seed is None else np.asarray(seed)
-    if seed.shape != loss.shape or seed.dtype != loss.dtype:
-        raise ShapeError(f"seed must be {loss.dtype} {loss.shape}, got {seed.dtype} {seed.shape}")
-    if not all_finite(seed):
-        raise NonFiniteError("backward seed is not finite")
 
     # Iterative post-order DFS over nodes and leaves (hashed by identity):
     # inputs land before consumers.
@@ -198,7 +189,7 @@ def backward(loss: Tensor, seed: Array | None = None) -> None:
             stack.extend([(inp, False) for inp in entry.inputs
                           if inp is not None and inp not in visited])
 
-    grads: dict[Node | Tensor, Array] = {root: seed}
+    grads: dict[Node | Tensor, Array] = {root: np.ones_like(loss.data)}
     while topo:
         entry = topo.pop()
         grad = grads.pop(entry, None)

@@ -206,6 +206,9 @@ def _check_classes(model: ModelState, ds: SyntheticDataset) -> None:
     if model.cfg.num_classes != ds.num_classes:
         raise ConfigError(
             f"model has {model.cfg.num_classes} classes, dataset has {ds.num_classes}")
+    if model.cfg.in_channels != 3:
+        raise ConfigError(f"model has in_channels={model.cfg.in_channels}, "
+                          f"dataset images have 3 channels")
 
 
 def train(model: ModelState, ds: SyntheticDataset, tc: TrainConfig,
@@ -290,18 +293,7 @@ class GradcheckCase:
         return self.max_rel_err < GRADCHECK_TOL
 
 
-@dataclass
-class GradcheckReport:
-    scope: str
-    cases: list[GradcheckCase]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.cases)
-
-
 GRADCHECK_TOL = 1e-4
-_FD_H = 1e-4
 
 
 def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -318,7 +310,7 @@ def _check_full(name: str, f, inputs: list[Tensor]) -> GradcheckCase:
     out.backward()
     worst = 0.0
     for t in inputs:
-        fd = finite_difference_grad(lambda _t: f(), t, h=_FD_H)
+        fd = finite_difference_grad(lambda _t: f(), t)
         worst = max(worst, _rel_err(t.grad, fd))
     return GradcheckCase(name, worst)
 
@@ -444,7 +436,7 @@ def _model_cases() -> list[GradcheckCase]:
 
     cases = []
     coords = sample_coords(x.shape, 48, np.random.default_rng(101))
-    fd = finite_difference_grad(lambda _: loss_fn(), x, h=_FD_H, coords=coords)
+    fd = finite_difference_grad(lambda _: loss_fn(), x, coords=coords)
     an = np.array([x.grad[c] for c in coords])
     cases.append(GradcheckCase("model_input", _rel_err(an, fd)))
 
@@ -455,20 +447,18 @@ def _model_cases() -> list[GradcheckCase]:
     for name in picks:
         p = dict(named)[name]
         coords = sample_coords(p.shape, 6, crng)
-        fd = finite_difference_grad(lambda _: loss_fn(), p, h=_FD_H, coords=coords)
+        fd = finite_difference_grad(lambda _: loss_fn(), p, coords=coords)
         an = np.array([p.grad[c] for c in coords])
         cases.append(GradcheckCase(f"model_param:{name}", _rel_err(an, fd)))
     return cases
 
 
-def gradcheck_suite(scope: str) -> GradcheckReport:
+def gradcheck_suite(scope: str) -> list[GradcheckCase]:
     """Run one of the registered scopes: 'ops', 'block', or 'model'."""
     if scope == "ops":
-        cases = _ops_cases()
-    elif scope == "block":
-        cases = _block_cases()
-    elif scope == "model":
-        cases = _model_cases()
-    else:
-        raise ConfigError(f"unknown gradcheck scope {scope!r}; use ops, block, or model")
-    return GradcheckReport(scope, cases)
+        return _ops_cases()
+    if scope == "block":
+        return _block_cases()
+    if scope == "model":
+        return _model_cases()
+    raise ConfigError(f"unknown gradcheck scope {scope!r}; use ops, block, or model")

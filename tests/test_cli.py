@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ppvit import cli
+from ppvit import SyntheticDataset, cli
 from ppvit import model as M
 
 
@@ -91,6 +91,13 @@ class TestSqueeze:
         code, _, err = run_cli(capsys, "squeeze", "0")
         assert code == 2
         assert "error:" in err
+
+    def test_decreasing_ratios_exit_2(self, capsys):
+        # no layer takes (4, 2), so neither may the analytics
+        code, out, err = run_cli(capsys, "squeeze", "4", "2", "--hw", "8", "8")
+        assert code == 2
+        assert "must strictly increase" in err
+        assert out == ""
 
 
 class TestTrain:
@@ -184,6 +191,25 @@ class TestTrain:
         code, _, err = run_cli(capsys, "train", "--config", str(config))
         assert code == 2
         assert repr(f"{section}.{field}") in err
+
+    def test_in_channels_mismatch_exits_2_before_step_1(self, capsys, tmp_path):
+        out_dir = tmp_path / "x"
+        config = write_config(tmp_path, out_dir,
+                              model={"preset": "nano", "num_classes": 2, "in_channels": 1})
+        code, _, err = run_cli(capsys, "train", "--config", str(config))
+        assert code == 2
+        assert "in_channels" in err
+        assert not (out_dir / "metrics.csv").exists()
+
+    def test_missing_data_section_loads_the_default_set(self, tmp_path):
+        config = write_config(tmp_path, tmp_path / "x")
+        raw = json.loads(config.read_text())
+        del raw["data"]
+        config.write_text(json.dumps(raw))
+        a, b = cli.load_run_config(config), cli.load_run_config(config)
+        assert a.data == SyntheticDataset("blobs", 32, 32, 4, 0)
+        # each load owns its dataset, so no render memo is shared
+        assert a.data is not b.data and a.data._memo is not b.data._memo
 
     def test_integer_for_a_float_field_is_converted(self, tmp_path):
         config = write_config(tmp_path, tmp_path / "x")

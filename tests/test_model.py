@@ -8,12 +8,13 @@ import pytest
 
 import oracles
 from ppvit import (CheckpointError, ConfigError, ModelConfig, ShapeError,
-                   StageConfig, Tensor, build_model, forward_classify,
+                   StageConfig, Tensor, build_model, count_params, forward_classify,
                    forward_features, load_checkpoint, no_grad, preset,
                    save_checkpoint)
 from ppvit import tensor as T
+from ppvit.complexity import REFERENCE_PARAMS
 from ppvit.model import (EMBED_GEOMETRY, INPUT_MULTIPLE, PRESET_NAMES,
-                         REFERENCE_PRESETS, config_from_dict, config_to_dict)
+                         config_from_dict, config_to_dict)
 
 
 def micro_model(seed=0, **overrides):
@@ -117,15 +118,15 @@ class TestGeometry:
         net = micro_model()
         with no_grad():
             pyr = forward_features(net, rand_images(rng, size=64))
-        assert [m.shape for m in pyr.maps] == [(1, 16, 16, 8), (1, 8, 8, 16),
-                                               (1, 4, 4, 24), (1, 2, 2, 32)]
+        assert [m.shape for m in pyr] == [(1, 16, 16, 8), (1, 8, 8, 16),
+                                          (1, 4, 4, 24), (1, 2, 2, 32)]
 
     def test_doubling_input_quadruples_tokens(self, rng):
         net = micro_model()
         with no_grad():
             small = forward_features(net, rand_images(rng, size=32))
             big = forward_features(net, rand_images(rng, size=64))
-        for s, b in zip(small.maps, big.maps):
+        for s, b in zip(small, big):
             (sh, sw), (bh, bw) = s.shape[1:3], b.shape[1:3]
             assert bh == 2 * sh and bw == 2 * sw
             assert bh * bw == 4 * sh * sw and b.shape[3] == s.shape[3]
@@ -137,7 +138,7 @@ class TestGeometry:
         with no_grad():
             base = forward_features(net, x)
             shuffled = forward_features(net, Tensor(x.data[perm]))
-        for m, m_p in zip(base.maps, shuffled.maps):
+        for m, m_p in zip(base, shuffled):
             npt.assert_array_equal(m_p.data, m.data[perm])
 
     def test_rejects_wrong_channel_count(self, rng):
@@ -171,7 +172,7 @@ class TestHead:
         with no_grad():
             pyr = forward_features(net, x)
             logits = forward_classify(net, x)
-        b4 = pyr.maps[3].data
+        b4 = pyr[3].data
         normed = oracles.layer_norm_loops(
             b4.reshape(2, -1, b4.shape[3]), net.head_ln.gamma.data, net.head_ln.beta.data)
         ref = normed.mean(axis=1) @ net.head_fc.weight.data + net.head_fc.bias.data
@@ -182,6 +183,27 @@ class TestHead:
         with no_grad():
             logits = forward_classify(net, rand_images(rng))
         assert logits.shape == (1, 7)
+
+
+class TestInChannels:
+    """Only the stem reads ``in_channels``; the data's 3 channels are not assumed."""
+
+    def test_one_channel_model_builds_runs_and_round_trips(self, rng, tmp_path):
+        net = build_model(preset("nano", num_classes=2, in_channels=1), seed=3)
+        assert net.stem.conv.weight.shape[1] == 1
+        assert count_params(net.cfg).total_params == net.arena.data.size
+        x = rand_images(rng, b=2, channels=1)
+        with no_grad():
+            logits = forward_classify(net, x)
+        assert logits.shape == (2, 2)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(net, path)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.cfg == net.cfg
+        npt.assert_array_equal(loaded.arena.data.view(np.uint32),
+                               net.arena.data.view(np.uint32))
+        with no_grad():
+            npt.assert_array_equal(forward_classify(loaded, x).data, logits.data)
 
 
 class TestGraph:
@@ -266,7 +288,7 @@ class TestConfigValidation:
             preset(["tiny"])
 
     def test_reference_presets_subset(self):
-        assert set(REFERENCE_PRESETS) <= set(PRESET_NAMES)
+        assert set(REFERENCE_PARAMS) <= set(PRESET_NAMES)
 
     def test_config_dict_round_trip(self):
         cfg = preset("micro", num_classes=4, pool_mode="max", use_rpe=False)

@@ -341,8 +341,8 @@ class TestTrainLoop:
         before = net.arena.data.copy()
         real_backward = T.backward
 
-        def poisoned(loss, seed=None):
-            real_backward(loss, seed)
+        def poisoned(loss):
+            real_backward(loss)
             net.head_fc.weight.grad[0, 0] = np.nan
 
         monkeypatch.setattr(T, "backward", poisoned)
@@ -359,8 +359,8 @@ class TestTrainLoop:
         net, ds, tc = nano_setup(steps=4)
         real_backward, calls = T.backward, []
 
-        def poisoned(loss, seed=None):
-            real_backward(loss, seed)
+        def poisoned(loss):
+            real_backward(loss)
             calls.append(1)
             if len(calls) == 3:
                 net.head_fc.weight.grad[0, 0] = np.nan
@@ -451,6 +451,19 @@ class TestTrainLoop:
         assert str(from_evaluate.value) == str(from_train.value)
         assert str(from_evaluate.value) == "model has 4 classes, dataset has 2"
 
+    def test_in_channels_mismatch_refused_before_the_metrics_file(self, tmp_path):
+        # the synthetic sets render 3-channel images; a 1-channel model used
+        # to fail in step 1's forward, after the metrics header was written
+        _, ds, tc = nano_setup()
+        net = build_model(preset("nano", num_classes=2, in_channels=1), seed=0)
+        metrics = tmp_path / "metrics.csv"
+        with pytest.raises(ConfigError, match="in_channels=1") as from_train:
+            train(net, ds, tc, metrics_path=metrics)
+        assert not metrics.exists()
+        with pytest.raises(ConfigError) as from_evaluate:
+            evaluate(net, ds)
+        assert str(from_evaluate.value) == str(from_train.value)
+
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_evaluate_batch_size_must_be_positive(self, batch_size):
         net, ds, _ = nano_setup()
@@ -501,15 +514,14 @@ class TestGradcheckPlumbing:
             gradcheck_suite("everything")
 
     def test_ops_scope_reports_cases(self):
-        report = gradcheck_suite("ops")
-        assert report.scope == "ops"
-        assert len(report.cases) == 22
-        names = {case.name for case in report.cases}
+        cases = gradcheck_suite("ops")
+        assert len(cases) == 22
+        names = {case.name for case in cases}
         assert {"matmul_bias", "softmax_rows_scaled", "conv2d_depthwise"} <= names
         # the activations are checked as the prologue of the ops that run them
         assert {"matmul_hardswish", "matmul_gelu", "conv2d_depthwise_hardswish",
                 "conv2d_depthwise_gelu"} <= names
         assert not {"hardswish", "gelu"} & names
-        assert report.all_passed
-        for case in report.cases:
+        for case in cases:
+            assert case.passed
             assert case.max_rel_err < TR.GRADCHECK_TOL
