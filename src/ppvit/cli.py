@@ -106,16 +106,14 @@ def cmd_summary(args) -> int:
 
     unit = "FLOPs (2x MAC)" if args.double_macs else "FLOPs (1 MAC = 1)"
     k, stride, _ = M.EMBED_GEOMETRY[0]
-    grid = args.input // stride
-    rows = [["stem", f"{grid}x{grid}", str(cfg.stages[0].channels), "-", "-",
+    grids = [f"{h}x{w}" for h, w in complexity.stage_grids(args.input, args.input)]
+    rows = [["stem", grids[0], str(cfg.stages[0].channels), "-", "-",
              f"{k}x{k} conv /{stride}"]]
-    for i, st in enumerate(cfg.stages, start=1):
-        if i > 1:
-            grid //= M.EMBED_GEOMETRY[i - 1][1]
+    for i, (st, grid) in enumerate(zip(cfg.stages, grids), start=1):
         ratios = ",".join(map(str, st.pool_ratios))
         if cfg.pool_sizes is not None:
             ratios = "sizes " + ",".join(map(str, cfg.pool_sizes))
-        rows.append([f"stage {i}", f"{grid}x{grid}", str(st.channels),
+        rows.append([f"stage {i}", grid, str(st.channels),
                      str(st.expansion), str(st.depth), ratios])
     print(_paint(f"{cfg.name} @ {args.input}x{args.input}", "1"))
     print(_fmt_table(rows, ["scope", "grid", "C", "E", "depth", "pooling"]))

@@ -75,18 +75,25 @@ def _conv_out(extent: int, k: int, stride: int, padding: int) -> int:
     return (extent + 2 * padding - k) // stride + 1
 
 
-def _patch_embed_cost(scope: str, cin: int, cout: int, k: int, stride: int,
-                      padding: int, hw: tuple[int, int] | None
-                      ) -> tuple[LayerCost, tuple[int, int] | None]:
+def stage_grids(h: int, w: int) -> list[tuple[int, int]]:
+    """Each stage's token grid at input ``h x w``, by the embeds' ``EMBED_GEOMETRY``."""
+    grids = []
+    for k, stride, padding in EMBED_GEOMETRY:
+        h, w = _conv_out(h, k, stride, padding), _conv_out(w, k, stride, padding)
+        grids.append((h, w))
+    return grids
+
+
+def _patch_embed_cost(scope: str, cin: int, cout: int, k: int,
+                      hw: tuple[int, int] | None) -> LayerCost:
     params = cout * cin * k * k + cout + 2 * cout
     if hw is None:
-        return LayerCost(scope, params, 0), None
-    ho, wo = _conv_out(hw[0], k, stride, padding), _conv_out(hw[1], k, stride, padding)
-    out_elems = ho * wo * cout
+        return LayerCost(scope, params, 0)
+    out_elems = hw[0] * hw[1] * cout
     flops = out_elems * cin * k * k  # conv MACs
     flops += out_elems  # bias
     flops += out_elems  # token layer norm
-    return LayerCost(scope, params, flops), (ho, wo)
+    return LayerCost(scope, params, flops)
 
 
 def _block_costs(scope: str, cfg: ModelConfig, stage_index: int,
@@ -139,27 +146,22 @@ def _block_costs(scope: str, cfg: ModelConfig, stage_index: int,
 
 def _walk(cfg: ModelConfig, hw: tuple[int, int] | None) -> ComplexityReport:
     layers: list[LayerCost] = []
+    grids = [None] * len(cfg.stages) if hw is None else stage_grids(*hw)
     c_prev = cfg.in_channels
-    cost, hw = _patch_embed_cost("stem", c_prev, cfg.stages[0].channels,
-                                 *EMBED_GEOMETRY[0], hw)
-    layers.append(cost)
-    c_prev = cfg.stages[0].channels
-    for i, st in enumerate(cfg.stages):
+    for i, (st, grid) in enumerate(zip(cfg.stages, grids)):
         scope = f"stages.{i + 1}"
-        if i > 0:
-            cost, hw = _patch_embed_cost(f"{scope}.embed", c_prev, st.channels,
-                                         *EMBED_GEOMETRY[i], hw)
-            layers.append(cost)
-            c_prev = st.channels
+        layers.append(_patch_embed_cost(f"{scope}.embed" if i else "stem", c_prev,
+                                        st.channels, EMBED_GEOMETRY[i][0], grid))
+        c_prev = st.channels
         for b in range(st.depth):
-            layers.extend(_block_costs(f"{scope}.blocks.{b}", cfg, i, hw))
+            layers.extend(_block_costs(f"{scope}.blocks.{b}", cfg, i, grid))
 
     c4 = cfg.stages[-1].channels
     head_params = 2 * c4 + c4 * cfg.num_classes + cfg.num_classes
     if hw is None:
         head_flops = 0
     else:
-        n4 = hw[0] * hw[1]
+        n4 = grids[-1][0] * grids[-1][1]
         head_flops = n4 * c4  # final norm
         head_flops += n4 * c4  # global average pool
         head_flops += c4 * cfg.num_classes + cfg.num_classes  # affine
@@ -197,7 +199,9 @@ def squeeze_ratio(pool_ratios, hw: tuple[int, int] | None = None) -> SqueezeRepo
     The analytic figure treats every ratio as dividing exactly; with ``hw``
     given, the realized figure uses the same rounding rule as the layer.
     """
-    ratios = tuple(int(p) for p in pool_ratios)
+    ratios = tuple(pool_ratios)
+    if not all(type(p) is int for p in ratios):
+        raise ConfigError(f"pool ratios must be ints, got {ratios}")
     _check_increasing(ratios, "pool ratios")
     analytic = 1.0 / sum(p ** -2 for p in map(float, ratios))
     report = SqueezeReport(ratios, analytic)

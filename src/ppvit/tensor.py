@@ -299,19 +299,11 @@ class Arena:
             for (n, p), name, view in zip(named, self.names, self.views))
 
 
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Sum a gradient back down to the shape it was broadcast from.  Leading
-    axes are one einsum over the rows of a ``reshape(-1, ...)``: on short rows
-    2-3x faster than ``np.sum``, and on a contiguous ``grad`` the same bits."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra:
-        grad = np.einsum("r...->...", grad.reshape((-1,) + grad.shape[extra:]))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
+def _sum_rows(grad: Array) -> Array:
+    """``grad`` summed over every axis but the last (a bias gradient), as one
+    einsum over the rows of a ``reshape(-1, C)``: on short rows 2-3x faster
+    than ``np.sum``, and on a contiguous ``grad`` the same bits."""
+    return np.einsum("r...->...", grad.reshape(-1, grad.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +311,10 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out, sa, sb = a.data + b.data, a.shape, b.shape
-    return _make("add", out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
+    """Elementwise sum of two tensors of one shape (no broadcasting)."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add needs b of a's shape {a.shape}, got b {b.shape}")
+    return _make("add", a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -335,6 +329,8 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
+    if sorted(axes) != list(range(x.ndim)):
+        raise ShapeError(f"transpose axes must permute range({x.ndim}), got axes={axes}")
     inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     return _make("transpose", x.data.transpose(axes), (x,),
                  lambda g: (g.transpose(inverse),), moved=True)
@@ -343,6 +339,8 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise ShapeError("concat needs at least one tensor")
+    if len({t.shape[:axis] + t.shape[axis:][1:] for t in tensors}) > 1:
+        raise ShapeError(f"concat tensors must agree off axis={axis}: {[t.shape for t in tensors]}")
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
@@ -353,16 +351,17 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _make("concat", out, tuple(tensors), bw, moved=True)
 
 
-def mean(x: Tensor, axis: int | tuple[int, ...] | None = None,
-         keepdims: bool = False) -> Tensor:
-    out, shape = x.data.mean(axis=axis, keepdims=keepdims), x.shape
+def mean(x: Tensor, axis: int | None = None) -> Tensor:
+    """Mean over one axis, or over every value (a scalar) when ``axis`` is None."""
+    if axis is not None and not (type(axis) is int and -x.ndim <= axis < x.ndim):
+        raise ShapeError(f"mean axis={axis!r} must be None or an int axis of {x.shape}")
+    out, shape = x.data.mean(axis=axis), x.shape
     # A Python int, so ``g / count`` keeps the gradient's dtype (an np.int64
     # count would promote float32 gradients to float64 under NumPy 2).
-    count = x.data.size if axis is None else (
-        math.prod(x.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))))
+    count = x.data.size if axis is None else x.shape[axis]
 
     def bw(g: Array):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g / count, shape).copy(),)
 
@@ -377,13 +376,13 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
            act: str | None = None) -> Tensor:
     """Batched matrix product ``[.., m, k] @ [.., k, n] -> [.., m, n]``.
 
-    Gradients: ``d(a) = g @ b^T`` and ``d(b) = a^T @ g``, summed over any
-    broadcast batch axes.  A 2-d ``b`` (every affine map's ``[in, out]``
-    weight) flattens ``a``'s leading axes, so forward and both gradients
-    are single GEMMs and ``d(b)`` needs no batch sum.  Only such a ``b``
-    takes a ``bias`` ``[n]``: it is added in place, and its gradient is
-    ``g`` summed over the leading axes.  So does an ``act`` (a name in
-    ``ACTS``): ``act(a) @ b``, with ``act(a)`` recomputed for ``d(b)``.
+    Gradients: ``d(a) = g @ b^T`` and ``d(b) = a^T @ g``.  A batched ``b``
+    needs ``a``'s batch extents (no broadcasting).  A 2-d ``b`` (every affine
+    map's ``[in, out]`` weight) flattens ``a``'s leading axes, so forward and
+    both gradients are single GEMMs and ``d(b)`` needs no batch sum.  Only
+    such a ``b`` takes a ``bias`` ``[n]``: it is added in place, and its
+    gradient is ``g`` summed over the leading axes.  So does an ``act`` (a
+    name in ``ACTS``): ``act(a) @ b``, with ``act(a)`` recomputed for ``d(b)``.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
@@ -406,23 +405,17 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
             ga = (g2 @ b.data.T).reshape(a.shape)
             ga, h = (ga, a.data) if fwd is None else (grad(a.data, ga), fwd(a.data))
             gb = h.reshape(-1, k).T @ g2
-            # ``g2`` is the rows ``add``'s ``_unbroadcast`` sums, also when
-            # ``g`` arrives transposed, so the fused bias keeps its bits
-            return (ga, gb) if bias is None else (ga, gb, _unbroadcast(g2, bias.shape))
+            return (ga, gb) if bias is None else (ga, gb, _sum_rows(g2))
 
         inputs = (a, b) if bias is None else (a, b, bias)
         return _make("matmul", out, inputs, bw_flat)
-    try:
-        out = a.data @ b.data
-    except ValueError as exc:
-        raise ShapeError(f"matmul batch extents disagree: {a.shape} x {b.shape}") from exc
+    if a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul batch extents disagree: {a.shape} x {b.shape}")
 
     def bw(g: Array):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
+        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
 
-    return _make("matmul", out, (a, b), bw)
+    return _make("matmul", a.data @ b.data, (a, b), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +503,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 
     def bw(g: Array):
         dgamma = np.einsum("rc,rc->c", g.reshape(-1, c), xhat.reshape(-1, c))
-        dbeta = _unbroadcast(g, beta.shape)
+        dbeta = _sum_rows(g)
         dxhat = g * gamma.data
         dx = inv * (dxhat - np.einsum("...c->...", dxhat)[..., None] / c
                     - xhat * (np.einsum("...c,...c->...", dxhat, xhat)[..., None] / c))
@@ -555,35 +548,27 @@ def _pad(a: Array, ph: int, pw: int, fwd: Callable | None = None) -> Array:
     return out
 
 
-def _windows(src: Array, kh: int, kw: int, ho: int, wo: int, stride: int, m: int,
-             origin: int = 0) -> Array:
-    """View ``[B, ho, wo/m, kh, kw, m*C]`` of a C-contiguous map whose first
-    ``origin`` rows and columns are skipped: output column ``J*m + t`` reads
-    its window at ``[:, :, J, :, :, t*C:(t+1)*C]``.  ``m > 1`` needs stride 1.
-    The ``ndarray`` constructor builds it a few times faster than ``as_strided``
-    and refuses a view that would leave ``src``."""
-    (b, _, _, c), (sb, sh, sw, sc) = src.shape, src.strides
-    return np.ndarray((b, ho, wo // m, kh, kw, m * c), src.dtype, src, origin * (sh + sw),
-                      (sb, sh * stride, sw * stride * m, sh, sw, sc))
+def _windows(src: Array, kh: int, kw: int, m: int) -> Array:
+    """Stride-1 view ``[B, Ho, Wo/m, kh, kw, m*C]`` of every window of a
+    C-contiguous map (``Ho = H - kh + 1``, ``Wo = W - kw + 1``): output column
+    ``J*m + t`` reads its window at ``[:, :, J, :, :, t*C:(t+1)*C]``.  The
+    ``ndarray`` constructor builds it a few times faster than ``as_strided``."""
+    (b, h, w, c), (sb, sh, sw, sc) = src.shape, src.strides
+    return np.ndarray((b, h - kh + 1, (w - kw + 1) // m, kh, kw, m * c), src.dtype, src,
+                      strides=(sb, sh, sw * m, sh, sw, sc))
 
 
-def _tap(a: Array, u: int, v: int, ho: int, wo: int, stride: int) -> Array:
-    """The ``[B, Ho, Wo, C]`` view of a padded map that kernel tap (u, v) reads."""
-    return a[:, u:u + (ho - 1) * stride + 1:stride, v:v + (wo - 1) * stride + 1:stride]
-
-
-def _correlate(src: Array, kt: Array, ho: int, wo: int, stride: int, origin: int = 0):
-    """Depthwise correlation ``[B, ho, wo, C]`` of a map, from ``origin`` on
-    (``_windows``), with ``kt`` ``[kh, kw, C]``, and ``m``: the output columns
-    merged into each window row (at stride 1 the least divisor of ``wo`` with
-    ``m * C >= _DEPTHWISE_ROW``, else ``wo``; else 1).  The kernel is ``kt``
-    tiled ``m`` times, contiguous, which fixes einsum's order."""
+def _correlate(src: Array, kt: Array):
+    """Stride-1 depthwise correlation ``[B, Ho, Wo, C]`` of a C-contiguous map
+    with ``kt`` ``[kh, kw, C]``, and ``m``: the output columns merged into each
+    window row (``_windows``), the least divisor of ``Wo`` with ``m * C >=
+    _DEPTHWISE_ROW``, else ``Wo``.  ``kt`` tiled ``m`` times fixes einsum's order."""
     kh, kw, c = kt.shape
-    m = 1 if stride > 1 else _merged_columns(wo, c)
+    m = _merged_columns(src.shape[2] - kw + 1, c)
+    win = _windows(src, kh, kw, m)
     tiled = kt[:, :, None].repeat(m, axis=2).reshape(kh, kw, m * c) if m > 1 else kt
-    out = np.einsum("bijuvc,uvc->bijc", _windows(src, kh, kw, ho, wo, stride, m, origin),
-                    np.ascontiguousarray(tiled))
-    return out.reshape(src.shape[0], ho, wo, c), m
+    out = np.einsum("bijuvc,uvc->bijc", win, np.ascontiguousarray(tiled))
+    return out.reshape(win.shape[:2] + (-1, c)), m
 
 
 @functools.lru_cache(maxsize=None)
@@ -592,37 +577,29 @@ def _merged_columns(wo: int, c: int) -> int:
                 if wo % d == 0 and (d * c >= _DEPTHWISE_ROW or d == wo))
 
 
-def _depthwise_kernel(x: Array, k: Array, stride: int, padding: int, fwd: Callable | None):
-    """One input channel per group, ``C_out == C_in``: no window tensor.
-
-    Forward is one einsum (``_correlate``) over windows of the padded
-    input; backward two more.  The kernel gradient contracts ``g`` with the
-    windows of the input padded again (no padded copy outlives the forward).
-    The input gradient correlates the flipped kernel with ``g``, dilated by
-    the stride into a zero map padded by ``k - 1`` on every side, from the
-    unpadded rows and columns on, so ``dx`` has no padded border.
-    """
-    padded = _pad(x, padding, padding, fwd)
-    b, hp, wp, c = padded.shape
+def _depthwise_kernel(x: Array, k: Array, padding: int, fwd: Callable | None):
+    """Stride-1 depthwise conv (one input channel per group, ``C_out == C_in``)
+    with no window tensor and no padded copy kept for backward.  Forward and
+    the input gradient are ``_correlate``, the latter with the flipped kernel
+    over ``g`` padded by ``k - 1 - padding``; the kernel gradient contracts
+    ``g`` with the windows of the input padded again."""
     kh, kw = k.shape[2:]
-    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
     kt = k[:, 0].transpose(1, 2, 0)  # [kh, kw, C]
-    out, m = _correlate(padded, kt, ho, wo, stride)
+    out, m = _correlate(_pad(x, padding, padding, fwd), kt)
+    b, ho, wo, c = out.shape
 
     def bw(g: Array, need_dx: bool):
-        win = _windows(_pad(x, padding, padding, fwd), kh, kw, ho, wo, stride, m)
+        win = _windows(_pad(x, padding, padding, fwd), kh, kw, m)
         dkt = np.einsum("bijuvc,bijc->uvc", win, g.reshape(b, ho, wo // m, m * c))
         dx = None
         if need_dx:
-            gd = np.zeros((b, hp + kh - 1, wp + kw - 1, c), dtype=x.dtype)
-            _tap(gd, kh - 1, kw - 1, ho, wo, stride)[...] = g
-            dx, _ = _correlate(gd, kt[::-1, ::-1], *x.shape[1:3], 1, padding)
+            dx, _ = _correlate(_pad(g, kh - 1 - padding, kw - 1 - padding), kt[::-1, ::-1])
         return dx, dkt.reshape(kh, kw, m, c).sum(axis=2).transpose(2, 0, 1)[:, None]
 
     return out, bw
 
 
-def _dense_kernel(x: Array, k: Array, stride: int, padding: int, fwd: Callable | None):
+def _dense_kernel(x: Array, k: Array, stride: int, padding: int):
     """Dense conv as im2col plus one GEMM.
 
     ``cols[(b, i, j), (u, v, c)]`` copies each output's receptive field
@@ -632,11 +609,12 @@ def _dense_kernel(x: Array, k: Array, stride: int, padding: int, fwd: Callable |
     gradient ``g^T @ cols``, and the input gradient ``g @ kt`` scattered
     back by k^2 strided adds (col2im).
     """
-    padded = _pad(x, padding, padding, fwd)
+    padded = _pad(x, padding, padding)
     b, hp, wp, cin = padded.shape
     cout, _, kh, kw = k.shape
-    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
-    cols = _windows(padded, kh, kw, ho, wo, stride, 1).reshape(b * ho * wo, kh * kw * cin)
+    win = _windows(padded, kh, kw, 1)[:, ::stride, ::stride]
+    ho, wo = win.shape[1:3]
+    cols = win.reshape(b * ho * wo, kh * kw * cin)
     # [o, (u, v, c)]: copying the kernel in this order is several times
     # faster than into [(u, v, c), o], and the GEMM takes the transpose as is
     kt = k.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
@@ -649,10 +627,8 @@ def _dense_kernel(x: Array, k: Array, stride: int, padding: int, fwd: Callable |
         if need_dx:
             dcols = (gm @ kt).reshape(b, ho, wo, kh, kw, cin)
             dpad = np.zeros((b, hp, wp, cin), dtype=cols.dtype)
-            for u in range(kh):
-                for v in range(kw):
-                    dtap = _tap(dpad, u, v, ho, wo, stride)
-                    dtap += dcols[:, :, :, u, v]
+            for u, v in np.ndindex(kh, kw):
+                dpad[:, u:u + stride * ho:stride, v:v + stride * wo:stride] += dcols[:, :, :, u, v]
             dx = dpad[:, padding:hp - padding, padding:wp - padding]
         return dx, dk
 
@@ -666,17 +642,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     ``weight`` is ``[C_out, C_in/groups, kh, kw]``; the output is
     ``[B, Ho, Wo, C_out]`` with ``Ho = floor((H + 2*padding - kh)/stride) + 1``
-    (same for width).  Two groupings exist, one kernel each; any other is
-    refused.  Depthwise, ``groups == C_in == C_out`` (any
-    kh/kw/stride/padding), runs with no window tensor or kept padded copy:
-    one einsum over a window view forward, and two backward (the kernel
-    gradient over the input's windows, the input gradient as the flipped
-    kernel over the dilated, padded output gradient).  Dense, ``groups == 1``,
-    runs as im2col plus one GEMM, forward and for each gradient.  The input
-    gradient is skipped (``None``) when ``x`` needs none, as for the image
-    at the stem.  Both kernels are checked, forward and backward, against
-    the loop oracles in ``tests/oracles.py``.  ``act(x)`` (``ACTS``) is
-    written into the padded map, and recomputed when the backward pads again.
+    (same for width).  The network's two convs have one kernel each, and any
+    other call is refused.  Dense, ``groups == 1`` (patch embeds), is im2col
+    plus one GEMM per pass.  Depthwise, ``groups == C_in == C_out`` (the IRB
+    filter, the position encoding), is stride 1 with ``padding`` below the
+    kernel size: a window-view correlation forward; backward, a kernel
+    gradient einsum and the same correlation with the flipped kernel.  Only
+    depthwise takes ``act`` (``ACTS``), applied in the padded copy forward
+    and again backward.  The input gradient is ``None`` when ``x`` needs
+    none (the image at the stem).  Both kernels are checked against the
+    loop oracles in ``tests/oracles.py``.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d needs 4-d input/weight, got {x.shape} and {weight.shape}")
@@ -685,26 +660,34 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if not (groups == 1 and cg == cin or groups == cin == cout and cg == 1):
         raise ShapeError(f"conv2d takes groups=1 (dense) or groups=C_in=C_out (depthwise); "
                          f"got groups={groups}, weight {weight.shape}, input {x.shape}")
+    depthwise = groups > 1
+    if stride < 1 or depthwise and stride != 1:
+        raise ShapeError(f"conv2d stride={stride} must be >= 1, and 1 when depthwise")
+    if padding < 0 or depthwise and padding >= min(kh, kw):
+        raise ShapeError(f"conv2d padding={padding} must be >= 0, and < {min(kh, kw)} "
+                         f"when depthwise")
+    if act is not None and not depthwise:
+        raise ShapeError(f"conv2d act={act!r} needs a depthwise conv, got groups={groups}")
     hp, wp = h + 2 * padding, w + 2 * padding
     if kh > hp or kw > wp:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"bias shape {bias.shape} does not match C_out={cout}")
 
-    kernel = _depthwise_kernel if cg == 1 and cout == cin else _dense_kernel
     fwd, grad = ACTS[act] if act is not None else (None, None)
-    out, kernel_bw = kernel(x.data, weight.data, stride, padding, fwd)
+    out, kernel_bw = (_depthwise_kernel(x.data, weight.data, padding, fwd) if depthwise
+                      else _dense_kernel(x.data, weight.data, stride, padding))
     if bias is not None:
         out += bias.data
 
-    # ``x``'s data is kept only for ``act``'s slope, so a dense conv without
-    # one (each patch embed) does not pin its input map until ``backward``
+    # ``x``'s data is kept only for ``act``'s slope, so a dense conv (each
+    # patch embed) does not pin its input map until ``backward``
     need_dx, x_act = x.requires_grad, None if grad is None else x.data
 
     def bw(g: Array):
         dx, dw = kernel_bw(g, need_dx)
         dx = dx if dx is None or x_act is None else grad(x_act, dx)
-        return (dx, dw) if bias is None else (dx, dw, _unbroadcast(g, bias.shape))
+        return (dx, dw) if bias is None else (dx, dw, _sum_rows(g))
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return _make("conv2d", out, inputs, bw)

@@ -4,12 +4,10 @@
 import pathlib
 
 import numpy as np
-import numpy.testing as npt
 
 import oracles
-from conftest import OVERFIT_DATASET, OVERFIT_MODEL_SEED, OVERFIT_TRAIN
-from ppvit import (SyntheticDataset, Tensor, TrainConfig, build_model,
-                   count_flops, count_params, forward_features,
+from conftest import OVERFIT_MODEL_SEED
+from ppvit import (Tensor, build_model, count_flops, count_params, forward_features,
                    gradcheck_suite, no_grad, preset, squeeze_ratio, train)
 from ppvit.attention import PMHSAConfig, pmhsa_forward
 from ppvit.complexity import (REFERENCE_FLOPS, REFERENCE_PARAMS, _conv_out)

@@ -1,12 +1,11 @@
 """Analytical parameter/FLOP accounting and squeeze-ratio arithmetic."""
 
-import numpy as np
 import pytest
 
 from ppvit import (ConfigError, build_model, compare_attention, count_flops,
                    count_params, preset, squeeze_ratio)
 from ppvit.attention import pooled_extent, pooled_len
-from ppvit.complexity import attention_core_flops
+from ppvit.complexity import attention_core_flops, stage_grids
 
 
 class TestAttentionCore:
@@ -90,6 +89,11 @@ class TestFlopAccounting:
         assert "stages.1.blocks.0.attn" in text
         assert "stages.1.blocks.0.ffn" in text
 
+    def test_stage_grids_follow_the_embed_ladder(self):
+        # the stem quarters the input, each later embed halves the grid
+        assert stage_grids(224, 224) == [(56, 56), (28, 28), (14, 14), (7, 7)]
+        assert stage_grids(64, 96) == [(16, 24), (8, 12), (4, 6), (2, 3)]
+
     def test_input_size_validated(self):
         with pytest.raises(ConfigError, match="32"):
             count_flops(preset("micro", num_classes=4), (40, 40))
@@ -135,6 +139,12 @@ class TestSqueeze:
             squeeze_ratio(())
         with pytest.raises(ConfigError):
             squeeze_ratio((0, 2))
+
+    @pytest.mark.parametrize("ratios", [(2.7, 4.9), [True, 2], (2, 4.0)])
+    def test_non_int_ratios_rejected(self, ratios):
+        # once truncated: (2.7, 4.9) reported ratios (2, 4) and M=20
+        with pytest.raises(ConfigError, match="pool ratios must be ints"):
+            squeeze_ratio(ratios, hw=(8, 8))
 
 
 class TestCompare:
