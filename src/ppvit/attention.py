@@ -2,10 +2,10 @@
 
 Queries come from every position of the token map; keys and values come
 from a much shorter sequence built by pooling that map at several ratios,
-adding a shared depthwise-conv position encoding to each pooled map,
-flattening all of them, and concatenating.  With pooling ratios
-``p_1..p_n`` the pooled length is roughly ``N * sum(1/p_i^2)``, which is
-what makes the attention affordable at high resolution.
+adding a shared depthwise-conv position encoding to each pooled map, and
+joining them in one ``concat`` that flattens each level (3L + 2 nodes for L
+levels).  With pooling ratios ``p_1..p_n`` the pooled length is roughly
+``N * sum(1/p_i^2)``, which makes the attention affordable at high resolution.
 """
 
 from __future__ import annotations
@@ -115,14 +115,15 @@ class PMHSAState:
 
 
 def build_kv_sequence(x: Tensor, state: PMHSAState) -> Tensor:
-    """Pool, position-encode, flatten, concatenate, and normalize.
+    """Pool, position-encode, join, and normalize.
 
     ``x`` is the channels-last token map [B, H, W, C].  Returns the pooled
     sequence [B, M, C].  One depthwise kernel is shared by every pyramid
-    level, and a single layer norm is applied after concatenation.
+    level; one ``concat`` flattens the levels and joins them, and a single
+    layer norm follows.
     """
     cfg = state.cfg
-    b, h, w, c = x.shape
+    _, h, w, c = x.shape
     pool = T.adaptive_avg_pool2d if cfg.pool_mode == "avg" else T.adaptive_max_pool2d
     pooled = [pool(x, th, tw) for th, tw in cfg.level_targets(h, w)]
     if state.rpe is not None:
@@ -130,9 +131,7 @@ def build_kv_sequence(x: Tensor, state: PMHSAState) -> Tensor:
         rpe = state.rpe
         pooled = [T.add(p, T.conv2d(p, rpe.weight, rpe.bias, padding=1, groups=c))
                   for p in pooled]
-    flat = [T.reshape(p, (b, p.shape[1] * p.shape[2], c)) for p in pooled]
-    seq = flat[0] if len(flat) == 1 else T.concat(flat, axis=1)
-    return T.layer_norm(seq, state.pool_ln.gamma, state.pool_ln.beta)
+    return T.layer_norm(T.concat(pooled), state.pool_ln.gamma, state.pool_ln.beta)
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:

@@ -146,15 +146,17 @@ def preset(name: str, num_classes: int = 1000, **overrides) -> ModelConfig:
 # construction
 # ---------------------------------------------------------------------------
 
-def _trunc_normal(rng: np.random.Generator, shape: tuple[int, ...],
-                  std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) with values beyond 2 std redrawn until inside."""
-    out = rng.normal(0.0, std, size=shape)
-    limit = 2.0 * std
+INIT_STD = 0.02  # standard deviation of every drawn weight
+
+
+def _trunc_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Normal(0, INIT_STD) with values beyond 2 std redrawn until inside."""
+    out = rng.normal(0.0, INIT_STD, size=shape)
+    limit = 2.0 * INIT_STD
     # |out| > limit and a masked write, with no temporary the size of ``out``
     bad = (out < -limit) | (out > limit)
     while bad.any():
-        np.place(out, bad, rng.normal(0.0, std, size=np.count_nonzero(bad)))
+        np.place(out, bad, rng.normal(0.0, INIT_STD, size=np.count_nonzero(bad)))
         bad = (out < -limit) | (out > limit)
     return out
 

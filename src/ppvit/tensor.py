@@ -336,19 +336,19 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
                  lambda g: (g.transpose(inverse),), moved=True)
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat needs at least one tensor")
-    if len({t.shape[:axis] + t.shape[axis:][1:] for t in tensors}) > 1:
-        raise ShapeError(f"concat tensors must agree off axis={axis}: {[t.shape for t in tensors]}")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
+def concat(maps: Sequence[Tensor]) -> Tensor:
+    """Join ``[B, ..., C]`` maps of one B and C, each flattened row-major, into [B, N, C]."""
+    shapes = [t.shape for t in maps]
+    if not shapes or min(map(len, shapes)) < 3 or len({(s[0], s[-1]) for s in shapes}) > 1:
+        raise ShapeError(f"concat maps must be [B, ..., C] of one B and C, got maps {shapes}")
+    (b, *_, c), lengths = shapes[0], [math.prod(s[1:-1]) for s in shapes]
+    out = np.concatenate([t.data.reshape(b, n, c) for t, n in zip(maps, lengths)], axis=1)
+    offsets = list(itertools.accumulate(lengths))[:-1]
 
     def bw(g: Array):
-        return tuple(np.split(g, offsets, axis=axis))
+        return tuple([p.reshape(s) for p, s in zip(np.split(g, offsets, axis=1), shapes)])
 
-    return _make("concat", out, tuple(tensors), bw, moved=True)
+    return _make("concat", out, tuple(maps), bw, moved=True)
 
 
 def mean(x: Tensor, axis: int | None = None) -> Tensor:
@@ -390,8 +390,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
     if bias is not None and (b.ndim != 2 or bias.shape != (b.shape[1],)):
         raise ShapeError(f"matmul bias {bias.shape} must be [n] for a [k, n] weight {b.shape}")
-    if act is not None and b.ndim != 2:
-        raise ShapeError(f"matmul act needs a [k, n] weight, got {b.shape}")
+    if act is not None and (act not in ACTS or b.ndim != 2):
+        raise ShapeError(f"matmul act={act!r} needs an ACTS name and a [k, n] weight: {b.shape}")
     if b.ndim == 2:
         k, n = b.shape
         fwd, grad = ACTS[act] if act is not None else (None, None)
@@ -483,7 +483,10 @@ def softmax_rows(x: Tensor, scale: float) -> Tensor:
     return _make("softmax_rows", out, (x,), bw)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+_LN_EPS = 1e-6  # added to every row's variance by ``layer_norm``
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last (channel) axis, then apply the affine pair.
 
     Rows are shifted by their first value before the mean is removed, so a
@@ -491,13 +494,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     einsums, as in softmax_rows, several times faster than mean/var on short
     rows; a ones GEMV is faster still but makes a row's bits batch-dependent.
     """
+    if x.ndim < 1 or gamma.shape != (x.shape[-1],) or beta.shape != gamma.shape:
+        raise ShapeError(f"layer_norm needs x [..., C] with gamma and beta [C], got x "
+                         f"{x.shape}, gamma {gamma.shape}, beta {beta.shape}")
     c = x.shape[-1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(
-            f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match C={c}")
     xhat = x.data - x.data[..., :1]
     xhat -= np.einsum("...c->...", xhat)[..., None] / c
-    inv = 1.0 / np.sqrt(np.einsum("...c,...c->...", xhat, xhat)[..., None] / c + eps)
+    inv = 1.0 / np.sqrt(np.einsum("...c,...c->...", xhat, xhat)[..., None] / c + _LN_EPS)
     xhat *= inv
     out = xhat * gamma.data + beta.data
 
@@ -661,13 +664,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d takes groups=1 (dense) or groups=C_in=C_out (depthwise); "
                          f"got groups={groups}, weight {weight.shape}, input {x.shape}")
     depthwise = groups > 1
-    if stride < 1 or depthwise and stride != 1:
-        raise ShapeError(f"conv2d stride={stride} must be >= 1, and 1 when depthwise")
-    if padding < 0 or depthwise and padding >= min(kh, kw):
-        raise ShapeError(f"conv2d padding={padding} must be >= 0, and < {min(kh, kw)} "
+    if type(stride) is not int or stride < 1 or depthwise and stride != 1:
+        raise ShapeError(f"conv2d stride={stride!r} must be an int >= 1, and 1 when depthwise")
+    if type(padding) is not int or padding < 0 or depthwise and padding >= min(kh, kw):
+        raise ShapeError(f"conv2d padding={padding!r} must be an int >= 0, and < {min(kh, kw)} "
                          f"when depthwise")
-    if act is not None and not depthwise:
-        raise ShapeError(f"conv2d act={act!r} needs a depthwise conv, got groups={groups}")
+    if act is not None and (act not in ACTS or not depthwise):
+        raise ShapeError(f"conv2d act={act!r} needs an ACTS name and a depthwise conv, got "
+                         f"groups={groups}")
     hp, wp = h + 2 * padding, w + 2 * padding
     if kh > hp or kw > wp:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
@@ -781,7 +785,7 @@ def adaptive_max_pool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
 def cross_entropy_logits(logits: Tensor, labels: Sequence[int] | Array) -> Tensor:
     """Mean softmax cross-entropy, fused from logits for stability."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise ShapeError(
             f"cross_entropy expects [B,K] logits with B labels, got {logits.shape} "
@@ -789,8 +793,8 @@ def cross_entropy_logits(logits: Tensor, labels: Sequence[int] | Array) -> Tenso
     n, k = logits.shape
     if n < 1:
         raise ShapeError(f"cross_entropy needs a nonempty batch, got logits {logits.shape}")
-    if labels.min() < 0 or labels.max() >= k:
-        raise ShapeError(f"labels must lie in [0, {k})")
+    if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= k:
+        raise ShapeError(f"cross_entropy labels need ints in [0, {k}), got {labels.dtype} labels")
     z = logits.data
     m = z.max(axis=-1, keepdims=True)
     e = np.exp(z - m)

@@ -341,8 +341,8 @@ def _ops_cases() -> list[GradcheckCase]:
     x, x3 = t(3, 4), t(2, 3, 4)
     check("reshape", lambda: T.reshape(x, (2, 6)), [x], 8)
     check("transpose", lambda: T.transpose(x3, (2, 0, 1)), [x3], 9)
-    c1, c2 = t(2, 3), t(2, 5)
-    check("concat", lambda: T.concat([c1, c2], axis=1), [c1, c2], 10)
+    c1, c2 = t(2, 2, 3, 3), t(2, 1, 2, 3)  # two pyramid levels' grids
+    check("concat", lambda: T.concat([c1, c2]), [c1, c2], 10)
     check("mean_axis", lambda: T.mean(x3, axis=1), [x3], 12)
     m1, m2 = t(3, 4), t(4, 5)
     check("matmul", lambda: T.matmul(m1, m2), [m1, m2], 13)

@@ -176,12 +176,12 @@ class TestEveryOpThreeShapes:
         x = randt(rng, *shape)
         check_grads(lambda: proj(T.transpose(x, axes), 8), [x])
 
-    @pytest.mark.parametrize("shapes,axis", [(((2, 3), (4, 3)), 0),
-                                             (((2, 2), (2, 5)), 1),
-                                             (((1, 2, 2), (1, 2, 3)), 2)])
-    def test_concat(self, rng, shapes, axis):
+    # pyramid levels: two grids, one level, and maps of three ranks
+    @pytest.mark.parametrize("shapes", [((2, 2, 3, 3), (2, 1, 2, 3)), ((1, 3, 2, 2),),
+                                        ((2, 3, 2), (2, 2, 2, 2), (2, 1, 2, 1, 2))])
+    def test_concat(self, rng, shapes):
         ts = [randt(rng, *s) for s in shapes]
-        check_grads(lambda: proj(T.concat(ts, axis=axis), 9), ts)
+        check_grads(lambda: proj(T.concat(ts), 9), ts)
 
     @pytest.mark.parametrize("shape,axis", [((4,), None), ((2, 3), 0), ((2, 3, 4), -1)])
     def test_mean(self, rng, shape, axis):

@@ -95,8 +95,8 @@ def graph_ops(out, inputs):
 
 class TestChannelsLastLayers:
     """Every layer takes and returns a channels-last [B, H, W, C] map, so
-    the only layout ops left flatten the pooled levels and split and merge
-    the attention heads."""
+    the only layout ops left join the pooled levels (one ``concat``) and
+    split and merge the attention heads."""
 
     @pytest.mark.parametrize("layer", ["build_kv_sequence", "irb_forward",
                                        "patch_embed"])
@@ -110,7 +110,8 @@ class TestChannelsLastLayers:
                                PMHSAConfig(dim=4, heads=1, pool_ratios=(1, 2)))
             x = leaf(2, 4, 4, 4)
             out = build_kv_sequence(x, state)
-            expect, reshapes = {"adaptive_avg_pool2d", "conv2d"}, 2  # a flatten per level
+            # the levels are flattened by the concat that joins them
+            expect, reshapes = {"adaptive_avg_pool2d", "conv2d", "concat"}, 0
         elif layer == "irb_forward":
             state = make_irb(4, 2)
             x = leaf(2, 3, 4, 4)
@@ -129,12 +130,24 @@ class TestChannelsLastLayers:
 
     @pytest.mark.parametrize("ratios", [(1,), (1, 2), (1, 2, 4)])
     def test_block_reshapes_only_heads_and_levels(self, rng, ratios):
-        # q, k and v split into heads and the context merged back (4), plus
-        # one flatten per pyramid level; the map itself is never reshaped
+        # q, k and v split into heads and the context merged back (4) at any
+        # number of levels: one concat flattens and joins the pyramid levels,
+        # and the map itself is never reshaped
         blk = make_block(8, 2, ratios, seed=1)
         x = Tensor(rng.normal(size=(2, 4, 4, 8)), requires_grad=True, dtype=np.float64)
         ops = graph_ops(block_forward(x, blk), [x] + T.params(blk))
-        assert ops.count("reshape") == 4 + len(ratios), ops
+        assert ops.count("reshape") == 4 and ops.count("concat") == 1, ops
+
+    @pytest.mark.parametrize("ratios", [(1,), (1, 2), (1, 2, 3, 4)])
+    def test_kv_sequence_is_three_nodes_per_level_and_two(self, rng, ratios):
+        # per level a pool, the position-encoding conv and its residual add;
+        # then one concat and one layer norm: 3L + 2 nodes, no reshape
+        state = _init_attn(_Init(0, np.float64),
+                           PMHSAConfig(dim=4, heads=1, pool_ratios=ratios))
+        x = Tensor(rng.normal(size=(2, 4, 4, 4)), requires_grad=True, dtype=np.float64)
+        ops = graph_ops(build_kv_sequence(x, state), [x] + T.params(state))
+        assert sorted(ops) == sorted(["adaptive_avg_pool2d", "conv2d", "add"] * len(ratios)
+                                     + ["concat", "layer_norm"]), ops
 
     @pytest.mark.parametrize("kind", ["irb", "mlp"])
     def test_activation_runs_inside_the_ops(self, rng, kind):

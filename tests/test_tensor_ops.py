@@ -509,8 +509,14 @@ class TestActivationPrologue:
 
 class TestStructuralOps:
     def test_concat_order(self):
-        out = T.concat([Tensor([[1.0, 2.0]]), Tensor([[3.0]])], axis=1)
-        npt.assert_array_equal(out.data, [[1, 2, 3]])
+        # each map flattens row-major over its grid, then the maps follow in order
+        a = Tensor(np.arange(8.0).reshape(2, 2, 2, 1), requires_grad=True)
+        b = Tensor(np.arange(8.0, 10.0).reshape(2, 1, 1, 1), requires_grad=True)
+        out = T.concat([a, b])
+        npt.assert_array_equal(out.data[..., 0], [[0, 1, 2, 3, 8], [4, 5, 6, 7, 9]])
+        ga, gb = out.creator.backward_fn(out.data * 10.0)
+        npt.assert_array_equal(ga, a.data * 10.0)
+        npt.assert_array_equal(gb, b.data * 10.0)
 
     def test_reshape_invalid(self):
         with pytest.raises(ShapeError):
@@ -532,10 +538,23 @@ class TestStructuralOps:
         with pytest.raises(ShapeError):
             T.cross_entropy_logits(Tensor(np.zeros((2, 3))), [0, 3])
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], np.array([0.0, 1.0]), [True, False]],
+                             ids=["fractions", "whole-floats", "bools"])
+    def test_cross_entropy_refuses_labels_that_are_not_ints(self, labels):
+        # truncated, [0.5, 1.7] would be scored as the labels [0, 1]
+        with pytest.raises(ShapeError, match="labels"):
+            T.cross_entropy_logits(Tensor(np.zeros((2, 3))), labels)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8])
+    def test_cross_entropy_takes_every_int_dtype(self, dtype):
+        z = Tensor(np.arange(6.0).reshape(2, 3))
+        ref = T.cross_entropy_logits(z, [2, 0]).item()
+        assert T.cross_entropy_logits(z, np.array([2, 0], dtype=dtype)).item() == ref
+
 
 MOVES = {"reshape": lambda t: T.reshape(t, (3, 2)),
-         "transpose": lambda t: T.transpose(t, (1, 0)),
-         "concat": lambda t: T.concat([t, t], axis=0)}
+         "transpose": lambda t: T.transpose(t, (1, 0, 2)),
+         "concat": lambda t: T.concat([t, t])}
 
 
 class TestFiniteGuard:
@@ -545,7 +564,7 @@ class TestFiniteGuard:
         scan = T._ensure_finite
         monkeypatch.setattr(T, "_ensure_finite",
                             lambda arr, name: (scans.append(name), scan(arr, name)))
-        x = T.add(Tensor(np.ones((2, 3))), Tensor(np.arange(6.0).reshape(2, 3)))
+        x = T.add(Tensor(np.ones((2, 3, 1))), Tensor(np.arange(6.0).reshape(2, 3, 1)))
         assert scans == ["add"]
         out = MOVES[op](x)
         assert scans == ["add"] and out.scanned
@@ -554,11 +573,11 @@ class TestFiniteGuard:
 
     @pytest.mark.parametrize("op", MOVES)
     def test_nan_leaf_still_raises(self, op):
-        leaf = Tensor([[1.0, np.nan, 2.0], [3.0, 4.0, 5.0]])
+        leaf = Tensor([[[1.0], [np.nan], [2.0]], [[3.0], [4.0], [5.0]]])
         with pytest.raises(NonFiniteError, match=op):
             MOVES[op](leaf)
         with pytest.raises(NonFiniteError, match="concat"):
-            T.concat([T.add(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3)))), leaf], axis=0)
+            T.concat([T.add(Tensor(np.ones((2, 3, 1))), Tensor(np.ones((2, 3, 1)))), leaf])
 
     def test_overflow_raises(self):
         big = Tensor([1e308])
@@ -644,9 +663,22 @@ REFUSALS = {
     "depthwise-stride-negative": (lambda: T.conv2d(_zeros(1, 4, 4, 2), _zeros(2, 1, 3, 3),
                                                    stride=-1, padding=1, groups=2),
                                   "stride=-1"),
-    "concat-other-extent": (lambda: T.concat([_zeros(2, 3, 4), _zeros(2, 5, 3)], axis=1),
-                            "axis=1"),
-    "concat-ndim": (lambda: T.concat([_zeros(2, 3), _zeros(2, 3, 1)], axis=0), "axis=0"),
+    "conv-act-unknown": (lambda: T.conv2d(_zeros(1, 4, 4, 2), _zeros(2, 1, 3, 3), padding=1,
+                                          groups=2, act="relu"), "act='relu'"),
+    "conv-stride-float": (lambda: T.conv2d(_zeros(1, 4, 4, 2), _zeros(3, 2, 3, 3),
+                                           stride=1.5), "stride=1.5"),
+    "conv-padding-float": (lambda: T.conv2d(_zeros(1, 4, 4, 2), _zeros(3, 2, 3, 3),
+                                            padding=0.5), "padding=0.5"),
+    "matmul-act-unknown": (lambda: T.matmul(_zeros(2, 3), _zeros(3, 4), act="relu"),
+                           "act='relu'"),
+    "layer-norm-0d": (lambda: T.layer_norm(_zeros(), _zeros(1), _zeros(1)), "x ()"),
+    "concat-empty": (lambda: T.concat([]), "maps []"),
+    "concat-other-extent": (lambda: T.concat([_zeros(2, 3, 4), _zeros(2, 5, 3)]),
+                            "maps [(2, 3, 4), (2, 5, 3)]"),
+    "concat-other-batch": (lambda: T.concat([_zeros(2, 3, 4), _zeros(3, 3, 4)]),
+                           "maps [(2, 3, 4), (3, 3, 4)]"),
+    "concat-ndim": (lambda: T.concat([_zeros(2, 3, 4), _zeros(2, 3)]),
+                    "maps [(2, 3, 4), (2, 3)]"),
     "transpose-repeated-axis": (lambda: T.transpose(_zeros(1, 2, 3, 4), (0, 1, 1, 3)),
                                 "axes=(0, 1, 1, 3)"),
     "transpose-negative-axis": (lambda: T.transpose(_zeros(2, 3), (-1, 0)), "axes=(-1, 0)"),
