@@ -382,7 +382,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
     both gradients are single GEMMs and ``d(b)`` needs no batch sum.  Only
     such a ``b`` takes a ``bias`` ``[n]``: it is added in place, and its
     gradient is ``g`` summed over the leading axes.  So does an ``act`` (a
-    name in ``ACTS``): ``act(a) @ b``, with ``act(a)`` recomputed for ``d(b)``.
+    name in ``ACTS``): ``act(a) @ b``, ``act(a)`` built a band of rows at a
+    time (``_BAND``) forward and recomputed whole for ``d(b)``.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
@@ -395,8 +396,17 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
     if b.ndim == 2:
         k, n = b.shape
         fwd, grad = ACTS[act] if act is not None else (None, None)
-        h = a.data if fwd is None else fwd(a.data)
-        out = (h.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (n,))
+        a2 = a.data.reshape(-1, k)
+        if fwd is None or a2.size <= _BAND:
+            out = (a2 if fwd is None else fwd(a2)) @ b.data
+        else:  # near-equal row bands: a GEMM of a few rows would sum in another order
+            out = np.empty((len(a2), n), dtype=np.result_type(a.data, b.data))
+            band = -(-len(a2) // -(-a2.size // _BAND))
+            buf = np.empty((band, k), dtype=a.dtype)
+            for r in range(0, len(a2), band):
+                rows = a2[r:r + band]
+                np.matmul(fwd(rows, buf[:len(rows)]), b.data, out=out[r:r + band])
+        out = out.reshape(a.shape[:-1] + (n,))
         if bias is not None:
             out += bias.data
 
@@ -526,20 +536,27 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 _DEPTHWISE_ROW = 128
 # ``_pad`` rows (``w * C`` values) this long are written in place (measured sweep)
 _PAD_ROW = 2048
+# values in the rows the depthwise and ``act`` matmul forwards pad or activate
+# at a time (measured sweep); backwards take whole maps, as bands would split sums
+_BAND = 1 << 18
 
 
-def _pad(a: Array, ph: int, pw: int, fwd: Callable | None = None) -> Array:
-    """``a``, or ``fwd(a)`` by an ``ACTS`` forward kernel, inside ``ph`` zero
-    rows and ``pw`` zero columns on each side.  Each row of the interior costs
-    a NumPy inner loop, so short rows are copied contiguous into zeros; long
-    ones are written in place into a buffer whose border alone is zeroed."""
+def _pad(a: Array, ph: int, pw: int, fwd: Callable | None = None,
+         out: Array | None = None, r0: int = 0) -> Array:
+    """``a``, or ``fwd(a)`` by an ``ACTS`` kernel, inside ``ph`` zero rows and
+    ``pw`` zero columns on each side; given ``out``, the padded rows from ``r0``
+    that fill it.  Interior rows cost a NumPy inner loop each, so short ones
+    are copied contiguous into new zeros, long ones written in place."""
     b, h, w, c = a.shape
-    short = w * c < _PAD_ROW
-    out = (np.zeros if short else np.empty)((b, h + 2 * ph, w + 2 * pw, c), dtype=a.dtype)
-    if not short:
-        out[:, :ph] = out[:, ph + h:] = 0.0
+    short, fresh, top = w * c < _PAD_ROW, out is None, ph
+    if fresh:
+        out = (np.zeros if short else np.empty)((b, h + 2 * ph, w + 2 * pw, c), dtype=a.dtype)
+    else:  # the input rows that ``out`` holds, under ``top`` zero rows
+        top, a = max(ph - r0, 0), a[:, max(r0 - ph, 0):r0 + out.shape[1] - ph]
+    if not (fresh and short):
+        out[:, :top] = out[:, top + a.shape[1]:] = 0.0
         out[:, :, :pw] = out[:, :, pw + w:] = 0.0
-    inner = out[:, ph:ph + h, pw:pw + w]
+    inner = out[:, top:top + a.shape[1], pw:pw + w]
     if fwd is not None and not short:
         fwd(a, inner)
     elif a.strides[-1] == a.itemsize:
@@ -561,16 +578,18 @@ def _windows(src: Array, kh: int, kw: int, m: int) -> Array:
                       strides=(sb, sh, sw * m, sh, sw, sc))
 
 
-def _correlate(src: Array, kt: Array):
+def _correlate(src: Array, kt: Array, out: Array | None = None):
     """Stride-1 depthwise correlation ``[B, Ho, Wo, C]`` of a C-contiguous map
-    with ``kt`` ``[kh, kw, C]``, and ``m``: the output columns merged into each
-    window row (``_windows``), the least divisor of ``Wo`` with ``m * C >=
-    _DEPTHWISE_ROW``, else ``Wo``.  ``kt`` tiled ``m`` times fixes einsum's order."""
+    with ``kt`` ``[kh, kw, C]``, into ``out`` when given, and ``m``: the output
+    columns merged into each window row (``_windows``), the least divisor of
+    ``Wo`` with ``m * C >= _DEPTHWISE_ROW``, else ``Wo``.  ``kt`` tiled ``m``
+    times fixes einsum's order."""
     kh, kw, c = kt.shape
     m = _merged_columns(src.shape[2] - kw + 1, c)
     win = _windows(src, kh, kw, m)
     tiled = kt[:, :, None].repeat(m, axis=2).reshape(kh, kw, m * c) if m > 1 else kt
-    out = np.einsum("bijuvc,uvc->bijc", win, np.ascontiguousarray(tiled))
+    out = np.einsum("bijuvc,uvc->bijc", win, np.ascontiguousarray(tiled),
+                    out=None if out is None else out.reshape(win.shape[:3] + (-1,)))
     return out.reshape(win.shape[:2] + (-1, c)), m
 
 
@@ -582,18 +601,27 @@ def _merged_columns(wo: int, c: int) -> int:
 
 def _depthwise_kernel(x: Array, k: Array, padding: int, fwd: Callable | None):
     """Stride-1 depthwise conv (one input channel per group, ``C_out == C_in``)
-    with no window tensor and no padded copy kept for backward.  Forward and
-    the input gradient are ``_correlate``, the latter with the flipped kernel
-    over ``g`` padded by ``k - 1 - padding``; the kernel gradient contracts
-    ``g`` with the windows of the input padded again."""
-    kh, kw = k.shape[2:]
+    with no window tensor and no padded copy kept for backward.  Forward, one
+    band of output rows at a time, and the input gradient are ``_correlate``,
+    the latter with the flipped kernel over ``g`` padded by ``k - 1 - padding``;
+    the kernel gradient contracts ``g`` with the windows of the input padded again."""
+    (b, h, w, c), (kh, kw) = x.shape, k.shape[2:]
     kt = k[:, 0].transpose(1, 2, 0)  # [kh, kw, C]
-    out, m = _correlate(_pad(x, padding, padding, fwd), kt)
-    b, ho, wo, c = out.shape
+    ho, wp = h + 2 * padding - kh + 1, w + 2 * padding
+    band = max(1, _BAND // (b * wp * c) - kh + 1)  # output rows
+    if band >= ho:
+        out, m = _correlate(_pad(x, padding, padding, fwd), kt)
+    else:
+        out = np.empty((b, ho, wp - kw + 1, c), dtype=np.result_type(x, k))
+        buf = np.empty(b * (band + kh - 1) * wp * c, dtype=x.dtype)
+        for r in range(0, ho, band):
+            n = min(band, ho - r)
+            rows = buf[:b * (n + kh - 1) * wp * c].reshape(b, -1, wp, c)
+            _, m = _correlate(_pad(x, padding, padding, fwd, rows, r), kt, out[:, r:r + n])
 
     def bw(g: Array, need_dx: bool):
         win = _windows(_pad(x, padding, padding, fwd), kh, kw, m)
-        dkt = np.einsum("bijuvc,bijc->uvc", win, g.reshape(b, ho, wo // m, m * c))
+        dkt = np.einsum("bijuvc,bijc->uvc", win, g.reshape(b, ho, -1, m * c))
         dx = None
         if need_dx:
             dx, _ = _correlate(_pad(g, kh - 1 - padding, kw - 1 - padding), kt[::-1, ::-1])
@@ -651,10 +679,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     filter, the position encoding), is stride 1 with ``padding`` below the
     kernel size: a window-view correlation forward; backward, a kernel
     gradient einsum and the same correlation with the flipped kernel.  Only
-    depthwise takes ``act`` (``ACTS``), applied in the padded copy forward
-    and again backward.  The input gradient is ``None`` when ``x`` needs
-    none (the image at the stem).  Both kernels are checked against the
-    loop oracles in ``tests/oracles.py``.
+    depthwise takes ``act`` (``ACTS``), applied in each band's padded rows
+    forward and to the whole map backward.  The input gradient is ``None``
+    when ``x`` needs none (the image at the stem).  Both kernels are checked
+    against the loop oracles in ``tests/oracles.py``.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d needs 4-d input/weight, got {x.shape} and {weight.shape}")

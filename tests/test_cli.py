@@ -1,6 +1,10 @@
 """End-to-end command-line behaviour, exercised through cli.main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +125,29 @@ class TestTrain:
                 == (dir_b / "metrics.csv").read_bytes())
         assert ((dir_a / "checkpoint.ckpt").read_bytes()
                 == (dir_b / "checkpoint.ckpt").read_bytes())
+
+    def test_one_and_two_blas_threads_write_the_same_bytes(self, tmp_path):
+        # README, Determinism: the micro recipe's GEMMs sum in one order at
+        # either thread count; each child process sets only its own count
+        src = str(Path(cli.__file__).resolve().parents[1])
+        artifacts = []
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"threads_{threads}"
+            config = write_config(
+                tmp_path, out_dir, model={"preset": "micro", "num_classes": 4},
+                data={"kind": "blobs", "num_samples": 32, "image_size": 32,
+                      "num_classes": 4, "seed": 7},
+                train={"lr": 2e-3, "warmup_steps": 4, "total_steps": 8,
+                       "batch_size": 32, "seed": 0})
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-m", "ppvit.cli", "train", "--config",
+                                  str(config)], env=env, capture_output=True, text=True,
+                                 timeout=300)
+            assert run.returncode == 0, run.stderr
+            artifacts.append([(out_dir / name).read_bytes()
+                              for name in ("metrics.csv", "checkpoint.ckpt")])
+        assert artifacts[0] == artifacts[1]
 
     def test_unknown_key_exits_2(self, capsys, tmp_path):
         config = write_config(tmp_path, tmp_path / "x", epochs=5)

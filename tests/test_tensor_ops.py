@@ -646,6 +646,72 @@ class TestShortRowKernels:
                                    T._pad(np.ascontiguousarray(a), 3, 2, fwd))
 
 
+class TestBandedForwards:
+    """The depthwise and ``act`` matmul forwards, built one band of rows at a
+    time, keep the bits of the whole-map kernels and hold one band at most."""
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("act", [None, "hardswish", "gelu"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_depthwise_bands_keep_the_bits(self, rng, monkeypatch, b, dtype, act, padding):
+        x = rng.normal(scale=3.0, size=(b, 11, 6, 16)).astype(dtype)
+        k = rng.normal(size=(16, 1, 3, 3)).astype(dtype)
+        fwd = None if act is None else T.ACTS[act][0]
+        ref, _ = T._correlate(T._pad(x, padding, padding, fwd), k[:, 0].transpose(1, 2, 0))
+        # a band of 6 padded rows: 4 output rows, and a short last band
+        monkeypatch.setattr(T, "_BAND", b * (6 + 2 * padding) * 16 * 6)
+        correlate, bands = T._correlate, []
+        monkeypatch.setattr(T, "_correlate", lambda src, kt, out=None: (
+            bands.append(out.shape[1]), correlate(src, kt, out))[1])
+        out = T.conv2d(Tensor(x), Tensor(k), padding=padding, groups=16, act=act).data
+        assert bands == [4, 4, 3] if padding else bands == [4, 4, 1]
+        assert out.dtype == dtype
+        npt.assert_array_equal(out, ref)
+
+    @pytest.mark.parametrize("act", [None, "hardswish", "gelu"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_matmul_bands_keep_the_bits(self, rng, monkeypatch, b, dtype, act):
+        a = rng.normal(scale=3.0, size=(b, 6, 6, 16)).astype(dtype)
+        w = rng.normal(size=(16, 24)).astype(dtype)
+        fwd = None if act is None else T.ACTS[act][0]
+        ref = (a if fwd is None else fwd(a)).reshape(-1, 16) @ w
+        # 8 rows a band, the last one 4 rows: 5 bands at b = 1, 14 at b = 3
+        monkeypatch.setattr(T, "_BAND", 16 * 8)
+        bands = []
+        if act is not None:
+            grad = T.ACTS[act][1]
+            monkeypatch.setitem(T.ACTS, act, (lambda rows, buf=None: (
+                bands.append(len(rows)), fwd(rows, buf))[1], grad))
+        out = T.matmul(Tensor(a), Tensor(w), act=act).data
+        if act is not None:
+            assert bands == [8] * (len(bands) - 1) + [4] and len(bands) == (5 if b == 1 else 14)
+        assert out.dtype == dtype
+        npt.assert_array_equal(out.reshape(-1, 24), ref)
+
+    def test_no_grad_peak_is_the_output_and_one_band(self, rng):
+        # a whole padded copy (the conv's output size) or a whole act(a) (the
+        # matmul's output size 8 times over) would not fit; 64 KiB covers a
+        # band's small temporaries (the tiled kernel, einsum's buffers)
+        x = Tensor(rng.normal(size=(1, 56, 56, 96)).astype(np.float32))
+        k = Tensor(rng.normal(size=(96, 1, 3, 3)).astype(np.float32))
+        a = Tensor(rng.normal(size=(1, 56, 56, 384)).astype(np.float32))
+        w = Tensor(rng.normal(size=(384, 48)).astype(np.float32))
+        band = T._BAND * 4
+        for call in (lambda: T.conv2d(x, k, padding=1, groups=96, act="hardswish"),
+                     lambda: T.matmul(a, w, act="hardswish")):
+            with T.no_grad():
+                tracemalloc.start()
+                try:
+                    out = call()
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            assert peak <= out.data.nbytes + band + 64 * 1024, \
+                f"peak {peak} bytes, output {out.data.nbytes}, band {band}"
+
+
 def _zeros(*shape):
     return Tensor(np.zeros(shape))
 
