@@ -397,11 +397,12 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
         k, n = b.shape
         fwd, grad = ACTS[act] if act is not None else (None, None)
         a2 = a.data.reshape(-1, k)
-        if fwd is None or a2.size <= _BAND:
-            out = (a2 if fwd is None else fwd(a2)) @ b.data
+        if fwd is None:
+            out = a2 @ b.data
         else:  # near-equal row bands: a GEMM of a few rows would sum in another order
             out = np.empty((len(a2), n), dtype=np.result_type(a.data, b.data))
-            band = -(-len(a2) // -(-a2.size // _BAND))
+            bands = max(1, -(-a2.size // _BAND))  # an empty ``a`` is one empty band
+            band = max(1, -(-len(a2) // bands))
             buf = np.empty((band, k), dtype=a.dtype)
             for r in range(0, len(a2), band):
                 rows = a2[r:r + band]
@@ -608,16 +609,13 @@ def _depthwise_kernel(x: Array, k: Array, padding: int, fwd: Callable | None):
     (b, h, w, c), (kh, kw) = x.shape, k.shape[2:]
     kt = k[:, 0].transpose(1, 2, 0)  # [kh, kw, C]
     ho, wp = h + 2 * padding - kh + 1, w + 2 * padding
-    band = max(1, _BAND // (b * wp * c) - kh + 1)  # output rows
-    if band >= ho:
-        out, m = _correlate(_pad(x, padding, padding, fwd), kt)
-    else:
-        out = np.empty((b, ho, wp - kw + 1, c), dtype=np.result_type(x, k))
-        buf = np.empty(b * (band + kh - 1) * wp * c, dtype=x.dtype)
-        for r in range(0, ho, band):
-            n = min(band, ho - r)
-            rows = buf[:b * (n + kh - 1) * wp * c].reshape(b, -1, wp, c)
-            _, m = _correlate(_pad(x, padding, padding, fwd, rows, r), kt, out[:, r:r + n])
+    band = min(ho, max(1, _BAND // (b * wp * c) - kh + 1))  # output rows
+    out = np.empty((b, ho, wp - kw + 1, c), dtype=np.result_type(x, k))
+    buf = np.empty(b * (band + kh - 1) * wp * c, dtype=x.dtype)
+    for r in range(0, ho, band):
+        n = min(band, ho - r)
+        rows = buf[:b * (n + kh - 1) * wp * c].reshape(b, -1, wp, c)
+        _, m = _correlate(_pad(x, padding, padding, fwd, rows, r), kt, out[:, r:r + n])
 
     def bw(g: Array, need_dx: bool):
         win = _windows(_pad(x, padding, padding, fwd), kh, kw, m)

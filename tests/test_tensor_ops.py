@@ -650,43 +650,51 @@ class TestBandedForwards:
     """The depthwise and ``act`` matmul forwards, built one band of rows at a
     time, keep the bits of the whole-map kernels and hold one band at most."""
 
+    @pytest.mark.parametrize("banded", [True, False])
+    @pytest.mark.parametrize("pad_row", [T._PAD_ROW, 16])
     @pytest.mark.parametrize("padding", [0, 1])
     @pytest.mark.parametrize("act", [None, "hardswish", "gelu"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("b", [1, 3])
-    def test_depthwise_bands_keep_the_bits(self, rng, monkeypatch, b, dtype, act, padding):
+    def test_depthwise_bands_keep_the_bits(self, rng, monkeypatch, b, dtype, act, padding,
+                                           pad_row, banded):
         x = rng.normal(scale=3.0, size=(b, 11, 6, 16)).astype(dtype)
         k = rng.normal(size=(16, 1, 3, 3)).astype(dtype)
         fwd = None if act is None else T.ACTS[act][0]
         ref, _ = T._correlate(T._pad(x, padding, padding, fwd), k[:, 0].transpose(1, 2, 0))
-        # a band of 6 padded rows: 4 output rows, and a short last band
-        monkeypatch.setattr(T, "_BAND", b * (6 + 2 * padding) * 16 * 6)
+        # rows of w * C = 96 values: short at the default ``_PAD_ROW``, written
+        # in place into the reused band buffer at 16
+        monkeypatch.setattr(T, "_PAD_ROW", pad_row)
+        if banded:  # a band of 6 padded rows: 4 output rows, and a short last band
+            monkeypatch.setattr(T, "_BAND", b * (6 + 2 * padding) * 16 * 6)
         correlate, bands = T._correlate, []
         monkeypatch.setattr(T, "_correlate", lambda src, kt, out=None: (
             bands.append(out.shape[1]), correlate(src, kt, out))[1])
         out = T.conv2d(Tensor(x), Tensor(k), padding=padding, groups=16, act=act).data
-        assert bands == [4, 4, 3] if padding else bands == [4, 4, 1]
+        ho = 9 + 2 * padding
+        assert bands == ([4, 4, ho - 8] if banded else [ho])
         assert out.dtype == dtype
         npt.assert_array_equal(out, ref)
 
-    @pytest.mark.parametrize("act", [None, "hardswish", "gelu"])
+    @pytest.mark.parametrize("banded", [True, False])
+    @pytest.mark.parametrize("act", ["hardswish", "gelu"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("b", [1, 3])
-    def test_matmul_bands_keep_the_bits(self, rng, monkeypatch, b, dtype, act):
+    def test_matmul_bands_keep_the_bits(self, rng, monkeypatch, b, dtype, act, banded):
         a = rng.normal(scale=3.0, size=(b, 6, 6, 16)).astype(dtype)
         w = rng.normal(size=(16, 24)).astype(dtype)
-        fwd = None if act is None else T.ACTS[act][0]
-        ref = (a if fwd is None else fwd(a)).reshape(-1, 16) @ w
-        # 8 rows a band, the last one 4 rows: 5 bands at b = 1, 14 at b = 3
-        monkeypatch.setattr(T, "_BAND", 16 * 8)
+        fwd, grad = T.ACTS[act]
+        ref = fwd(a).reshape(-1, 16) @ w
+        if banded:  # 8 rows a band, the last one 4 rows: 5 bands at b = 1, 14 at b = 3
+            monkeypatch.setattr(T, "_BAND", 16 * 8)
         bands = []
-        if act is not None:
-            grad = T.ACTS[act][1]
-            monkeypatch.setitem(T.ACTS, act, (lambda rows, buf=None: (
-                bands.append(len(rows)), fwd(rows, buf))[1], grad))
+        monkeypatch.setitem(T.ACTS, act, (lambda rows, buf=None: (
+            bands.append(len(rows)), fwd(rows, buf))[1], grad))
         out = T.matmul(Tensor(a), Tensor(w), act=act).data
-        if act is not None:
+        if banded:
             assert bands == [8] * (len(bands) - 1) + [4] and len(bands) == (5 if b == 1 else 14)
+        else:
+            assert bands == [36 * b]
         assert out.dtype == dtype
         npt.assert_array_equal(out.reshape(-1, 24), ref)
 
@@ -710,6 +718,22 @@ class TestBandedForwards:
                     tracemalloc.stop()
             assert peak <= out.data.nbytes + band + 64 * 1024, \
                 f"peak {peak} bytes, output {out.data.nbytes}, band {band}"
+
+    def test_one_band_buffer_is_the_padded_map(self, rng):
+        # a map that fits one band pads into a buffer of its own padded rows,
+        # not of a whole band (1 MiB here); short rows also hold act(x) whole
+        x = Tensor(rng.normal(size=(2, 14, 14, 64)).astype(np.float32))
+        k = Tensor(rng.normal(size=(64, 1, 3, 3)).astype(np.float32))
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                out = T.conv2d(x, k, padding=1, groups=64, act="hardswish")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        padded = 2 * 16 * 16 * 64 * 4
+        assert peak <= 2 * out.data.nbytes + padded + 16 * 1024, \
+            f"peak {peak} bytes, output {out.data.nbytes}, padded {padded}"
 
 
 def _zeros(*shape):
