@@ -383,7 +383,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
     such a ``b`` takes a ``bias`` ``[n]``: it is added in place, and its
     gradient is ``g`` summed over the leading axes.  So does an ``act`` (a
     name in ``ACTS``): ``act(a) @ b``, ``act(a)`` built a band of rows at a
-    time (``_BAND``) forward and recomputed whole for ``d(b)``.
+    time (``_BAND``); backward, the same bands rebuild it for ``d(b)`` and
+    scale ``d(a)`` by the slope in place; each GEMM stays whole.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
@@ -405,17 +406,20 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
             band = max(1, -(-len(a2) // bands))
             buf = np.empty((band, k), dtype=a.dtype)
             for r in range(0, len(a2), band):
-                rows = a2[r:r + band]
-                np.matmul(fwd(rows, buf[:len(rows)]), b.data, out=out[r:r + band])
+                np.matmul(fwd(a2[r:r + band], buf[:len(a2) - r]), b.data, out=out[r:r + band])
         out = out.reshape(a.shape[:-1] + (n,))
         if bias is not None:
             out += bias.data
 
         def bw_flat(g: Array):
             g2 = g.reshape(-1, n)
-            ga = (g2 @ b.data.T).reshape(a.shape)
-            ga, h = (ga, a.data) if fwd is None else (grad(a.data, ga), fwd(a.data))
-            gb = h.reshape(-1, k).T @ g2
+            ga, h = g2 @ b.data.T, a2
+            if fwd is not None:  # each band of ``a`` read once: act(a) and the slope
+                h = np.empty(a2.shape, dtype=a2.dtype)
+                for r in range(0, len(a2), band):
+                    fwd(a2[r:r + band], h[r:r + band])
+                    grad(a2[r:r + band], ga[r:r + band])
+            ga, gb = ga.reshape(a.shape), h.T @ g2
             return (ga, gb) if bias is None else (ga, gb, _sum_rows(g2))
 
         inputs = (a, b) if bias is None else (a, b, bias)
@@ -443,14 +447,17 @@ def _hardswish(x: Array, out: Array | None = None) -> Array:
 
 
 def _hardswish_grad(x: Array, g: Array) -> Array:
-    """``g`` times the slope at ``x``, the left limit at the kinks (0 at -3, 1.5 at 3)."""
-    slope = 2.0 * x
-    slope += 3.0
-    slope /= 6.0
+    """``g`` times the slope at ``x``, written into ``g`` (as every ``ACTS``
+    backward does, so a caller must own ``g``: never an upstream gradient,
+    such as the one array ``add``'s backward hands both inputs).  The slope
+    ``(x + 1.5) / 3`` is ``(2x + 3) / 6`` bit for bit, as doubling is exact,
+    with the left limit at the kinks (0 at -3, 1.5 at 3)."""
+    slope = x + 1.5
+    slope /= 3.0
     slope[x <= -3.0] = 0.0
     slope[x > 3.0] = 1.0
-    slope *= g
-    return slope
+    g *= slope
+    return g
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -465,8 +472,8 @@ def _gelu(x: Array, out: Array | None = None) -> Array:
 
 def _gelu_grad(x: Array, g: Array) -> Array:
     t = np.tanh(_GELU_C * (x + _GELU_A * x ** 3))
-    return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C
-                * (1.0 + 3.0 * _GELU_A * x ** 2))
+    return np.multiply(g, 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C
+                       * (1.0 + 3.0 * _GELU_A * x ** 2), out=g)
 
 
 # name -> (forward, backward) kernels of ``matmul``'s and ``conv2d``'s ``act``
@@ -513,14 +520,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     xhat -= np.einsum("...c->...", xhat)[..., None] / c
     inv = 1.0 / np.sqrt(np.einsum("...c,...c->...", xhat, xhat)[..., None] / c + _LN_EPS)
     xhat *= inv
-    out = xhat * gamma.data + beta.data
+    out = xhat * gamma.data
+    out += beta.data
 
     def bw(g: Array):
         dgamma = np.einsum("rc,rc->c", g.reshape(-1, c), xhat.reshape(-1, c))
         dbeta = _sum_rows(g)
-        dxhat = g * gamma.data
-        dx = inv * (dxhat - np.einsum("...c->...", dxhat)[..., None] / c
-                    - xhat * (np.einsum("...c,...c->...", dxhat, xhat)[..., None] / c))
+        dx = g * gamma.data  # d(xhat), then d(x) in place: (dx - mean - xhat * dot) * inv
+        dot = np.einsum("...c,...c->...", dx, xhat)[..., None] / c
+        dx -= np.einsum("...c->...", dx)[..., None] / c
+        dx -= xhat * dot
+        dx *= inv
         return dx, dgamma, dbeta
 
     return _make("layer_norm", out, (x, gamma, beta), bw)
@@ -537,8 +547,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 _DEPTHWISE_ROW = 128
 # ``_pad`` rows (``w * C`` values) this long are written in place (measured sweep)
 _PAD_ROW = 2048
-# values in the rows the depthwise and ``act`` matmul forwards pad or activate
-# at a time (measured sweep); backwards take whole maps, as bands would split sums
+# values in the rows that go by band (measured sweep): ``act`` prologues and slopes and
+# the depthwise input gradient; weight gradients go whole, as bands would split sums
 _BAND = 1 << 18
 
 
@@ -547,14 +557,17 @@ def _pad(a: Array, ph: int, pw: int, fwd: Callable | None = None,
     """``a``, or ``fwd(a)`` by an ``ACTS`` kernel, inside ``ph`` zero rows and
     ``pw`` zero columns on each side; given ``out``, the padded rows from ``r0``
     that fill it.  Interior rows cost a NumPy inner loop each, so short ones
-    are copied contiguous into new zeros, long ones written in place."""
+    are copied contiguous into zeros (new, or one fill of ``out``), long ones
+    written in place between zeroed borders."""
     b, h, w, c = a.shape
-    short, fresh, top = w * c < _PAD_ROW, out is None, ph
-    if fresh:
+    short, top = w * c < _PAD_ROW, ph
+    if out is None:
         out = (np.zeros if short else np.empty)((b, h + 2 * ph, w + 2 * pw, c), dtype=a.dtype)
     else:  # the input rows that ``out`` holds, under ``top`` zero rows
         top, a = max(ph - r0, 0), a[:, max(r0 - ph, 0):r0 + out.shape[1] - ph]
-    if not (fresh and short):
+        if short:
+            out.fill(0.0)
+    if not short:
         out[:, :top] = out[:, top + a.shape[1]:] = 0.0
         out[:, :, :pw] = out[:, :, pw + w:] = 0.0
     inner = out[:, top:top + a.shape[1], pw:pw + w]
@@ -600,29 +613,40 @@ def _merged_columns(wo: int, c: int) -> int:
                 if wo % d == 0 and (d * c >= _DEPTHWISE_ROW or d == wo))
 
 
-def _depthwise_kernel(x: Array, k: Array, padding: int, fwd: Callable | None):
-    """Stride-1 depthwise conv (one input channel per group, ``C_out == C_in``)
-    with no window tensor and no padded copy kept for backward.  Forward, one
-    band of output rows at a time, and the input gradient are ``_correlate``,
-    the latter with the flipped kernel over ``g`` padded by ``k - 1 - padding``;
-    the kernel gradient contracts ``g`` with the windows of the input padded again."""
-    (b, h, w, c), (kh, kw) = x.shape, k.shape[2:]
-    kt = k[:, 0].transpose(1, 2, 0)  # [kh, kw, C]
-    ho, wp = h + 2 * padding - kh + 1, w + 2 * padding
+def _depthwise_bands(src: Array, kt: Array, ph: int, pw: int, fwd: Callable | None = None,
+                     grad: Callable | None = None, x: Array | None = None):
+    """``_correlate`` of ``src`` or ``fwd(src)`` padded by ``ph`` rows and ``pw``
+    columns, and its ``m``, a band of output rows at a time through one buffer
+    of at most ``_BAND`` values (or the padded map); then, given ``grad``, each
+    band times the slope at ``x``'s same rows, in place."""
+    (b, h, w, c), (kh, kw, _) = src.shape, kt.shape
+    ho, wp = h + 2 * ph - kh + 1, w + 2 * pw
     band = min(ho, max(1, _BAND // (b * wp * c) - kh + 1))  # output rows
-    out = np.empty((b, ho, wp - kw + 1, c), dtype=np.result_type(x, k))
-    buf = np.empty(b * (band + kh - 1) * wp * c, dtype=x.dtype)
-    for r in range(0, ho, band):
-        n = min(band, ho - r)
-        rows = buf[:b * (n + kh - 1) * wp * c].reshape(b, -1, wp, c)
-        _, m = _correlate(_pad(x, padding, padding, fwd, rows, r), kt, out[:, r:r + n])
+    out = np.empty((b, ho, wp - kw + 1, c), dtype=np.result_type(src, kt))
+    buf = np.empty(b * (band + kh - 1) * wp * c, dtype=src.dtype)
+    for r in range(0, ho, band):  # the slices clip the last band
+        rows = buf[:b * (min(band, ho - r) + kh - 1) * wp * c].reshape(b, -1, wp, c)
+        _, m = _correlate(_pad(src, ph, pw, fwd, rows, r), kt, out[:, r:r + band])
+        if grad is not None:
+            grad(x[:, r:r + band], out[:, r:r + band])
+    return out, m
+
+
+def _depthwise_kernel(x: Array, k: Array, padding: int, act: str | None):
+    """Stride-1 depthwise conv (one input channel per group, ``C_out == C_in``)
+    with no window tensor and no padded copy kept for backward.  Forward and
+    the input gradient (the flipped kernel over ``g`` padded by ``k - 1 -
+    padding``, times ``act``'s slope) are ``_depthwise_bands``; the kernel
+    gradient contracts ``g`` with the windows of the whole input padded again."""
+    c, (kh, kw), (fwd, grad) = x.shape[3], k.shape[2:], ACTS.get(act, (None, None))
+    kt = k[:, 0].transpose(1, 2, 0)  # [kh, kw, C]
+    out, m = _depthwise_bands(x, kt, padding, padding, fwd)
 
     def bw(g: Array, need_dx: bool):
-        win = _windows(_pad(x, padding, padding, fwd), kh, kw, m)
-        dkt = np.einsum("bijuvc,bijc->uvc", win, g.reshape(b, ho, -1, m * c))
-        dx = None
-        if need_dx:
-            dx, _ = _correlate(_pad(g, kh - 1 - padding, kw - 1 - padding), kt[::-1, ::-1])
+        dkt = np.einsum("bijuvc,bijc->uvc", _windows(_pad(x, padding, padding, fwd), kh, kw, m),
+                        g.reshape(*g.shape[:2], -1, m * c))  # the padded map is freed here
+        dx = None if not need_dx else _depthwise_bands(
+            g, kt[::-1, ::-1], kh - 1 - padding, kw - 1 - padding, None, grad, x)[0]
         return dx, dkt.reshape(kh, kw, m, c).sum(axis=2).transpose(2, 0, 1)[:, None]
 
     return out, bw
@@ -677,13 +701,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     filter, the position encoding), is stride 1 with ``padding`` below the
     kernel size: a window-view correlation forward; backward, a kernel
     gradient einsum and the same correlation with the flipped kernel.  Only
-    depthwise takes ``act`` (``ACTS``), applied in each band's padded rows
-    forward and to the whole map backward.  The input gradient is ``None``
+    depthwise takes ``act`` (``ACTS``): forward in each band's padded rows,
+    backward to each band of input-gradient rows.  The input gradient is ``None``
     when ``x`` needs none (the image at the stem).  Both kernels are checked
     against the loop oracles in ``tests/oracles.py``.
     """
-    if x.ndim != 4 or weight.ndim != 4:
-        raise ShapeError(f"conv2d needs 4-d input/weight, got {x.shape} and {weight.shape}")
+    if x.ndim != 4 or weight.ndim != 4 or x.shape[0] < 1:
+        raise ShapeError(f"conv2d needs 4-d input/weight and x of batch >= 1, got x {x.shape} "
+                         f"and weight {weight.shape}")
     _, h, w, cin = x.shape
     cout, cg, kh, kw = weight.shape
     if not (groups == 1 and cg == cin or groups == cin == cout and cg == 1):
@@ -704,19 +729,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"bias shape {bias.shape} does not match C_out={cout}")
 
-    fwd, grad = ACTS[act] if act is not None else (None, None)
-    out, kernel_bw = (_depthwise_kernel(x.data, weight.data, padding, fwd) if depthwise
+    out, kernel_bw = (_depthwise_kernel(x.data, weight.data, padding, act) if depthwise
                       else _dense_kernel(x.data, weight.data, stride, padding))
     if bias is not None:
         out += bias.data
-
-    # ``x``'s data is kept only for ``act``'s slope, so a dense conv (each
-    # patch embed) does not pin its input map until ``backward``
-    need_dx, x_act = x.requires_grad, None if grad is None else x.data
+    need_dx = x.requires_grad
 
     def bw(g: Array):
         dx, dw = kernel_bw(g, need_dx)
-        dx = dx if dx is None or x_act is None else grad(x_act, dx)
         return (dx, dw) if bias is None else (dx, dw, _sum_rows(g))
 
     inputs = (x, weight) if bias is None else (x, weight, bias)

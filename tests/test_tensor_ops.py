@@ -476,10 +476,14 @@ class TestActivationPrologue:
     @pytest.mark.parametrize("op", ["matmul", "conv2d"])
     def test_matches_act_then_op(self, rng, op, act, dtype):
         ref_act = {"hardswish": hardswish_then, "gelu": gelu_then}[act]
-        vals = rng.normal(scale=3.0, size=(2, 4, 5, 6))
-        # the kinks, and both saturated regions
-        vals.flat[:8] = [-3.0, 3.0, -5.0, 6.0, -3.5, 3.5, -12.0, 9.0]
-        x = Tensor(vals.astype(dtype), requires_grad=True)
+        vals = rng.normal(scale=3.0, size=(2, 4, 5, 6)).astype(dtype)
+        # the kinks, one ulp outside and inside each, and both saturated
+        # regions; at 3 + 1 ulp the slope rounds to 1.5 before it is set to 1
+        three = dtype(3.0)
+        vals.flat[:12] = [-3.0, 3.0, -5.0, 6.0, -3.5, 3.5, -12.0, 9.0,
+                          np.nextafter(three, np.inf), np.nextafter(-three, -np.inf),
+                          np.nextafter(three, 0), np.nextafter(-three, 0)]
+        x = Tensor(vals, requires_grad=True)
         h = Tensor(ref_act(x.data), requires_grad=True)
 
         def param(*shape):
@@ -648,7 +652,9 @@ class TestShortRowKernels:
 
 class TestBandedForwards:
     """The depthwise and ``act`` matmul forwards, built one band of rows at a
-    time, keep the bits of the whole-map kernels and hold one band at most."""
+    time, and their backwards, whose input gradients and ``act`` slopes go by
+    the same bands, keep the bits of the whole-map kernels and hold one band
+    at most beside the maps they return or must keep whole."""
 
     @pytest.mark.parametrize("banded", [True, False])
     @pytest.mark.parametrize("pad_row", [T._PAD_ROW, 16])
@@ -660,8 +666,18 @@ class TestBandedForwards:
                                            pad_row, banded):
         x = rng.normal(scale=3.0, size=(b, 11, 6, 16)).astype(dtype)
         k = rng.normal(size=(16, 1, 3, 3)).astype(dtype)
-        fwd = None if act is None else T.ACTS[act][0]
-        ref, _ = T._correlate(T._pad(x, padding, padding, fwd), k[:, 0].transpose(1, 2, 0))
+        bias = rng.normal(size=16).astype(dtype)
+        fwd, grad = T.ACTS[act] if act is not None else (None, None)
+        kt = k[:, 0].transpose(1, 2, 0)
+        ref, _ = T._correlate(T._pad(x, padding, padding, fwd), kt)
+        g = rng.normal(size=ref.shape).astype(dtype)
+        # whole-map gradients: the input gradient as one correlation, then the
+        # slope; the weight and bias gradients, which never go by band
+        dx_ref, _ = T._correlate(T._pad(g, 2 - padding, 2 - padding), kt[::-1, ::-1])
+        dx_ref = dx_ref if grad is None else grad(x, dx_ref)
+        whole = T.conv2d(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True),
+                         Tensor(bias, requires_grad=True), padding=padding, groups=16, act=act)
+        _, dk_ref, db_ref = whole.creator.backward_fn(g)
         # rows of w * C = 96 values: short at the default ``_PAD_ROW``, written
         # in place into the reused band buffer at 16
         monkeypatch.setattr(T, "_PAD_ROW", pad_row)
@@ -670,11 +686,19 @@ class TestBandedForwards:
         correlate, bands = T._correlate, []
         monkeypatch.setattr(T, "_correlate", lambda src, kt, out=None: (
             bands.append(out.shape[1]), correlate(src, kt, out))[1])
-        out = T.conv2d(Tensor(x), Tensor(k), padding=padding, groups=16, act=act).data
+        out = T.conv2d(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True),
+                       Tensor(bias, requires_grad=True), padding=padding, groups=16, act=act)
         ho = 9 + 2 * padding
         assert bands == ([4, 4, ho - 8] if banded else [ho])
-        assert out.dtype == dtype
-        npt.assert_array_equal(out, ref)
+        assert out.data.dtype == dtype
+        npt.assert_array_equal(out.data, ref + bias)
+        bands.clear()
+        dx, dk, db = out.creator.backward_fn(g)
+        # the input gradient's 11 rows: several bands (the last one short) or one
+        assert sum(bands) == 11 and (len(bands) > 1) == banded and bands[-1] <= bands[0]
+        for d, d_ref in ((dx, dx_ref), (dk, dk_ref), (db, db_ref)):
+            assert d.dtype == dtype
+            npt.assert_array_equal(d, d_ref)
 
     @pytest.mark.parametrize("banded", [True, False])
     @pytest.mark.parametrize("act", ["hardswish", "gelu"])
@@ -683,20 +707,45 @@ class TestBandedForwards:
     def test_matmul_bands_keep_the_bits(self, rng, monkeypatch, b, dtype, act, banded):
         a = rng.normal(scale=3.0, size=(b, 6, 6, 16)).astype(dtype)
         w = rng.normal(size=(16, 24)).astype(dtype)
+        bias = rng.normal(size=24).astype(dtype)
         fwd, grad = T.ACTS[act]
         ref = fwd(a).reshape(-1, 16) @ w
+        g = rng.normal(size=(b, 6, 6, 24)).astype(dtype)
+        g2 = g.reshape(-1, 24)
+        # whole-map gradients: the slope over all of d(a), and act(a) whole for d(b)
+        da_ref = grad(a, (g2 @ w.T).reshape(a.shape))
+        dw_ref, db_ref = fwd(a).reshape(-1, 16).T @ g2, T._sum_rows(g2)
         if banded:  # 8 rows a band, the last one 4 rows: 5 bands at b = 1, 14 at b = 3
             monkeypatch.setattr(T, "_BAND", 16 * 8)
-        bands = []
-        monkeypatch.setitem(T.ACTS, act, (lambda rows, buf=None: (
-            bands.append(len(rows)), fwd(rows, buf))[1], grad))
-        out = T.matmul(Tensor(a), Tensor(w), act=act).data
+        bands, slopes = [], []
+        monkeypatch.setitem(T.ACTS, act, (
+            lambda rows, buf=None: (bands.append(len(rows)), fwd(rows, buf))[1],
+            lambda rows, ga: (slopes.append(len(rows)), grad(rows, ga))[1]))
+        out = T.matmul(Tensor(a, requires_grad=True), Tensor(w, requires_grad=True),
+                       Tensor(bias, requires_grad=True), act=act)
         if banded:
             assert bands == [8] * (len(bands) - 1) + [4] and len(bands) == (5 if b == 1 else 14)
         else:
             assert bands == [36 * b]
-        assert out.dtype == dtype
-        npt.assert_array_equal(out.reshape(-1, 24), ref)
+        assert out.data.dtype == dtype
+        npt.assert_array_equal(out.data.reshape(-1, 24), ref + bias)
+        forward_bands = list(bands)
+        da, dw, db = out.creator.backward_fn(g)
+        # backward rebuilds act(a) and applies the slope over the forward's bands
+        assert bands == forward_bands * 2 and slopes == forward_bands
+        for d, d_ref in ((da, da_ref), (dw, dw_ref), (db, db_ref)):
+            assert d.dtype == dtype
+            npt.assert_array_equal(d, d_ref)
+
+    def test_matmul_of_an_empty_a_is_one_empty_band(self):
+        a = Tensor(np.zeros((0, 16), dtype=np.float32), requires_grad=True)
+        w = Tensor(np.ones((16, 24), dtype=np.float32), requires_grad=True)
+        out = T.matmul(a, w, Tensor(np.ones(24, dtype=np.float32), requires_grad=True),
+                       act="hardswish")
+        assert out.shape == (0, 24)
+        da, dw, db = out.creator.backward_fn(np.zeros((0, 24), dtype=np.float32))
+        assert da.shape == (0, 16) and dw.shape == (16, 24) and db.shape == (24,)
+        assert not dw.any() and not db.any()
 
     def test_no_grad_peak_is_the_output_and_one_band(self, rng):
         # a whole padded copy (the conv's output size) or a whole act(a) (the
@@ -735,6 +784,34 @@ class TestBandedForwards:
         assert peak <= 2 * out.data.nbytes + padded + 16 * 1024, \
             f"peak {peak} bytes, output {out.data.nbytes}, padded {padded}"
 
+    def test_backward_peak_is_the_gradients_one_whole_map_and_one_band(self, rng):
+        # the train step's stage-1 IRB maps at B=2: the depthwise conv and the
+        # project matmul, each with its act.  Beside the gradients it returns,
+        # each backward holds one whole map (the depthwise kernel gradient's
+        # padded input, or act(a) for d(b)) and one band of slope values with
+        # their bool mask; a whole-map slope, or a whole padded output gradient,
+        # would not fit
+        def f32(*shape):
+            return Tensor(rng.normal(scale=3.0, size=shape).astype(np.float32),
+                          requires_grad=True)
+
+        x, k, kb = f32(2, 56, 56, 384), f32(384, 1, 3, 3), f32(384)
+        a, w, wb = f32(2, 56, 56, 384), f32(384, 48), f32(48)
+        cases = [(T.conv2d(x, k, kb, padding=1, groups=384, act="hardswish"), 2 * 58 * 58 * 384),
+                 (T.matmul(a, w, wb, act="hardswish"), a.size)]
+        band = T._BAND * (4 + 1)
+        for out, whole in cases:
+            g = rng.normal(size=out.shape).astype(np.float32)
+            tracemalloc.start()
+            try:
+                grads = out.creator.backward_fn(g)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            returned = sum(d.nbytes for d in grads)
+            assert peak <= returned + whole * 4 + band + 64 * 1024, \
+                f"peak {peak} bytes, gradients {returned}, whole map {whole * 4}, band {band}"
+
 
 def _zeros(*shape):
     return Tensor(np.zeros(shape))
@@ -746,6 +823,8 @@ def _zeros(*shape):
 REFUSALS = {
     "conv-stride-0": (lambda: T.conv2d(_zeros(1, 4, 4, 2), _zeros(3, 2, 3, 3), stride=0),
                       "stride=0"),
+    "depthwise-empty-batch": (lambda: T.conv2d(_zeros(0, 4, 4, 2), _zeros(2, 1, 3, 3),
+                                               padding=1, groups=2), "x (0, 4, 4, 2)"),
     "conv-padding-negative": (lambda: T.conv2d(_zeros(1, 4, 4, 2), _zeros(3, 2, 3, 3),
                                                padding=-1), "padding=-1"),
     "conv-act-dense": (lambda: T.conv2d(_zeros(1, 4, 4, 2), _zeros(3, 2, 3, 3),
