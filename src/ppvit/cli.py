@@ -56,6 +56,10 @@ class RunConfig:
     model_seed: int = 0
     out_dir: str = "runs/latest"
 
+    def __post_init__(self):
+        if self.model_seed < 0:
+            raise ConfigError(f"model_seed must be nonnegative, got {self.model_seed}")
+
 
 def load_run_config(path) -> RunConfig:
     """Parse and validate a run config; every field not given is defaulted.

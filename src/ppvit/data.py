@@ -49,6 +49,8 @@ class SyntheticDataset:
             raise ConfigError(f"image_size must be at least 8, got {self.image_size}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be at least 2, got {self.num_classes}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _grid(s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -100,7 +102,7 @@ def _checkers(rng: np.random.Generator, s: int, label: int) -> np.ndarray:
 
 
 def generate_sample(ds: SyntheticDataset, index: int) -> tuple[Tensor, int]:
-    """Image [3, S, S] in [0, 1] plus its label; pure in (seed, index)."""
+    """Image [S, S, 3] in [0, 1] plus its label; pure in (seed, index)."""
     if not 0 <= index < ds.num_samples:
         raise IndexError(f"index {index} out of range [0, {ds.num_samples})")
     label = index % ds.num_classes
@@ -111,11 +113,12 @@ def generate_sample(ds: SyntheticDataset, index: int) -> tuple[Tensor, int]:
         img = _stripes(rng, ds.image_size, label, ds.num_classes)
     else:
         img = _checkers(rng, ds.image_size, label)
-    return Tensor(np.clip(img, 0.0, 1.0).astype(np.float32)), label
+    img = np.clip(img, 0.0, 1.0, out=img).transpose(1, 2, 0)
+    return Tensor(img.astype(np.float32, order="C")), label
 
 
 def load_batch(ds: SyntheticDataset, indices) -> tuple[Tensor, np.ndarray]:
-    """Stack samples into [B, 3, S, S] plus an int label vector.
+    """Stack samples into [B, S, S, 3] plus an int label vector.
 
     The batch is always a fresh array: writing into it never changes a
     later batch.
@@ -128,7 +131,7 @@ def load_batch(ds: SyntheticDataset, indices) -> tuple[Tensor, np.ndarray]:
     if n * 3 * s * s * 4 > MEMO_BYTES:
         return Tensor(np.stack([generate_sample(ds, i)[0].data for i in idx])), labels
     if not ds._memo:
-        ds._memo.update(images=np.empty((n, 3, s, s), dtype=np.float32),
+        ds._memo.update(images=np.empty((n, s, s, 3), dtype=np.float32),
                         rendered=np.zeros(n, dtype=bool))
     images, rendered = ds._memo["images"], ds._memo["rendered"]
     for i in idx:
@@ -144,12 +147,8 @@ def nearest_centroid_accuracy(ds: SyntheticDataset) -> float:
     A development oracle for task difficulty: scoring near chance means the
     label is not linearly readable from pixel averages.
     """
-    images = np.empty((ds.num_samples, 3 * ds.image_size ** 2))
-    labels = np.empty(ds.num_samples, dtype=np.int64)
-    for i in range(ds.num_samples):
-        img, lab = generate_sample(ds, i)
-        images[i] = img.data.ravel()
-        labels[i] = lab
+    images, labels = load_batch(ds, range(ds.num_samples))
+    images = images.data.reshape(ds.num_samples, -1).astype(np.float64)
     centroids = np.stack([images[labels == k].mean(axis=0)
                           for k in range(ds.num_classes)])
     dists = ((images[:, None, :] - centroids[None]) ** 2).sum(axis=2)

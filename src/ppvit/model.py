@@ -318,24 +318,24 @@ def _build(cfg: ModelConfig, seed: int, dtype, draw: bool) -> ModelState:
 # ---------------------------------------------------------------------------
 
 def _check_input(model: ModelState, x: Tensor) -> None:
-    if x.ndim != 4 or x.shape[1] != model.cfg.in_channels:
+    if x.ndim != 4 or x.shape[3] != model.cfg.in_channels:
         raise ShapeError(
-            f"input must be [B, {model.cfg.in_channels}, H, W], got {x.shape}")
+            f"input must be [B, H, W, {model.cfg.in_channels}], got {x.shape}")
     if x.shape[0] < 1:
         raise ShapeError(f"input batch is empty: B=0 in {x.shape}")
-    check_input_size(x.shape[2], x.shape[3])
+    check_input_size(x.shape[1], x.shape[2])
 
 
 def forward_features(model: ModelState, x: Tensor) -> tuple[Tensor, ...]:
     """Run the stem and all four stages; return their outputs B1..B4.
 
-    ``x`` is an NCHW image batch.  Inside, maps are channels-last, so the
-    layout changes only at entry: stage i's output is the map
-    ``[B, H_i, W_i, C_i]`` at stride 4/8/16/32, with its grid at ``shape[1:3]``.
+    ``x`` is a channels-last image batch ``[B, H, W, C]``, the layout of every
+    map inside: stage i's output is the map ``[B, H_i, W_i, C_i]`` at stride
+    4/8/16/32, with its grid at ``shape[1:3]``.
     """
     _check_input(model, x)
     maps = []
-    y = patch_embed(T.transpose(x, (0, 2, 3, 1)), model.stem)
+    y = patch_embed(x, model.stem)
     for stage in model.stages:
         if stage.embed is not None:
             y = patch_embed(y, stage.embed)

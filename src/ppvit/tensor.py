@@ -573,12 +573,8 @@ def _pad(a: Array, ph: int, pw: int, fwd: Callable | None = None,
     inner = out[:, top:top + a.shape[1], pw:pw + w]
     if fwd is not None and not short:
         fwd(a, inner)
-    elif a.strides[-1] == a.itemsize:
+    else:
         inner[...] = a if fwd is None else fwd(a)
-    else:  # strided channels (the NCHW image seen channels-last): a plane at a time
-        src = a if fwd is None else fwd(a)
-        for ch in range(c):
-            inner[..., ch] = src[..., ch]
     return out
 
 

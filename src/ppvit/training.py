@@ -17,8 +17,8 @@ import numpy as np
 from . import tensor as T
 from .data import SyntheticDataset, load_batch
 from .errors import ConfigError, DivergenceError, NonFiniteError
-from .model import (ModelState, check_checkpoint_dtype, forward_classify,
-                    save_checkpoint)
+from .model import (INPUT_MULTIPLE, ModelState, check_checkpoint_dtype,
+                    forward_classify, save_checkpoint)
 from .tensor import Tensor, finite_difference_grad, no_grad
 
 ADAM_BETA1 = 0.9
@@ -49,6 +49,8 @@ class TrainConfig:
                 f"{self.total_steps}]")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 def lr_at(tc: TrainConfig, step: int) -> float:
@@ -209,6 +211,9 @@ def _check_classes(model: ModelState, ds: SyntheticDataset) -> None:
     if model.cfg.in_channels != 3:
         raise ConfigError(f"model has in_channels={model.cfg.in_channels}, "
                           f"dataset images have 3 channels")
+    if ds.image_size % INPUT_MULTIPLE:
+        raise ConfigError(f"image_size must be a multiple of {INPUT_MULTIPLE}, "
+                          f"got {ds.image_size}")
 
 
 def train(model: ModelState, ds: SyntheticDataset, tc: TrainConfig,
@@ -416,7 +421,7 @@ def _model_cases() -> list[GradcheckCase]:
     cfg = preset("micro", num_classes=2)
     model = build_model(cfg, seed=3, dtype=np.float64)
     rng = np.random.default_rng(17)
-    x = Tensor(rng.uniform(0.0, 1.0, size=(1, 3, 32, 32)), requires_grad=True,
+    x = Tensor(rng.uniform(0.0, 1.0, size=(1, 32, 32, 3)), requires_grad=True,
                dtype=np.float64)
     proj = Tensor(rng.normal(size=(2, 1)))
 
@@ -428,28 +433,19 @@ def _model_cases() -> list[GradcheckCase]:
     x.grad = None
     loss_fn().backward()
 
-    def sample_coords(shape, k, rng):
-        flat = rng.choice(int(np.prod(shape)), size=min(k, int(np.prod(shape))),
-                          replace=False)
-        return [tuple(int(q) for q in np.unravel_index(f, shape)) for f in flat]
-
-    cases = []
-    coords = sample_coords(x.shape, 48, np.random.default_rng(101))
-    fd = finite_difference_grad(lambda _: loss_fn(), x, coords=coords)
-    an = np.array([x.grad[c] for c in coords])
-    cases.append(GradcheckCase("model_input", _rel_err(an, fd)))
+    def case(name, t, k, rng):
+        # ``k`` coordinates of ``t`` drawn from ``rng``, without repeats
+        flat = rng.choice(t.size, size=min(k, t.size), replace=False)
+        coords = [tuple(int(q) for q in np.unravel_index(f, t.shape)) for f in flat]
+        fd = finite_difference_grad(lambda _: loss_fn(), t, coords=coords)
+        return GradcheckCase(name, _rel_err(np.array([t.grad[c] for c in coords]), fd))
 
     # one parameter per family keeps this scope under a minute
     picks = [n for n in dict(named) if n.endswith("weight")]
     picks += ["stages.1.blocks.0.attn.pool_ln.gamma", "head.ln.gamma"]
     crng = np.random.default_rng(202)
-    for name in picks:
-        p = dict(named)[name]
-        coords = sample_coords(p.shape, 6, crng)
-        fd = finite_difference_grad(lambda _: loss_fn(), p, coords=coords)
-        an = np.array([p.grad[c] for c in coords])
-        cases.append(GradcheckCase(f"model_param:{name}", _rel_err(an, fd)))
-    return cases
+    return [case("model_input", x, 48, np.random.default_rng(101))] + [
+        case(f"model_param:{n}", dict(named)[n], 6, crng) for n in picks]
 
 
 def gradcheck_suite(scope: str) -> list[GradcheckCase]:

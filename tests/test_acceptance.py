@@ -57,7 +57,7 @@ def test_criterion_4_feature_pyramid_geometry(criterion):
     # measured: run a real 224x224 image through the smallest preset
     net = build_model(preset("micro", num_classes=4), seed=0)
     x = Tensor(np.random.default_rng(0)
-               .uniform(size=(1, 3, 224, 224)).astype(np.float32))
+               .uniform(size=(1, 224, 224, 3)).astype(np.float32))
     with no_grad():
         pyr = forward_features(net, x)
     measured = [m.shape[1:3] for m in pyr]

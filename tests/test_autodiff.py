@@ -337,7 +337,7 @@ class TestSweepOrder:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_micro_gradients_match_the_oracle_sweep(self, dtype):
         net = build_model(preset("micro", num_classes=4), seed=0, dtype=dtype)
-        x = Tensor(np.random.default_rng(3).uniform(size=(4, 3, 32, 32)).astype(dtype))
+        x = Tensor(np.random.default_rng(3).uniform(size=(4, 32, 32, 3)).astype(dtype))
         named = net.named_params()
         got = []
         for sweep in (T.backward, oracles.backward_sweep):
@@ -409,7 +409,7 @@ def _micro_step_memory():
     """Traced bytes of one micro B=32 step of the overfit recipe: those
     alive at the forward's end, and the backward's peak."""
     net = build_model(preset("micro", num_classes=4), seed=0)
-    x = Tensor(np.random.default_rng(0).uniform(size=(32, 3, 32, 32)).astype(np.float32))
+    x = Tensor(np.random.default_rng(0).uniform(size=(32, 32, 32, 3)).astype(np.float32))
 
     def step_loss():
         T.zero_grads(net.params())
@@ -475,7 +475,7 @@ class TestBackwardFreesTheGraph:
         # reads its input map only to make ``cols``, so no backward closure
         # may keep stages 1-3's outputs alive until ``backward``
         net = build_model(preset("micro", num_classes=2), seed=0)
-        x = Tensor(rng.uniform(size=(1, 3, 32, 32)).astype(np.float32))
+        x = Tensor(rng.uniform(size=(1, 32, 32, 3)).astype(np.float32))
         pyr = forward_features(net, x)
         refs = [weakref.ref(m.data) for m in pyr[:3]]
         loss = T.mean(pyr[3])

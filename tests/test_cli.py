@@ -228,6 +228,31 @@ class TestTrain:
         assert "in_channels" in err
         assert not (out_dir / "metrics.csv").exists()
 
+    def test_image_size_off_the_input_multiple_exits_2_before_step_1(self, capsys, tmp_path):
+        out_dir = tmp_path / "x"
+        config = write_config(tmp_path, out_dir)
+        raw = json.loads(config.read_text())
+        raw["data"]["image_size"] = 40
+        config.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "train", "--config", str(config))
+        assert code == 2
+        assert "image_size" in err
+        assert not (out_dir / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("section,field", [
+        (None, "model_seed"), ("train", "seed"), ("data", "seed")])
+    def test_negative_seed_refused_when_the_config_loads(self, capsys, tmp_path,
+                                                         section, field):
+        config = write_config(tmp_path, tmp_path / "x")
+        raw = json.loads(config.read_text())
+        (raw[section] if section else raw)[field] = -1
+        config.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "train", "--config", str(config))
+        assert code == 2
+        assert f"{field} must be nonnegative, got -1" in err
+        assert out == ""
+        assert not (tmp_path / "x").exists()
+
     def test_missing_data_section_loads_the_default_set(self, tmp_path):
         config = write_config(tmp_path, tmp_path / "x")
         raw = json.loads(config.read_text())

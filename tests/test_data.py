@@ -42,7 +42,7 @@ class TestSampleContract:
         ds = SyntheticDataset(kind, 8, 16, 3, seed=1)
         for i in range(8):
             img, label = generate_sample(ds, i)
-            assert img.shape == (3, 16, 16)
+            assert img.shape == (16, 16, 3)
             assert img.dtype == np.float32
             assert img.data.min() >= 0.0 and img.data.max() <= 1.0
             assert 0 <= label < 3

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 import oracles
-from ppvit import (CheckpointError, ConfigError, ModelConfig, ShapeError,
+from ppvit import (CheckpointError, ConfigError, ModelConfig, NonFiniteError, ShapeError,
                    StageConfig, Tensor, build_model, count_params, forward_classify,
                    forward_features, load_checkpoint, no_grad, preset,
                    save_checkpoint)
@@ -22,7 +22,7 @@ def micro_model(seed=0, **overrides):
 
 
 def rand_images(rng, b=1, size=32, channels=3):
-    return Tensor(rng.uniform(0, 1, size=(b, channels, size, size))
+    return Tensor(rng.uniform(0, 1, size=(b, size, size, channels))
                   .astype(np.float32))
 
 
@@ -146,16 +146,23 @@ class TestGeometry:
             forward_features(micro_model(), rand_images(rng, channels=4))
 
     def test_rejects_non_multiple_of_32(self, rng):
-        x = Tensor(rng.uniform(size=(1, 3, 48, 48)).astype(np.float32))
+        x = Tensor(rng.uniform(size=(1, 48, 48, 3)).astype(np.float32))
         with pytest.raises(ShapeError, match="multiples of 32"):
             forward_features(micro_model(), x)
 
+    def test_non_finite_pixel_is_named_at_the_stem_conv(self, rng):
+        # no layout op runs before the stem, so its conv's check sees the image
+        x = rand_images(rng)
+        x.data[0, 5, 7, 1] = np.nan
+        with pytest.raises(NonFiniteError, match="'conv2d'"):
+            forward_classify(micro_model(), x)
+
     def test_rejects_3d_input(self):
         with pytest.raises(ShapeError):
-            forward_features(micro_model(), Tensor(np.zeros((3, 32, 32))))
+            forward_features(micro_model(), Tensor(np.zeros((32, 32, 3))))
 
     @pytest.mark.parametrize("call,match", [
-        (lambda: forward_features(micro_model(), Tensor(np.zeros((0, 3, 32, 32)))),
+        (lambda: forward_features(micro_model(), Tensor(np.zeros((0, 32, 32, 3)))),
          "batch is empty"),
         (lambda: T.cross_entropy_logits(Tensor(np.zeros((0, 4))), []), "nonempty batch"),
     ], ids=["forward_features", "cross_entropy_logits"])
@@ -237,7 +244,7 @@ class TestDtypeParity:
         # parameter gradient of one tiny @224 step against a float64 build;
         # the gradient bound is global because some gradients (the key
         # biases) are zero in exact arithmetic
-        image = np.random.default_rng(0).uniform(0, 1, size=(1, 3, 224, 224))
+        image = np.random.default_rng(0).uniform(0, 1, size=(1, 224, 224, 3))
         out = {}
         for dtype in (np.float32, np.float64):
             net = build_model(preset("tiny", num_classes=4), seed=0, dtype=dtype)

@@ -639,7 +639,7 @@ class TestShortRowKernels:
     @pytest.mark.parametrize("act", [None, "hardswish"])
     def test_pad_of_a_channel_strided_map_matches_its_contiguous_copy(self, rng,
                                                                        monkeypatch, act):
-        # the stem's input: an NCHW image seen channels-last, channels strided
+        # a transposed view, channels strided: the plain copy serves any strides
         img = rng.normal(scale=3.0, size=(2, 3, 9, 8)).astype(np.float32)
         a = img.transpose(0, 2, 3, 1)
         assert a.strides[-1] != a.itemsize

@@ -29,7 +29,7 @@ def test_traced_forward_records_conv_and_pool_spans():
     finally:
         sys.path.remove(str(PERFBENCH))
     net = build_model(preset("nano", num_classes=4), seed=0)
-    x = Tensor(np.random.default_rng(0).uniform(size=(1, 3, 32, 32)).astype(np.float32))
+    x = Tensor(np.random.default_rng(0).uniform(size=(1, 32, 32, 3)).astype(np.float32))
     spans = tracer.Tracer()
     spans.install()
     try:
@@ -49,7 +49,7 @@ def test_counted_macs_per_scope_match_the_accountant():
         sys.path.remove(str(PERFBENCH))
     cfg = preset("micro", num_classes=4)
     net = build_model(cfg, seed=0)
-    x = Tensor(np.random.default_rng(0).uniform(size=(1, 3, 32, 32)).astype(np.float32))
+    x = Tensor(np.random.default_rng(0).uniform(size=(1, 32, 32, 3)).astype(np.float32))
     spans = tracer.Tracer()
     spans.install()
     try:

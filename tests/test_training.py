@@ -464,6 +464,18 @@ class TestTrainLoop:
             evaluate(net, ds)
         assert str(from_evaluate.value) == str(from_train.value)
 
+    def test_image_size_off_the_input_multiple_refused_before_the_metrics_file(self, tmp_path):
+        net, _, tc = nano_setup()
+        ds = SyntheticDataset("blobs", 8, 40, 2, seed=3)
+        metrics = tmp_path / "metrics.csv"
+        with pytest.raises(ConfigError, match="image_size must be a multiple of 32, "
+                                              "got 40") as from_train:
+            train(net, ds, tc, metrics_path=metrics)
+        assert not metrics.exists()
+        with pytest.raises(ConfigError) as from_evaluate:
+            evaluate(net, ds)
+        assert str(from_evaluate.value) == str(from_train.value)
+
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_evaluate_batch_size_must_be_positive(self, batch_size):
         net, ds, _ = nano_setup()
