@@ -155,9 +155,10 @@ def cmd_train(args) -> int:
     run = load_run_config(args.config)
     print(_paint("effective config:", "1"))
     print(json.dumps(config_to_dict(run), indent=2, sort_keys=True))
+    net = build_model(run.model, seed=run.model_seed)
+    training.check_classes(net, run.data)  # a refused run leaves no directory
     out_dir = Path(run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    net = build_model(run.model, seed=run.model_seed)
     metrics = out_dir / "metrics.csv"
     ckpt = out_dir / "checkpoint.ckpt"
     records = training.train(net, run.data, run.train,

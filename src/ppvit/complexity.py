@@ -2,12 +2,13 @@
 
 Everything here is closed-form, walking a ModelConfig rather than a built
 model; a test asserts the walk matches the real parameter tally exactly.
-The FLOP convention is one multiply-accumulate per FLOP: convolutions cost
-output_elems * C_in * k^2 / groups, matrix products cost their MAC count,
-and elementwise or normalization work costs one FLOP per element.  The
-attention core uses the (N + 2M) C^2 + 2 N M C formula with the realized
-pooled length M; the output projection, softmax, pooling, position
-encoding, and norms are added separately so totals stay honest.
+A FLOP here is one multiply-accumulate (MAC), as in the paper's FLOP
+column, and only the ops that multiply count: a convolution costs
+output_elems * C_in * k^2 / groups and a matrix product its MAC count.
+The attention core uses the (N + 2M) C^2 + 2 N M C formula with the
+realized pooled length M.  Biases, norms, score scaling, softmax, pooling,
+activations and residual adds cost nothing, so the total equals the MACs
+the benchmark's tracer counts in a forward.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ def attention_core_flops(n: int, m: int, c: int) -> int:
 
 @dataclass(frozen=True)
 class LayerCost:
+    """One scope's parameter count and its forward MACs at batch size 1."""
+
     scope: str
     params: int
     flops: int
@@ -84,100 +87,58 @@ def stage_grids(h: int, w: int) -> list[tuple[int, int]]:
     return grids
 
 
-def _patch_embed_cost(scope: str, cin: int, cout: int, k: int,
-                      hw: tuple[int, int] | None) -> LayerCost:
-    params = cout * cin * k * k + cout + 2 * cout
-    if hw is None:
-        return LayerCost(scope, params, 0)
-    out_elems = hw[0] * hw[1] * cout
-    flops = out_elems * cin * k * k  # conv MACs
-    flops += out_elems  # bias
-    flops += out_elems  # token layer norm
-    return LayerCost(scope, params, flops)
+def _embed_cost(scope: str, cin: int, cout: int, k: int, n: int) -> LayerCost:
+    """A patch embed's conv (with bias) and token norm, over ``n`` output tokens."""
+    return LayerCost(scope, cout * cin * k * k + 3 * cout, n * cout * cin * k * k)
 
 
 def _block_costs(scope: str, cfg: ModelConfig, stage_index: int,
-                 hw: tuple[int, int] | None) -> list[LayerCost]:
+                 n: int, m: int) -> list[LayerCost]:
+    """One block over ``n`` tokens, its attention over ``m`` pooled ones."""
     st = cfg.stages[stage_index]
-    c, e, heads = st.channels, st.expansion, st.heads
-    hidden = c * e
+    c = st.channels
+    hidden = c * st.expansion
+    irb = cfg.ffn_kind == "irb"
 
-    attn_params = 4 * (c * c + c) + 2 * c
-    if cfg.use_rpe:
-        attn_params += 9 * c + c
-    if cfg.ffn_kind == "irb":
-        ffn_params = (c * hidden + hidden) + (9 * hidden + hidden) + (hidden * c + c)
-    else:
-        ffn_params = (c * hidden + hidden) + (hidden * c + c)
-    ln_params = 4 * c  # the two post-residual norms
-
-    if hw is None:
-        return [LayerCost(f"{scope}.attn", attn_params, 0),
-                LayerCost(f"{scope}.ffn", ffn_params, 0),
-                LayerCost(f"{scope}.norms", ln_params, 0)]
-
-    h, w = hw
-    n = h * w
-    targets = cfg.attn_config(stage_index).level_targets(h, w)
-    m = sum(th * tw for th, tw in targets)
-
-    attn_flops = attention_core_flops(n, m, c)  # QKV projections + both matmuls
-    attn_flops += n * c * c  # output projection
-    attn_flops += n * c + 2 * m * c + n * c  # q/k/v/o biases
-    attn_flops += heads * n * m  # score scaling
-    attn_flops += heads * n * m  # softmax
-    attn_flops += n * len(targets)  # pooling accumulates
-    if cfg.use_rpe:
-        attn_flops += 9 * m * c + m * c + m * c  # depthwise conv, bias, residual
-    attn_flops += m * c  # pooled-sequence norm
-
-    act_elems = n * hidden
-    ffn_flops = n * c * hidden + act_elems + act_elems  # expand, bias, act
-    if cfg.ffn_kind == "irb":
-        ffn_flops += 9 * act_elems + act_elems + act_elems  # depthwise, bias, act
-    ffn_flops += n * hidden * c + n * c  # project, bias
-
-    ln_flops = 2 * (n * c + n * c)  # residual add + norm, twice
-
-    return [LayerCost(f"{scope}.attn", attn_params, attn_flops),
-            LayerCost(f"{scope}.ffn", ffn_params, ffn_flops),
-            LayerCost(f"{scope}.norms", ln_params, ln_flops)]
+    # q/k/v/o affines and the pooled-sequence norm; RPE is a depthwise 3x3
+    attn_params = 4 * (c * c + c) + 2 * c + cfg.use_rpe * (9 * c + c)
+    attn_macs = attention_core_flops(n, m, c) + n * c * c + cfg.use_rpe * 9 * m * c
+    # expand and project affines; the IRB adds a depthwise 3x3 between them
+    ffn_params = (c * hidden + hidden) + (hidden * c + c) + irb * (9 * hidden + hidden)
+    ffn_macs = 2 * n * c * hidden + irb * 9 * n * hidden
+    return [LayerCost(f"{scope}.attn", attn_params, attn_macs),
+            LayerCost(f"{scope}.ffn", ffn_params, ffn_macs),
+            LayerCost(f"{scope}.norms", 4 * c, 0)]  # the two post-residual norms
 
 
-def _walk(cfg: ModelConfig, hw: tuple[int, int] | None) -> ComplexityReport:
+def _walk(cfg: ModelConfig, grids: list[tuple[int, int]]) -> ComplexityReport:
     layers: list[LayerCost] = []
-    grids = [None] * len(cfg.stages) if hw is None else stage_grids(*hw)
     c_prev = cfg.in_channels
-    for i, (st, grid) in enumerate(zip(cfg.stages, grids)):
+    for i, (st, (h, w)) in enumerate(zip(cfg.stages, grids)):
         scope = f"stages.{i + 1}"
-        layers.append(_patch_embed_cost(f"{scope}.embed" if i else "stem", c_prev,
-                                        st.channels, EMBED_GEOMETRY[i][0], grid))
+        n = h * w  # zero tokens in the params-only walk
+        m = n and sum(th * tw for th, tw in cfg.attn_config(i).level_targets(h, w))
+        layers.append(_embed_cost(f"{scope}.embed" if i else "stem", c_prev,
+                                  st.channels, EMBED_GEOMETRY[i][0], n))
         c_prev = st.channels
-        for b in range(st.depth):
-            layers.extend(_block_costs(f"{scope}.blocks.{b}", cfg, i, grid))
+        layers += [row for b in range(st.depth)
+                   for row in _block_costs(f"{scope}.blocks.{b}", cfg, i, n, m)]
 
-    c4 = cfg.stages[-1].channels
-    head_params = 2 * c4 + c4 * cfg.num_classes + cfg.num_classes
-    if hw is None:
-        head_flops = 0
-    else:
-        n4 = grids[-1][0] * grids[-1][1]
-        head_flops = n4 * c4  # final norm
-        head_flops += n4 * c4  # global average pool
-        head_flops += c4 * cfg.num_classes + cfg.num_classes  # affine
-    layers.append(LayerCost("head", head_params, head_flops))
+    # the classifier sees one pooled token per image, none from an empty grid
+    k = cfg.num_classes
+    layers.append(LayerCost("head", 2 * c_prev + c_prev * k + k, min(n, 1) * c_prev * k))
     return ComplexityReport(layers)
 
 
 def count_params(cfg: ModelConfig) -> ComplexityReport:
-    """Parameter-only report; FLOPs columns are zero."""
-    return _walk(cfg, None)
+    """Parameter-only report: the same walk over zero tokens, so FLOPs are zero."""
+    return _walk(cfg, [(0, 0)] * len(cfg.stages))
 
 
 def count_flops(cfg: ModelConfig, hw: tuple[int, int]) -> ComplexityReport:
     """Joint report at input size ``hw`` (H and W multiples of 32)."""
     check_input_size(*hw, ConfigError)
-    return _walk(cfg, hw)
+    return _walk(cfg, stage_grids(*hw))
 
 
 # ---------------------------------------------------------------------------

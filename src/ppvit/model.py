@@ -382,7 +382,8 @@ def config_from_dict(d, cls=ModelConfig, where: str = ""):
     Fields with a default may be left out.  An unknown, missing or wrongly
     typed field raises ``ConfigError`` naming it with its dotted path from
     ``where`` (list items are numbered from 1, as stages are), such as
-    ``stages[1].channels``.
+    ``stages[1].channels``; a nested record's own check is prefixed with
+    its path, as in ``train: seed must be nonnegative, got -1``.
     """
     _expect(d, dict, where)
     prefix = f"{where}." if where else ""
@@ -397,7 +398,12 @@ def config_from_dict(d, cls=ModelConfig, where: str = ""):
             values[name] = _load(d[name], hints[name], prefix + name)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"config field {prefix + name!r} is missing")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        if not where:
+            raise
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _load(value, kind, where: str):

@@ -204,7 +204,7 @@ class _BatchStream:
         return batch
 
 
-def _check_classes(model: ModelState, ds: SyntheticDataset) -> None:
+def check_classes(model: ModelState, ds: SyntheticDataset) -> None:
     if model.cfg.num_classes != ds.num_classes:
         raise ConfigError(
             f"model has {model.cfg.num_classes} classes, dataset has {ds.num_classes}")
@@ -226,7 +226,7 @@ def train(model: ModelState, ds: SyntheticDataset, tc: TrainConfig,
     the checkpoint is written after the loop.  Reruns produce byte-identical
     files; a model the checkpoint cannot hold is refused before step 1.
     """
-    _check_classes(model, ds)
+    check_classes(model, ds)
     if checkpoint_path is not None:
         check_checkpoint_dtype(model)
     named = model.named_params()
@@ -269,7 +269,7 @@ def train(model: ModelState, ds: SyntheticDataset, tc: TrainConfig,
 def evaluate(model: ModelState, ds: SyntheticDataset, batch_size: int = 32
              ) -> tuple[float, float]:
     """Mean loss and accuracy over the whole set, without recording a graph."""
-    _check_classes(model, ds)
+    check_classes(model, ds)
     if batch_size < 1:
         raise ConfigError(f"batch_size must be positive, got {batch_size}")
     total_loss, correct = 0.0, 0

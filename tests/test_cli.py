@@ -226,7 +226,7 @@ class TestTrain:
         code, _, err = run_cli(capsys, "train", "--config", str(config))
         assert code == 2
         assert "in_channels" in err
-        assert not (out_dir / "metrics.csv").exists()
+        assert not out_dir.exists()
 
     def test_image_size_off_the_input_multiple_exits_2_before_step_1(self, capsys, tmp_path):
         out_dir = tmp_path / "x"
@@ -237,7 +237,7 @@ class TestTrain:
         code, _, err = run_cli(capsys, "train", "--config", str(config))
         assert code == 2
         assert "image_size" in err
-        assert not (out_dir / "metrics.csv").exists()
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("section,field", [
         (None, "model_seed"), ("train", "seed"), ("data", "seed")])
@@ -250,6 +250,8 @@ class TestTrain:
         code, out, err = run_cli(capsys, "train", "--config", str(config))
         assert code == 2
         assert f"{field} must be nonnegative, got -1" in err
+        where = f"{section}: " if section else ""  # a nested record names its section
+        assert f"error: {where}{field} must be nonnegative" in err
         assert out == ""
         assert not (tmp_path / "x").exists()
 
