@@ -3,9 +3,9 @@
 Queries come from every position of the token map; keys and values come
 from a much shorter sequence built by pooling that map at several ratios,
 adding a shared depthwise-conv position encoding to each pooled map, and
-joining them in one ``concat`` that flattens each level (3L + 2 nodes for L
-levels).  With pooling ratios ``p_1..p_n`` the pooled length is roughly
-``N * sum(1/p_i^2)``, which makes the attention affordable at high resolution.
+joining them in a layer norm that sums the flattened convs and levels (2L + 3
+nodes for L levels).  With pooling ratios ``p_1..p_n`` the pooled length is
+roughly ``N * sum(1/p_i^2)``, which makes attention affordable at high resolution.
 """
 
 from __future__ import annotations
@@ -119,19 +119,19 @@ def build_kv_sequence(x: Tensor, state: PMHSAState) -> Tensor:
 
     ``x`` is the channels-last token map [B, H, W, C].  Returns the pooled
     sequence [B, M, C].  One depthwise kernel is shared by every pyramid
-    level; one ``concat`` flattens the levels and joins them, and a single
-    layer norm follows.
+    level; a ``concat`` flattens and joins the levels, one their encodings,
+    and a single layer norm sums the two.
     """
     cfg = state.cfg
     _, h, w, c = x.shape
     pool = T.adaptive_avg_pool2d if cfg.pool_mode == "avg" else T.adaptive_max_pool2d
     pooled = [pool(x, th, tw) for th, tw in cfg.level_targets(h, w)]
-    if state.rpe is not None:
-        # residual position encoding p + dwconv(p)
-        rpe = state.rpe
-        pooled = [T.add(p, T.conv2d(p, rpe.weight, rpe.bias, padding=1, groups=c))
-                  for p in pooled]
-    return T.layer_norm(T.concat(pooled), state.pool_ln.gamma, state.pool_ln.beta)
+    levels, rpe, norm = T.concat(pooled), state.rpe, state.pool_ln
+    if rpe is None:
+        return T.layer_norm(levels, norm.gamma, norm.beta)
+    # residual position encoding p + dwconv(p): each position's sum, taken by the norm
+    convs = T.concat([T.conv2d(p, rpe.weight, rpe.bias, padding=1, groups=c) for p in pooled])
+    return T.layer_norm(convs, norm.gamma, norm.beta, residual=levels)
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:

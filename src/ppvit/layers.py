@@ -59,11 +59,9 @@ class BlockState:
 
 
 def block_forward(x: Tensor, state: BlockState) -> Tensor:
-    """Post-norm block: norm(x + attn(x)) then norm(. + ffn(.))."""
-    att = T.layer_norm(T.add(x, pmhsa_forward(x, state.attn)),
-                       state.ln1.gamma, state.ln1.beta)
-    return T.layer_norm(T.add(att, irb_forward(att, state.ffn)),
-                        state.ln2.gamma, state.ln2.beta)
+    """Post-norm block: norm(x + attn(x)) then norm(. + ffn(.)), each sum in its norm."""
+    att = T.layer_norm(x, state.ln1.gamma, state.ln1.beta, residual=pmhsa_forward(x, state.attn))
+    return T.layer_norm(att, state.ln2.gamma, state.ln2.beta, residual=irb_forward(att, state.ffn))
 
 
 @dataclass

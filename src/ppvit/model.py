@@ -319,10 +319,11 @@ def _build(cfg: ModelConfig, seed: int, dtype, draw: bool) -> ModelState:
 
 def _check_input(model: ModelState, x: Tensor) -> None:
     if x.ndim != 4 or x.shape[3] != model.cfg.in_channels:
-        raise ShapeError(
-            f"input must be [B, H, W, {model.cfg.in_channels}], got {x.shape}")
+        raise ShapeError(f"input must be [B, H, W, {model.cfg.in_channels}], got {x.shape}")
     if x.shape[0] < 1:
         raise ShapeError(f"input batch is empty: B=0 in {x.shape}")
+    if x.dtype != model.arena.data.dtype:
+        raise ShapeError(f"input dtype {x.dtype} is not the model's {model.arena.data.dtype}")
     check_input_size(x.shape[1], x.shape[2])
 
 

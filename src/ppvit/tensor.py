@@ -310,13 +310,6 @@ def _sum_rows(grad: Array) -> Array:
 # elementwise and structural ops
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two tensors of one shape (no broadcasting)."""
-    if a.shape != b.shape:
-        raise ShapeError(f"add needs b of a's shape {a.shape}, got b {b.shape}")
-    return _make("add", a.data + b.data, (a, b), lambda g: (g, g))
-
-
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     old = x.shape
@@ -449,9 +442,9 @@ def _hardswish(x: Array, out: Array | None = None) -> Array:
 def _hardswish_grad(x: Array, g: Array) -> Array:
     """``g`` times the slope at ``x``, written into ``g`` (as every ``ACTS``
     backward does, so a caller must own ``g``: never an upstream gradient,
-    such as the one array ``add``'s backward hands both inputs).  The slope
-    ``(x + 1.5) / 3`` is ``(2x + 3) / 6`` bit for bit, as doubling is exact,
-    with the left limit at the kinks (0 at -3, 1.5 at 3)."""
+    such as the one array ``layer_norm``'s backward hands ``x`` and
+    ``residual``).  The slope ``(x + 1.5) / 3`` is ``(2x + 3) / 6`` bit for bit,
+    as doubling is exact, with the left limit at the kinks (0 at -3, 1.5 at 3)."""
     slope = x + 1.5
     slope /= 3.0
     slope[x <= -3.0] = 0.0
@@ -486,8 +479,9 @@ def softmax_rows(x: Tensor, scale: float) -> Tensor:
     The scale (attention's ``1/sqrt(d)``) is taken inside, so scaled scores
     cost one node; the gradient is the softmax's, times ``scale``.
     """
-    if x.shape[-1] < 1:
-        raise ShapeError(f"softmax needs a nonempty last axis, got {x.shape}")
+    if x.shape[-1] < 1 or isinstance(scale, bool) or not isinstance(scale, (int, float)):
+        raise ShapeError(f"softmax needs a nonempty last axis and an int or float scale, got "
+                         f"x {x.shape} and scale={scale!r}")
     scale = float(scale)  # a Python float keeps float32 data float32
     z = x.data * scale
     # a transposed copy's column max: ``z.max(axis=-1)``'s bits, faster on short rows
@@ -504,8 +498,9 @@ def softmax_rows(x: Tensor, scale: float) -> Tensor:
 _LN_EPS = 1e-6  # added to every row's variance by ``layer_norm``
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize the last (channel) axis, then apply the affine pair.
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, residual: Tensor | None = None) -> Tensor:
+    """Normalize the last (channel) axis of ``x``, or of a post-norm residual
+    sum ``x + residual`` (one input gradient for both), then apply the affine pair.
 
     Rows are shifted by their first value before the mean is removed, so a
     large common offset costs no precision.  Row sums and dot products are
@@ -515,8 +510,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     if x.ndim < 1 or gamma.shape != (x.shape[-1],) or beta.shape != gamma.shape:
         raise ShapeError(f"layer_norm needs x [..., C] with gamma and beta [C], got x "
                          f"{x.shape}, gamma {gamma.shape}, beta {beta.shape}")
-    c = x.shape[-1]
-    xhat = x.data - x.data[..., :1]
+    if residual is not None and residual.shape != x.shape:
+        raise ShapeError(f"layer_norm residual {residual.shape} must have x's shape {x.shape}")
+    c, n = x.shape[-1], 3 if residual is None else 4  # ``bw`` keeps no input
+    xhat = x.data - x.data[..., :1] if residual is None else x.data + residual.data
+    if residual is not None:  # the sum, shifted in place
+        xhat -= xhat[..., :1].copy()
     xhat -= np.einsum("...c->...", xhat)[..., None] / c
     inv = 1.0 / np.sqrt(np.einsum("...c,...c->...", xhat, xhat)[..., None] / c + _LN_EPS)
     xhat *= inv
@@ -531,9 +530,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         dx -= np.einsum("...c->...", dx)[..., None] / c
         dx -= xhat * dot
         dx *= inv
-        return dx, dgamma, dbeta
+        return (dx, dgamma, dbeta, dx)[:n]  # ``residual`` gets ``dx`` too
 
-    return _make("layer_norm", out, (x, gamma, beta), bw)
+    return _make("layer_norm", out, (x, gamma, beta, residual)[:n], bw)
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +758,8 @@ def _check_pool(x: Tensor, out_h: int, out_w: int, op: str) -> None:
     if x.ndim != 4:
         raise ShapeError(f"{op} needs 4-d input, got {x.shape}")
     h, w = x.shape[1:3]
+    if type(out_h) is not int or type(out_w) is not int:  # as conv2d's stride: no bool
+        raise ShapeError(f"{op} takes int targets, got out_h={out_h!r}, out_w={out_w!r}")
     if not (1 <= out_h <= h and 1 <= out_w <= w):
         raise ShapeError(f"pool target {out_h}x{out_w} exceeds input extent {h}x{w}")
 

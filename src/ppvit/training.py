@@ -241,7 +241,7 @@ def train(model: ModelState, ds: SyntheticDataset, tc: TrainConfig,
             T.zero_grads(params)
             images, labels = load_batch(ds, stream.next())
             try:
-                logits = forward_classify(model, images)
+                logits = forward_classify(model, Tensor(images.data, dtype=model.arena.data.dtype))
                 loss = T.cross_entropy_logits(logits, labels)
                 loss.backward()
                 loss_val = loss.item()
@@ -277,7 +277,7 @@ def evaluate(model: ModelState, ds: SyntheticDataset, batch_size: int = 32
         for start in range(0, ds.num_samples, batch_size):
             idx = range(start, min(start + batch_size, ds.num_samples))
             images, labels = load_batch(ds, idx)
-            logits = forward_classify(model, images)
+            logits = forward_classify(model, Tensor(images.data, dtype=model.arena.data.dtype))
             loss = T.cross_entropy_logits(logits, labels)
             total_loss += loss.item() * len(labels)
             correct += int((logits.data.argmax(axis=1) == labels).sum())
@@ -341,9 +341,7 @@ def _ops_cases() -> list[GradcheckCase]:
         loss = f if seed is None else lambda: _projection_loss(f(), np.random.default_rng(seed))
         cases.append(_check_full(name, loss, inputs))
 
-    a, b = t(3, 4), t(3, 4)
-    check("add", lambda: T.add(a, b), [a, b], 1)
-    x, x3 = t(3, 4), t(2, 3, 4)
+    r, x, x3 = t(3, 4), t(3, 4), t(2, 3, 4)
     check("reshape", lambda: T.reshape(x, (2, 6)), [x], 8)
     check("transpose", lambda: T.transpose(x3, (2, 0, 1)), [x3], 9)
     c1, c2 = t(2, 2, 3, 3), t(2, 1, 2, 3)  # two pyramid levels' grids
@@ -361,6 +359,7 @@ def _ops_cases() -> list[GradcheckCase]:
     check("softmax_rows_scaled", lambda: T.softmax_rows(x, -1.7), [x], 6)
     g, bta = t(4, scale=0.5), t(4, scale=0.5)
     check("layer_norm", lambda: T.layer_norm(x, g, bta), [x, g, bta], 19)
+    check("layer_norm_residual", lambda: T.layer_norm(x, g, bta, residual=r), [x, r, g, bta], 1)
     # maps are channels-last: [B, H, W, C]
     ci, cw, cb = t(2, 5, 5, 3), t(4, 3, 3, 3), t(4)
     check("conv2d", lambda: T.conv2d(ci, cw, cb, stride=1, padding=1), [ci, cw, cb], 20)

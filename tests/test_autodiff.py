@@ -50,7 +50,7 @@ def act_loss(x, act, w, k):
     c = x.shape[-1]
     mm = T.matmul(T.reshape(x, (1, -1, c)), w, act=act)
     cv = T.conv2d(T.reshape(x, (1, 1, -1, c)), k, padding=1, groups=c, act=act)
-    return T.add(proj(mm, 15), proj(cv, 16))
+    return proj(T.concat([T.reshape(mm, (1, -1, 1)), T.reshape(cv, (1, -1, 1))]), 15)
 
 
 class TestBasicsByHand:
@@ -73,16 +73,17 @@ class TestBasicsByHand:
         npt.assert_array_equal(x.grad, [1.0, 1.0])
 
     def test_shared_subexpression_visited_once(self):
-        # d/dx sum((x+x)^2) = 8x; a double-visited node would double it
+        # y joins x to itself, so d/dx sum(y^2) = 4x; a double-visited node
+        # would double it
         x = Tensor([1.0, -2.0], requires_grad=True, dtype=np.float64)
-        y = T.add(x, x)
-        T.matmul(T.reshape(y, (1, 2)), T.reshape(y, (2, 1))).backward()
-        npt.assert_allclose(x.grad, 8.0 * x.data, rtol=1e-12)
+        y = T.concat([T.reshape(x, (1, 2, 1))] * 2)
+        T.matmul(T.reshape(y, (1, 4)), T.reshape(y, (4, 1))).backward()
+        npt.assert_allclose(x.grad, 4.0 * x.data, rtol=1e-12)
 
     def test_backward_requires_scalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeError, match="scalar"):
-            T.add(x, x).backward()
+            T.matmul(T.reshape(x, (2, 1)), T.reshape(x, (1, 2))).backward()
 
     def test_backward_refuses_a_loss_with_no_graph(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -100,7 +101,7 @@ class TestBasicsByHand:
     def test_no_grad_suppresses_recording(self):
         x = Tensor([1.0], requires_grad=True)
         with no_grad():
-            y = T.add(x, x)
+            y = T.matmul(T.reshape(x, (1, 1)), T.reshape(x, (1, 1)))
         assert not y.requires_grad and y.creator is None
 
     def test_detached_leaf_gets_no_grad(self, rng):
@@ -160,11 +161,6 @@ SHAPES4D = [(1, 4, 4, 2), (2, 5, 4, 3), (1, 6, 7, 1), (2, 1, 1, 3), (1, 2, 2, 2)
 
 
 class TestEveryOpThreeShapes:
-    @pytest.mark.parametrize("shape", SHAPES3)
-    def test_add(self, rng, shape):
-        a, b = randt(rng, *shape), randt(rng, *shape)
-        check_grads(lambda: proj(T.add(a, b), 1), [a, b])
-
     @pytest.mark.parametrize("shape", [(12,), (2, 6), (3, 2, 2)])
     def test_reshape(self, rng, shape):
         x = randt(rng, *shape)
@@ -198,14 +194,6 @@ class TestEveryOpThreeShapes:
         a = randt(rng, 3, 2, 4)
         b = randt(rng, 4, 5)  # shared across the batch
         check_grads(lambda: proj(T.matmul(a, b), 13), [a, b])
-
-    @pytest.mark.parametrize("shape", SHAPES3)
-    def test_broadcast_add(self, rng, shape):
-        # add joins two tensors of one shape; a broadcast operand is refused
-        a, b = randt(rng, *shape), randt(rng, *shape)
-        check_grads(lambda: proj(T.add(a, b), 14), [a, b])
-        with pytest.raises(ShapeError, match=r"add needs b of a's shape"):
-            T.add(a, randt(rng, *shape[:-1], 1))
 
     @pytest.mark.parametrize("shape", SHAPES3)
     def test_hardswish_away_from_kinks(self, rng, shape):
@@ -257,6 +245,15 @@ class TestEveryOpThreeShapes:
                    requires_grad=True, dtype=np.float64)
         b = randt(rng, shape[-1], scale=0.1)
         check_grads(lambda: proj(T.layer_norm(x, g, b), 19), [x, g, b])
+
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 2, 6), (1, 5, 3)])
+    def test_layer_norm_residual(self, rng, shape):
+        # the post-norm residual sum: one input gradient for x and residual
+        x, r = randt(rng, *shape), randt(rng, *shape)
+        g = Tensor(rng.normal(loc=1.0, scale=0.1, size=shape[-1]),
+                   requires_grad=True, dtype=np.float64)
+        b = randt(rng, shape[-1], scale=0.1)
+        check_grads(lambda: proj(T.layer_norm(x, g, b, residual=r), 14), [x, r, g, b])
 
     # the last case is the stem's 7x7/4/pad-3 on 3 channels: overlapping
     # windows whose taps reach into the padding on both sides
@@ -355,11 +352,11 @@ class TestSweepOrder:
                         dtype=np.float32)  # [row, consumer]
         grads = []
         for sweep in (T.backward, oracles.backward_sweep):
-            leaf = Tensor(np.ones((3, 1), dtype=np.float32), requires_grad=True)
-            h = T.reshape(leaf, (3, 1))
-            outs = [T.matmul(Tensor(np.diag(vals[:, i])), h) for i in range(3)]
-            total = T.add(T.add(outs[0], outs[1]), outs[2])
-            sweep(T.matmul(Tensor(np.ones((1, 3), dtype=np.float32)), total))
+            leaf = Tensor(np.ones((1, 3, 1), dtype=np.float32), requires_grad=True)
+            h = T.reshape(leaf, (1, 3, 1))
+            outs = [T.matmul(Tensor(np.diag(vals[:, i])[None]), h) for i in range(3)]
+            total = T.reshape(T.concat(outs), (1, 9))  # the three consumers side by side
+            sweep(T.matmul(total, Tensor(np.ones((9, 1), dtype=np.float32))))
             grads.append(leaf.grad)
         assert grads[0].dtype == np.float32 and sorted(grads[0].ravel()) == [0.0, 0.0, 1.0]
         npt.assert_array_equal(grads[0], grads[1])
@@ -442,19 +439,19 @@ class TestBackwardFreesTheGraph:
         assert loss.creator.inputs == () and loss.creator.backward_fn is None
 
     def test_unread_op_output_dies_before_backward(self, rng):
-        # a residual sum feeding layer_norm and a score feeding softmax_rows:
-        # neither backward reads its input, so the graph must not hold it
+        # a residual pair feeding layer_norm and a score feeding softmax_rows:
+        # neither backward reads its inputs, so the graph must not hold them
         x, y, k = randt(rng, 2, 5, 4), randt(rng, 2, 5, 4), randt(rng, 2, 4, 3)
         gamma, beta, w = randt(rng, 4), randt(rng, 4), randt(rng, 4, 4)
-        total = T.add(x, y)
-        total_ref = weakref.ref(total.data)
-        h = T.matmul(T.layer_norm(total, gamma, beta), w)
+        base, branch = T.matmul(x, w), T.matmul(y, w)
+        pair_refs = [weakref.ref(base.data), weakref.ref(branch.data)]
+        h = T.matmul(T.layer_norm(base, gamma, beta, residual=branch), w)
         h_ref = weakref.ref(h.data)
         scores = T.matmul(h, k)
         scores_ref = weakref.ref(scores.data)
         probs = T.softmax_rows(scores, 0.5)
-        del total, h, scores
-        assert total_ref() is None
+        del base, branch, h, scores
+        assert [ref() is None for ref in pair_refs] == [True, True]
         assert scores_ref() is None
         # the score matmul's backward reads ``h``: it lives until that node ran
         score_node = probs.creator.inputs[0]
@@ -491,7 +488,7 @@ class TestBackwardFreesTheGraph:
         loss.backward()
         first = x.grad.copy(), w.grad.copy()
         # the same loss again, and a new loss over part of the freed graph
-        for again in (loss, T.mean(T.add(y, y))):
+        for again in (loss, T.mean(y)):
             with pytest.raises(GraphFreedError, match="freed by an earlier backward"):
                 again.backward()
             npt.assert_array_equal(x.grad, first[0])

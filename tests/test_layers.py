@@ -95,8 +95,8 @@ def graph_ops(out, inputs):
 
 class TestChannelsLastLayers:
     """Every layer takes and returns a channels-last [B, H, W, C] map, so
-    the only layout ops left join the pooled levels (one ``concat``) and
-    split and merge the attention heads."""
+    the only layout ops left join the pooled levels and their position
+    encodings (a ``concat`` each) and split and merge the attention heads."""
 
     @pytest.mark.parametrize("layer", ["build_kv_sequence", "irb_forward",
                                        "patch_embed"])
@@ -131,23 +131,28 @@ class TestChannelsLastLayers:
     @pytest.mark.parametrize("ratios", [(1,), (1, 2), (1, 2, 4)])
     def test_block_reshapes_only_heads_and_levels(self, rng, ratios):
         # q, k and v split into heads and the context merged back (4) at any
-        # number of levels: one concat flattens and joins the pyramid levels,
-        # and the map itself is never reshaped
+        # number of levels: one concat flattens and joins the pyramid levels
+        # and one their position encodings, and the map is never reshaped;
+        # both residual sums run inside the block's layer norms
         blk = make_block(8, 2, ratios, seed=1)
         x = Tensor(rng.normal(size=(2, 4, 4, 8)), requires_grad=True, dtype=np.float64)
         ops = graph_ops(block_forward(x, blk), [x] + T.params(blk))
-        assert ops.count("reshape") == 4 and ops.count("concat") == 1, ops
+        assert ops.count("reshape") == 4 and ops.count("concat") == 2, ops
+        assert ops.count("layer_norm") == 3, ops
 
+    @pytest.mark.parametrize("use_rpe", [True, False], ids=["rpe", "no-rpe"])
     @pytest.mark.parametrize("ratios", [(1,), (1, 2), (1, 2, 3, 4)])
-    def test_kv_sequence_is_three_nodes_per_level_and_two(self, rng, ratios):
-        # per level a pool, the position-encoding conv and its residual add;
-        # then one concat and one layer norm: 3L + 2 nodes, no reshape
+    def test_kv_sequence_nodes_per_level(self, rng, ratios, use_rpe):
+        # per level a pool and, with the position encoding, its conv; the
+        # convs and the levels each joined by a concat, summed in the one
+        # layer norm: 2L + 3 nodes, or L + 2 without the encoding; no reshape
         state = _init_attn(_Init(0, np.float64),
-                           PMHSAConfig(dim=4, heads=1, pool_ratios=ratios))
+                           PMHSAConfig(dim=4, heads=1, pool_ratios=ratios, use_rpe=use_rpe))
         x = Tensor(rng.normal(size=(2, 4, 4, 4)), requires_grad=True, dtype=np.float64)
         ops = graph_ops(build_kv_sequence(x, state), [x] + T.params(state))
-        assert sorted(ops) == sorted(["adaptive_avg_pool2d", "conv2d", "add"] * len(ratios)
-                                     + ["concat", "layer_norm"]), ops
+        per_level = ["adaptive_avg_pool2d"] + ["conv2d"] * use_rpe
+        assert sorted(ops) == sorted(per_level * len(ratios) + ["concat"] * (1 + use_rpe)
+                                     + ["layer_norm"]), ops
 
     @pytest.mark.parametrize("kind", ["irb", "mlp"])
     def test_activation_runs_inside_the_ops(self, rng, kind):

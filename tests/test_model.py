@@ -8,9 +8,9 @@ import pytest
 
 import oracles
 from ppvit import (CheckpointError, ConfigError, ModelConfig, NonFiniteError, ShapeError,
-                   StageConfig, Tensor, build_model, count_params, forward_classify,
-                   forward_features, load_checkpoint, no_grad, preset,
-                   save_checkpoint)
+                   StageConfig, SyntheticDataset, Tensor, build_model, count_params,
+                   forward_classify, forward_features, load_batch, load_checkpoint,
+                   no_grad, preset, save_checkpoint)
 from ppvit import tensor as T
 from ppvit.complexity import REFERENCE_PARAMS
 from ppvit.model import (EMBED_GEOMETRY, INPUT_MULTIPLE, PRESET_NAMES,
@@ -161,6 +161,17 @@ class TestGeometry:
         with pytest.raises(ShapeError):
             forward_features(micro_model(), Tensor(np.zeros((32, 32, 3))))
 
+    @pytest.mark.parametrize("model_dtype,input_dtype", [(np.float32, np.float64),
+                                                         (np.float64, np.float32)])
+    def test_rejects_an_input_of_another_dtype(self, rng, model_dtype, input_dtype):
+        # run anyway, a float64 image would turn an f32 model's forward, and
+        # every gradient, into float64
+        net = build_model(preset("nano", num_classes=4), seed=0, dtype=model_dtype)
+        x = Tensor(rng.uniform(size=(2, 32, 32, 3)), dtype=input_dtype)
+        names = f"{np.dtype(input_dtype).name} is not the model's {np.dtype(model_dtype).name}"
+        with pytest.raises(ShapeError, match=names):
+            forward_classify(net, x)
+
     @pytest.mark.parametrize("call,match", [
         (lambda: forward_features(micro_model(), Tensor(np.zeros((0, 32, 32, 3)))),
          "batch is empty"),
@@ -216,7 +227,8 @@ class TestInChannels:
 class TestGraph:
     def test_every_affine_map_is_one_matmul_node(self, rng):
         # each linear's bias enters the graph as the third input of its
-        # matmul, never through a separate broadcast add
+        # matmul and each conv's as the third of its conv2d, never through
+        # a node of its own
         net = micro_model()
         params = dict(net.named_params())
         names = {id(p): n for n, p in params.items()}
@@ -232,7 +244,8 @@ class TestGraph:
             return [names[id(i)] for n in nodes if n.op == op for i in n.inputs
                     if names.get(id(i), "").endswith(".bias")]
 
-        assert bias_inputs("add") == []
+        assert {n.op for n in nodes for i in n.inputs
+                if names.get(id(i), "").endswith(".bias")} == {"matmul", "conv2d"}
         linear_biases = [n for n in params if n.endswith(".bias")
                          and params[n.removesuffix("bias") + "weight"].ndim == 2]
         assert sorted(bias_inputs("matmul")) == sorted(linear_biases)
@@ -261,6 +274,20 @@ class TestDtypeParity:
         worst = {n: np.abs(a - b).max() for (n, a), (_, b) in zip(grads32, grads64)}
         name = max(worst, key=worst.get)
         assert worst[name] <= 1e-4 * gmax, f"{name}: {worst[name]:.2e} vs {gmax:.2e}"
+
+
+class TestBatchInvariance:
+    def test_tiny224_features_do_not_depend_on_batchmates(self):
+        # each image's B1..B4 has the same bits alone as beside another
+        # image; the head's GEMM does not keep this (README, Determinism)
+        net = build_model(preset("tiny", num_classes=4), seed=0)
+        images, _ = load_batch(SyntheticDataset("blobs", 2, 224, 4, seed=0), [0, 1])
+        with no_grad():
+            pair = forward_features(net, images)
+            for i in range(2):
+                alone = forward_features(net, Tensor(images.data[i:i + 1]))
+                for stage, (a, p) in enumerate(zip(alone, pair), start=1):
+                    assert np.array_equal(a.data[0], p.data[i]), (i, f"B{stage}")
 
 
 class TestConfigValidation:

@@ -42,16 +42,20 @@ class TestMatmul:
     def test_fused_bias_matches_add_bit_for_bit(self):
         # the output gradient reaches matmul as a transposed, non-contiguous
         # view, as the k projection's does inside attention.  The fused bias
-        # matches an add of the bias tiled over the rows, and its gradient
-        # that add's gradient summed over the rows, with the same bits
+        # matches the bias added to the unbiased product, and its gradient
+        # the product's output gradient summed over the rows, with the same bits
         def run(fused):
             draw = np.random.default_rng(3)
             x, w, b = (Tensor(draw.normal(size=s), requires_grad=True)
                        for s in [(2, 7, 6), (6, 5), (5,)])
-            tiled = Tensor(np.broadcast_to(b.data, (2, 7, 5)).copy(), requires_grad=True)
-            y = T.matmul(x, w, b) if fused else T.add(T.matmul(x, w), tiled)
+            y, seen = T.matmul(x, w, b if fused else None), []
+            if not fused:  # record the unbiased product's output gradient
+                bw = y.creator.backward_fn
+                y.creator.backward_fn = lambda g: (seen.append(g), bw(g))[1]
             _projection_loss(T.transpose(y, (2, 1, 0)), np.random.default_rng(4)).backward()
-            return y.data, x.grad, w.grad, b.grad if fused else T._sum_rows(tiled.grad)
+            if fused:
+                return y.data, x.grad, w.grad, b.grad
+            return y.data + b.data, x.grad, w.grad, T._sum_rows(seen[0])
 
         for fused, unfused in zip(run(True), run(False)):
             npt.assert_array_equal(fused, unfused)
@@ -568,12 +572,12 @@ class TestFiniteGuard:
         scan = T._ensure_finite
         monkeypatch.setattr(T, "_ensure_finite",
                             lambda arr, name: (scans.append(name), scan(arr, name)))
-        x = T.add(Tensor(np.ones((2, 3, 1))), Tensor(np.arange(6.0).reshape(2, 3, 1)))
-        assert scans == ["add"]
+        x = T.matmul(Tensor(np.arange(6.0).reshape(2, 3, 1)), Tensor(np.ones((1, 1))))
+        assert scans == ["matmul"]
         out = MOVES[op](x)
-        assert scans == ["add"] and out.scanned
+        assert scans == ["matmul"] and out.scanned
         npt.assert_array_equal(MOVES[op](Tensor(x.data)).data, out.data)
-        assert scans == ["add", op]  # a leaf is scanned
+        assert scans == ["matmul", op]  # a leaf is scanned
 
     @pytest.mark.parametrize("op", MOVES)
     def test_nan_leaf_still_raises(self, op):
@@ -581,13 +585,14 @@ class TestFiniteGuard:
         with pytest.raises(NonFiniteError, match=op):
             MOVES[op](leaf)
         with pytest.raises(NonFiniteError, match="concat"):
-            T.concat([T.add(Tensor(np.ones((2, 3, 1))), Tensor(np.ones((2, 3, 1)))), leaf])
+            T.concat([T.matmul(Tensor(np.ones((2, 3, 1))), Tensor(np.ones((1, 1)))), leaf])
 
     def test_overflow_raises(self):
-        big = Tensor([1e308])
-        with np.errstate(over="ignore"):
-            with pytest.raises(NonFiniteError, match="'add'"):
-                T.add(big, Tensor([1e308]))
+        # a residual sum that overflows, as a separate add's once did
+        big, ones = Tensor([[1e308, 1.0]]), Tensor([1.0, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match="'layer_norm'"):
+                T.layer_norm(big, ones, ones, residual=Tensor([[1e308, 1.0]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -819,7 +824,7 @@ def _zeros(*shape):
 
 # op call -> the argument its ShapeError names; each once raised a NumPy or
 # Python error, or was served by a wider contract than the network uses
-# (depthwise stride and padding and broadcast add: the autodiff edge tests)
+# (depthwise stride and padding: the autodiff edge tests)
 REFUSALS = {
     "conv-stride-0": (lambda: T.conv2d(_zeros(1, 4, 4, 2), _zeros(3, 2, 3, 3), stride=0),
                       "stride=0"),
@@ -841,6 +846,9 @@ REFUSALS = {
     "matmul-act-unknown": (lambda: T.matmul(_zeros(2, 3), _zeros(3, 4), act="relu"),
                            "act='relu'"),
     "layer-norm-0d": (lambda: T.layer_norm(_zeros(), _zeros(1), _zeros(1)), "x ()"),
+    "layer-norm-residual-shape": (lambda: T.layer_norm(_zeros(2, 3), _zeros(3), _zeros(3),
+                                                       residual=_zeros(2, 1)),
+                                  "residual (2, 1)"),
     "concat-empty": (lambda: T.concat([]), "maps []"),
     "concat-other-extent": (lambda: T.concat([_zeros(2, 3, 4), _zeros(2, 5, 3)]),
                             "maps [(2, 3, 4), (2, 5, 3)]"),
@@ -855,6 +863,12 @@ REFUSALS = {
                                "batch extents"),
     "mean-tuple-axis": (lambda: T.mean(_zeros(2, 3, 4), axis=(0, 2)), "axis=(0, 2)"),
     "mean-axis-out-of-range": (lambda: T.mean(_zeros(2, 3), axis=2), "axis=2"),
+    "avg-pool-float-target": (lambda: T.adaptive_avg_pool2d(_zeros(1, 4, 4, 2), 2.0, 2),
+                              "out_h=2.0"),
+    "max-pool-bool-target": (lambda: T.adaptive_max_pool2d(_zeros(1, 4, 4, 2), 2, True),
+                             "out_w=True"),
+    "softmax-scale-str": (lambda: T.softmax_rows(_zeros(2, 3), "x"), "scale='x'"),
+    "softmax-scale-bool": (lambda: T.softmax_rows(_zeros(2, 3), True), "scale=True"),
 }
 
 

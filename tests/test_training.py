@@ -407,6 +407,7 @@ class TestTrainLoop:
         state = AdamWState.for_params(named)
         for step in (1, 2):
             images, labels = load_batch(ds, np.arange(4))
+            images = Tensor(images.data, dtype=dtype)  # as train() casts the batch
             loss = T.cross_entropy_logits(forward_classify(net, images), labels)
             T.zero_grads([p for _, p in named])
             loss.backward()
