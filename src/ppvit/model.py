@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import types
 import typing
@@ -165,16 +166,16 @@ class _Init:
     """Lays parameters out in a fixed order, so builds are seed-deterministic.
 
     Given an arena ``size``, each parameter is a view of the next slot of
-    one zeroed buffer and each draw is written straight into its slot;
-    without one (sub-layer builds), each parameter gets its own array.  A
-    ``seed`` of ``None`` draws nothing: weights keep their zeros (norm
-    scales their ones) for a checkpoint load to fill.
+    one buffer, else (sub-layer builds) its own zeroed array.  With a
+    ``seed`` the buffer starts zeroed and each weight is drawn in float64
+    and cast into its slot; with none, nothing is written, for a load to fill.
     """
 
     def __init__(self, seed: int | None, dtype, size: int | None = None):
         self.rng = None if seed is None else np.random.default_rng(seed)
         self.dtype = dtype
-        self.data = None if size is None else np.zeros(size, dtype=dtype)
+        alloc = np.empty if seed is None else np.zeros
+        self.data = None if size is None else alloc(size, dtype=dtype)
         self.cursor = 0
 
     def _slot(self, shape: tuple[int, ...]) -> Tensor:
@@ -186,19 +187,17 @@ class _Init:
                              f"the build needs more")
         return Tensor(self.data[lo:self.cursor].reshape(shape), requires_grad=True)
 
-    def draw(self, shape: tuple[int, ...]) -> np.ndarray | float:
-        """A truncated-normal draw of ``shape``, or 0 when not drawing."""
-        return 0.0 if self.rng is None else _trunc_normal(self.rng, shape)
-
     def affine(self, shape: tuple[int, ...], out: int) -> T.Affine:
         """A truncated-normal weight of ``shape`` and a zero bias of ``out``."""
         weight = self._slot(shape)
-        weight.data[...] = self.draw(shape)
+        if self.rng is not None:
+            weight.data[...] = _trunc_normal(self.rng, shape)
         return T.Affine(weight, self._slot((out,)))
 
     def norm(self, c: int) -> T.Norm:
         gamma = self._slot((c,))
-        gamma.data[...] = 1.0
+        if self.rng is not None:
+            gamma.data[...] = 1.0
         return T.Norm(gamma, self._slot((c,)))
 
 
@@ -212,8 +211,8 @@ def _init_attn(init: _Init, cfg: PMHSAConfig) -> PMHSAState:
     c = cfg.dim
     q, k, v, o = (init.affine((c, c), c) for _ in range(4))
     rpe = init.affine((c, 1, 3, 3), c) if cfg.use_rpe else None
-    if rpe is None:
-        init.draw((c, 1, 3, 3))  # drawn when off too, with no slot; see build_model
+    if rpe is None and init.rng is not None:
+        _trunc_normal(init.rng, (c, 1, 3, 3))  # drawn when off too, with no slot; see build_model
     return PMHSAState(cfg, q, k, v, o, rpe, init.norm(c))
 
 
@@ -487,68 +486,69 @@ def save_checkpoint(model: ModelState, path, extra: dict | None = None) -> None:
         fh.write(blob)
         for name, p in model.named_params():
             fh.write(_record_header(name, p.shape))
-            fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(p.data, dtype="<f4"))
 
 
-def load_checkpoint(path, dtype=np.float32) -> tuple[ModelState, dict]:
-    """Rebuild the model a checkpoint describes and restore its parameters.
+def load_checkpoint(path) -> tuple[ModelState, dict]:
+    """Rebuild the float32 model a checkpoint describes and restore its parameters.
 
-    The model's structure and arena are laid out with no draws, and each
-    record is copied into its parameter's view.  The records must fill the
-    file exactly, in ``named_params`` order, each header byte-equal to the
-    one ``save_checkpoint`` writes for that parameter.
+    The model's structure and arena are laid out with nothing written, and
+    each record is read in turn straight into its parameter's view, so no
+    copy of the file is held.  The records must fill the file exactly, in
+    ``named_params`` order, each header byte-equal to the one
+    ``save_checkpoint`` writes for that parameter.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:8] != CHECKPOINT_MAGIC:
-        raise CheckpointError("bad magic; not a checkpoint file")
-    try:
-        (mlen,) = struct.unpack_from("<Q", raw, 8)
-    except struct.error as exc:
-        raise CheckpointError(f"truncated header, no manifest_len: {exc}") from exc
-    off = 16
-    try:
-        manifest = json.loads(raw[off:off + mlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"unreadable manifest: {exc}") from exc
-    off += mlen
-    if not isinstance(manifest, dict):
-        raise CheckpointError(
-            f"manifest must be a JSON object, got {type(manifest).__name__}")
-    if manifest.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported format_version {manifest.get('format_version')!r}")
-    for key in ("config", "seed"):
-        if key not in manifest:
-            raise CheckpointError(f"manifest has no {key!r} field")
-    if type(manifest["seed"]) is not int:
-        raise CheckpointError(f"manifest field 'seed' must be an integer, "
-                              f"got {manifest['seed']!r}")
-
-    cfg = config_from_dict(manifest["config"])
-    # The parameter count is closed form, so a manifest that asks for a
-    # model its records cannot hold is refused before anything is built.
-    from .complexity import count_params  # complexity imports this module
-
-    need = 4 * count_params(cfg).total_params
-    if len(raw) - off < need:
-        raise CheckpointError(
-            f"manifest field 'config' describes {need // 4} parameters "
-            f"({need} bytes), but only {len(raw) - off} bytes follow the manifest")
-    model = _build(cfg, manifest["seed"], dtype, draw=False)
-    named = model.named_params()
-    headers = [_record_header(name, p.shape) for name, p in named]
-    size = sum(map(len, headers)) + 4 * model.arena.data.size
-    if len(raw) - off != size:
-        raise CheckpointError(
-            f"{len(raw) - off} bytes follow the manifest, but the records of its "
-            f"'config' take {size}")
-    for (name, p), header in zip(named, headers):
-        if raw[off:off + len(header)] != header:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(8) != CHECKPOINT_MAGIC:
+            raise CheckpointError("bad magic; not a checkpoint file")
+        head = fh.read(8)
+        if len(head) != 8:
+            raise CheckpointError(f"truncated header, no manifest_len: {len(head)} of 8 bytes")
+        (mlen,) = struct.unpack("<Q", head)
+        if mlen > size - 16:
+            raise CheckpointError(f"manifest_len {mlen} runs past the end of the {size}-byte file")
+        off = 16 + mlen
+        try:
+            manifest = json.loads(fh.read(mlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"unreadable manifest: {exc}") from exc
+        if not isinstance(manifest, dict):
             raise CheckpointError(
-                f"the record at byte {off} is not parameter {name!r} {p.shape}; "
-                f"records follow named_params order")
-        off += len(header)
-        p.data[...] = np.frombuffer(raw, "<f4", p.size, off).reshape(p.shape)
-        off += 4 * p.size
+                f"manifest must be a JSON object, got {type(manifest).__name__}")
+        if manifest.get("format_version") != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"unsupported format_version {manifest.get('format_version')!r}")
+        for key in ("config", "seed"):
+            if key not in manifest:
+                raise CheckpointError(f"manifest has no {key!r} field")
+        if type(manifest["seed"]) is not int:
+            raise CheckpointError(f"manifest field 'seed' must be an integer, "
+                                  f"got {manifest['seed']!r}")
+
+        cfg = config_from_dict(manifest["config"])
+        # The parameter count is closed form, so a manifest that asks for a
+        # model its records cannot hold is refused before anything is built.
+        from .complexity import count_params  # complexity imports this module
+
+        need = 4 * count_params(cfg).total_params
+        if size - off < need:
+            raise CheckpointError(
+                f"manifest field 'config' describes {need // 4} parameters "
+                f"({need} bytes), but only {size - off} bytes follow the manifest")
+        model = _build(cfg, manifest["seed"], np.float32, draw=False)
+        named = model.named_params()
+        headers = [_record_header(name, p.shape) for name, p in named]
+        total = sum(map(len, headers)) + 4 * model.arena.data.size
+        if size - off != total:
+            raise CheckpointError(
+                f"{size - off} bytes follow the manifest, but the records of its "
+                f"'config' take {total}")
+        for (name, p), header in zip(named, headers):
+            record = fh.read(len(header) + 4 * p.size)
+            if len(record) != len(header) + 4 * p.size or record[:len(header)] != header:
+                raise CheckpointError(
+                    f"the record at byte {fh.tell() - len(record)} is not parameter "
+                    f"{name!r} {p.shape}; records follow named_params order")
+            p.data[...] = np.frombuffer(record, "<f4", offset=len(header)).reshape(p.shape)
     return model, manifest

@@ -554,6 +554,39 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < 2 ** 20, peak
 
+    @pytest.mark.parametrize("past_end", ["max_u63", "one_byte"])
+    def test_manifest_len_past_the_end_refused(self, tmp_path, past_end):
+        import struct
+
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(preset("nano", num_classes=2), seed=3), path)
+        blob = path.read_bytes()
+        mlen = 2 ** 63 - 1 if past_end == "max_u63" else len(blob) - 16 + 1
+        path.write_bytes(blob[:8] + struct.pack("<Q", mlen) + blob[16:])
+        with pytest.raises(CheckpointError, match="manifest"):
+            load_checkpoint(path)
+
+    def test_tiny_load_peaks_at_the_arena_and_one_record(self, tmp_path):
+        """A load holds no copy of the file: only the arena it fills and
+        the record being read."""
+        import tracemalloc
+
+        path = tmp_path / "tiny.ckpt"
+        net = build_model(preset("tiny"), seed=0)
+        save_checkpoint(net, path)
+        arena = net.arena.data.nbytes
+        largest = max(3 + len(name) + 4 * p.ndim + 4 * p.size
+                      for name, p in net.named_params())
+        del net
+        tracemalloc.start()
+        try:
+            loaded, _ = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.arena.data.nbytes == arena
+        assert peak <= arena + largest + 2 * 2 ** 20, (peak, arena, largest)
+
     @staticmethod
     def nano_records(path):
         """Save a seed-3 nano checkpoint to ``path``; its header bytes and
