@@ -101,8 +101,17 @@ def _checkers(rng: np.random.Generator, s: int, label: int) -> np.ndarray:
     return lo[:, None, None] + (hi - lo)[:, None, None] * parity[None]
 
 
+def _as_index(i, where: str) -> int:
+    """``i`` as an int: a NumPy integer passes (a shuffled order holds int64),
+    a bool, float or str is refused rather than truncated or parsed."""
+    if type(i) is bool or not isinstance(i, (int, np.integer)):
+        raise ShapeError(f"{where}: {i!r} ({type(i).__name__}) is not an int")
+    return int(i)
+
+
 def generate_sample(ds: SyntheticDataset, index: int) -> tuple[Tensor, int]:
     """Image [S, S, 3] in [0, 1] plus its label; pure in (seed, index)."""
+    index = _as_index(index, "generate_sample index")
     if not 0 <= index < ds.num_samples:
         raise IndexError(f"index {index} out of range [0, {ds.num_samples})")
     label = index % ds.num_classes
@@ -123,7 +132,7 @@ def load_batch(ds: SyntheticDataset, indices) -> tuple[Tensor, np.ndarray]:
     The batch is always a fresh array: writing into it never changes a
     later batch.
     """
-    idx = [int(i) for i in indices]
+    idx = [_as_index(i, "load_batch indices") for i in indices]
     if not idx:
         raise ShapeError("load_batch needs at least one sample in indices, got none")
     labels = np.asarray([i % ds.num_classes for i in idx], dtype=np.int64)

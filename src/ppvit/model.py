@@ -347,11 +347,10 @@ def forward_features(model: ModelState, x: Tensor) -> tuple[Tensor, ...]:
 
 
 def forward_classify(model: ModelState, x: Tensor) -> Tensor:
-    """Logits [B, num_classes]: norm B4's tokens, average them, project."""
-    b4 = forward_features(model, x)[3]
-    tokens = T.reshape(b4, (b4.shape[0], -1, b4.shape[3]))
-    tokens = T.layer_norm(tokens, model.head_ln.gamma, model.head_ln.beta)
-    pooled = T.mean(tokens, axis=1)
+    """Logits [B, num_classes]: norm the map B4, average-pool it globally, project."""
+    y = forward_features(model, x)[3]
+    y = T.layer_norm(y, model.head_ln.gamma, model.head_ln.beta)
+    pooled = T.reshape(T.adaptive_avg_pool2d(y, 1, 1), (y.shape[0], y.shape[3]))
     return T.matmul(pooled, model.head_fc.weight, model.head_fc.bias)
 
 

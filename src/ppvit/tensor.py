@@ -136,10 +136,9 @@ def _make(op: str, out_data: Array, inputs: tuple[Tensor, ...],
     # so it is finite if every input was checked when made
     if not (moved and all([t.scanned for t in inputs])):
         _ensure_finite(out_data, op)
-    # built without ``Tensor.__init__``'s conversion: an op's output is a float
-    # array already, or a NumPy scalar from a reduction to 0-d
+    # built without ``Tensor.__init__``'s conversion: an op's output is a float array already
     out = Tensor.__new__(Tensor)
-    out.data = out_data if type(out_data) is np.ndarray else np.asarray(out_data)
+    out.data = out_data
     out.grad = out.creator = None
     out.scanned, out.requires_grad = True, False
     if _grad_enabled.get() and any([t.requires_grad for t in inputs]):
@@ -344,23 +343,6 @@ def concat(maps: Sequence[Tensor]) -> Tensor:
     return _make("concat", out, tuple(maps), bw, moved=True)
 
 
-def mean(x: Tensor, axis: int | None = None) -> Tensor:
-    """Mean over one axis, or over every value (a scalar) when ``axis`` is None."""
-    if axis is not None and not (type(axis) is int and -x.ndim <= axis < x.ndim):
-        raise ShapeError(f"mean axis={axis!r} must be None or an int axis of {x.shape}")
-    out, shape = x.data.mean(axis=axis), x.shape
-    # A Python int, so ``g / count`` keeps the gradient's dtype (an np.int64
-    # count would promote float32 gradients to float64 under NumPy 2).
-    count = x.data.size if axis is None else x.shape[axis]
-
-    def bw(g: Array):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / count, shape).copy(),)
-
-    return _make("mean", out, (x,), bw)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
@@ -483,14 +465,18 @@ def softmax_rows(x: Tensor, scale: float) -> Tensor:
         raise ShapeError(f"softmax needs a nonempty last axis and an int or float scale, got "
                          f"x {x.shape} and scale={scale!r}")
     scale = float(scale)  # a Python float keeps float32 data float32
-    z = x.data * scale
-    # a transposed copy's column max: ``z.max(axis=-1)``'s bits, faster on short rows
-    zmax = np.ascontiguousarray(z.reshape(-1, z.shape[-1]).T).max(axis=0)
-    e = np.exp(z - zmax.reshape(z.shape[:-1] + (1,)))
-    out = e / np.einsum("...c->...", e)[..., None]
+    out = x.data * scale  # a new array; every later step writes into it, never into x
+    # a transposed copy's column max: ``out.max(axis=-1)``'s bits, faster on short rows
+    zmax = np.ascontiguousarray(out.reshape(-1, out.shape[-1]).T).max(axis=0)
+    out -= zmax.reshape(out.shape[:-1] + (1,))
+    np.exp(out, out=out)
+    out /= np.einsum("...c->...", out)[..., None]
 
     def bw(g: Array):
-        return (out * (g - np.einsum("...c,...c->...", g, out)[..., None]) * scale,)
+        d = g - np.einsum("...c,...c->...", g, out)[..., None]
+        d *= out
+        d *= scale
+        return (d,)
 
     return _make("softmax_rows", out, (x,), bw)
 

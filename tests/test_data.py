@@ -121,6 +121,29 @@ class TestValidation:
         with pytest.raises(ShapeError, match="indices"):
             load_batch(ds, [])
 
+    # a float, bool or str index is refused, not truncated or parsed
+    @pytest.mark.parametrize("bad", [1.7, True, "1", np.float64(1.0), np.bool_(True)],
+                             ids=["float", "bool", "str", "np-float", "np-bool"])
+    def test_non_int_indices_refused(self, bad):
+        ds = SyntheticDataset("blobs", 4, 32, 4, seed=0)
+        with pytest.raises(ShapeError, match="indices"):
+            load_batch(ds, [0, bad])
+        assert ds._memo == {}  # refused before any sample is rendered
+
+    @pytest.mark.parametrize("bad", [1.5, True, "1"], ids=["float", "bool", "str"])
+    def test_non_int_index_refused(self, bad):
+        with pytest.raises(ShapeError, match="index"):
+            generate_sample(BLOBS, bad)
+
+    def test_numpy_integer_indices_accepted(self):
+        # the training loop's shuffled order is an int64 array
+        batch, labels = load_batch(BLOBS, np.array([3, 1], dtype=np.int64))
+        ref, ref_labels = load_batch(BLOBS, [3, 1])
+        npt.assert_array_equal(batch.data, ref.data)
+        npt.assert_array_equal(labels, ref_labels)
+        npt.assert_array_equal(generate_sample(BLOBS, np.int32(3))[0].data,
+                               generate_sample(BLOBS, 3)[0].data)
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             SyntheticDataset("plasma", 8, 16, 2, seed=0)

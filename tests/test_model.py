@@ -183,10 +183,12 @@ class TestGeometry:
 
 
 class TestHead:
-    def test_logits_match_hand_computed_head(self, rng):
+    # B4 is 1x1 at 32 px, where any average is the identity, and 3x3 at 96 px
+    @pytest.mark.parametrize("size", [32, 96])
+    def test_logits_match_hand_computed_head(self, rng, size):
         """forward_classify must equal: LN over B4 tokens, token mean, linear."""
         net = micro_model()
-        x = rand_images(rng, b=2)
+        x = rand_images(rng, b=2, size=size)
         with no_grad():
             pyr = forward_features(net, x)
             logits = forward_classify(net, x)
