@@ -151,14 +151,18 @@ INIT_STD = 0.02  # standard deviation of every drawn weight
 
 
 def _trunc_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Normal(0, INIT_STD) with values beyond 2 std redrawn until inside."""
-    out = rng.normal(0.0, INIT_STD, size=shape)
+    """Normal(0, INIT_STD) with values beyond 2 std redrawn until inside: each
+    round draws one value for each position still outside, in flat order."""
+    out = rng.standard_normal(size=shape)
+    out *= INIT_STD
+    out += 0.0  # ``rng.normal``'s bits: ``0.0 + std * z``, so a -0.0 draw is +0.0
     limit = 2.0 * INIT_STD
-    # |out| > limit and a masked write, with no temporary the size of ``out``
-    bad = (out < -limit) | (out > limit)
-    while bad.any():
-        np.place(out, bad, rng.normal(0.0, INIT_STD, size=np.count_nonzero(bad)))
-        bad = (out < -limit) | (out > limit)
+    flat = out.reshape(-1)
+    idx = np.flatnonzero((flat < -limit) | (flat > limit))  # the one whole-array scan
+    while idx.size:
+        redraw = rng.normal(0.0, INIT_STD, size=idx.size)
+        flat[idx] = redraw
+        idx = idx[(redraw < -limit) | (redraw > limit)]
     return out
 
 

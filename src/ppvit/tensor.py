@@ -597,19 +597,26 @@ def _merged_columns(wo: int, c: int) -> int:
 def _depthwise_bands(src: Array, kt: Array, ph: int, pw: int, fwd: Callable | None = None,
                      grad: Callable | None = None, x: Array | None = None):
     """``_correlate`` of ``src`` or ``fwd(src)`` padded by ``ph`` rows and ``pw``
-    columns, and its ``m``, a band of output rows at a time through one buffer
-    of at most ``_BAND`` values (or the padded map); then, given ``grad``, each
-    band times the slope at ``x``'s same rows, in place."""
+    columns, and its ``m``, a band at a time through one buffer of at most
+    ``_BAND`` values (or one padded image): output rows of one image, or as
+    many whole images as fit, so no band re-pads halo rows for a batchmate;
+    then, given ``grad``, each band times the slope at ``x``'s same rows, in
+    place."""
     (b, h, w, c), (kh, kw, _) = src.shape, kt.shape
-    ho, wp = h + 2 * ph - kh + 1, w + 2 * pw
-    band = min(ho, max(1, _BAND // (b * wp * c) - kh + 1))  # output rows
+    hp, wp = h + 2 * ph, w + 2 * pw
+    ho = hp - kh + 1
+    n = min(b, max(1, _BAND // (hp * wp * c)))  # images a band takes
+    band = min(ho, max(1, _BAND // (n * wp * c) - kh + 1))  # output rows
     out = np.empty((b, ho, wp - kw + 1, c), dtype=np.result_type(src, kt))
-    buf = np.empty(b * (band + kh - 1) * wp * c, dtype=src.dtype)
-    for r in range(0, ho, band):  # the slices clip the last band
-        rows = buf[:b * (min(band, ho - r) + kh - 1) * wp * c].reshape(b, -1, wp, c)
-        _, m = _correlate(_pad(src, ph, pw, fwd, rows, r), kt, out[:, r:r + band])
-        if grad is not None:
-            grad(x[:, r:r + band], out[:, r:r + band])
+    buf = np.empty(n * (band + kh - 1) * wp * c, dtype=src.dtype)
+    for i in range(0, b, n):  # the slices clip the last images and the last band
+        for r in range(0, ho, band):
+            dst = out[i:i + n, r:r + band]
+            nb, rb = dst.shape[:2]
+            rows = buf[:nb * (rb + kh - 1) * wp * c].reshape(nb, -1, wp, c)
+            _, m = _correlate(_pad(src[i:i + n], ph, pw, fwd, rows, r), kt, dst)
+            if grad is not None:
+                grad(x[i:i + n, r:r + band], dst)
     return out, m
 
 

@@ -233,3 +233,17 @@ def backward_sweep(loss, seed=None):
                 continue
             key = id(inp)
             grads[key] = g if key not in grads else grads[key] + g
+
+
+def trunc_normal_loop(rng, shape, std):
+    """Normal(0, ``std``) with values beyond 2 std redrawn until inside, by a
+    masked rescan of the whole array each round: the draws, in their order,
+    that ``model._trunc_normal`` must reproduce."""
+    out = rng.normal(0.0, std, size=shape)
+    limit = 2.0 * std
+    # |out| > limit and a masked write, with no temporary the size of ``out``
+    bad = (out < -limit) | (out > limit)
+    while bad.any():
+        np.place(out, bad, rng.normal(0.0, std, size=np.count_nonzero(bad)))
+        bad = (out < -limit) | (out > limit)
+    return out

@@ -51,6 +51,19 @@ class TestBuildDeterminism:
         names = [n for n, _ in micro_model().named_params()]
         assert len(names) == len(set(names))
 
+    # (384, 240, 3, 3) is tiny's stage-4 patch embed, its largest weight
+    # (829,440 values); seeds 0-9 take 4 to 6 redraw rounds
+    @pytest.mark.parametrize("shape", [(7,), (5, 1, 3, 3), (384, 240, 3, 3)])
+    def test_trunc_normal_matches_the_rescan_loop(self, shape):
+        import ppvit.model as M
+
+        for seed in range(10):
+            got = M._trunc_normal(np.random.default_rng(seed), shape)
+            want = oracles.trunc_normal_loop(np.random.default_rng(seed), shape, M.INIT_STD)
+            assert got.shape == shape and got.dtype == np.float64
+            npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.abs(got).max() <= 2 * M.INIT_STD
+
 
 def reachable_tensors(obj, seen=None):
     """Every Tensor reachable through attributes, lists, tuples and dicts."""
@@ -527,6 +540,15 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(build_model(preset("nano", **overrides), seed=3), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_tiny_arena_bytes_pinned(self):
+        # tiny's 590K- and 829K-value weights take the multi-round redraws
+        # that nano's never reach
+        import hashlib
+
+        arena = build_model(preset("tiny"), seed=0).arena.data
+        assert hashlib.sha256(arena.tobytes()).hexdigest() == (
+            "4f4f8b70317cacb87f516f754003b1f1acb13565d084f3625c4ef3dcde56041a")
 
     def test_float64_model_refused_before_the_file_opens(self, tmp_path):
         net = build_model(preset("micro", num_classes=4), seed=0, dtype=np.float64)

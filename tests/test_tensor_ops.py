@@ -701,24 +701,45 @@ class TestBandedForwards:
         # rows of w * C = 96 values: short at the default ``_PAD_ROW``, written
         # in place into the reused band buffer at 16
         monkeypatch.setattr(T, "_PAD_ROW", pad_row)
-        if banded:  # a band of 6 padded rows: 4 output rows, and a short last band
-            monkeypatch.setattr(T, "_BAND", b * (6 + 2 * padding) * 16 * 6)
+        if banded:  # a band of 6 padded rows of one image: 4 output rows, and a short last band
+            monkeypatch.setattr(T, "_BAND", (6 + 2 * padding) * 16 * 6)
         correlate, bands = T._correlate, []
         monkeypatch.setattr(T, "_correlate", lambda src, kt, out=None: (
             bands.append(out.shape[1]), correlate(src, kt, out))[1])
         out = T.conv2d(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True),
                        Tensor(bias, requires_grad=True), padding=padding, groups=16, act=act)
         ho = 9 + 2 * padding
-        assert bands == ([4, 4, ho - 8] if banded else [ho])
+        assert bands == ([4, 4, ho - 8] * b if banded else [ho])
         assert out.data.dtype == dtype
         npt.assert_array_equal(out.data, ref + bias)
         bands.clear()
         dx, dk, db = out.creator.backward_fn(g)
-        # the input gradient's 11 rows: several bands (the last one short) or one
-        assert sum(bands) == 11 and (len(bands) > 1) == banded and bands[-1] <= bands[0]
+        # the input gradient's 11 rows: several bands of each image (the last one
+        # short) or one of all images
+        assert sum(bands) == 11 * (b if banded else 1) and (len(bands) > 1) == banded
+        assert bands[-1] <= bands[0]
         for d, d_ref in ((dx, dx_ref), (dk, dk_ref), (db, db_ref)):
             assert d.dtype == dtype
             npt.assert_array_equal(d, d_ref)
+
+    # bands of 6 padded rows of one image, or of two whole 13-row padded images
+    @pytest.mark.parametrize("band", [6 * 8 * 16, 2 * 13 * 8 * 16], ids=["rows", "images"])
+    def test_depthwise_image_bits_do_not_depend_on_batchmates(self, rng, monkeypatch, band):
+        monkeypatch.setattr(T, "_BAND", band)
+        x = rng.normal(scale=3.0, size=(3, 11, 6, 16)).astype(np.float32)
+        k = Tensor(rng.normal(size=(16, 1, 3, 3)).astype(np.float32), requires_grad=True)
+        g = rng.normal(size=x.shape).astype(np.float32)
+
+        def run(xs, gs):
+            out = T.conv2d(Tensor(xs, requires_grad=True), k, padding=1, groups=16,
+                           act="hardswish")
+            return out.data, out.creator.backward_fn(gs)[0]
+
+        out, dx = run(x, g)
+        for i in range(3):
+            alone, dx_alone = run(x[i:i + 1], g[i:i + 1])
+            npt.assert_array_equal(out[i], alone[0])
+            npt.assert_array_equal(dx[i], dx_alone[0])
 
     @pytest.mark.parametrize("banded", [True, False])
     @pytest.mark.parametrize("act", ["hardswish", "gelu"])
